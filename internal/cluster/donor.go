@@ -36,10 +36,17 @@ import (
 //
 // Consistency: donor sets are pulled from the peers' *stores* (not
 // their snapshots), so a retrain sees every report the peers had
-// acknowledged when it fetched. A change to one shard's old vehicle
-// reaches the other shards' donor pools at their next retrain —
-// /admin/retrain at the router scatters to every shard, and periodic
-// retrains reconcile on their cadence.
+// acknowledged when it fetched. Cold-start training reads only the
+// donors' first maintenance cycles (old <- own series; semi-new <- own
+// series + donors' first cycles; new <- donors' first cycles), and the
+// pool key that gates reuse hashes exactly those: a peer's old vehicle
+// reporting another day changes nothing here and retrains nobody on
+// this shard. What does change a shard's cold-start models is a donor
+// joining or leaving (a peer's semi-new vehicle completing its first
+// cycle), a changed allowance, or a backfilled day inside a donor's
+// first cycle; such a change reaches the other shards at their next
+// retrain — /admin/retrain at the router scatters to every shard, and
+// periodic retrains reconcile on their cadence.
 
 // DonorsPath is the internal endpoint shards serve their local
 // old-vehicle aggregates on. It is shard-to-shard only: the router
@@ -108,7 +115,7 @@ func FetchDonors(ctx context.Context, client *http.Client, baseURL string, allow
 		}
 		// The owner only serves vehicles it categorized Old; re-derive
 		// the category from the same prepared series as a guard against
-		// version skew — a non-old donor would poison the pool hash.
+		// version skew — only a complete first cycle can enter the pool key.
 		if core.Categorize(prep.Series) != core.Old {
 			continue
 		}

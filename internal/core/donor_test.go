@@ -138,6 +138,65 @@ func TestDonorOnlyPoolEquivalence(t *testing.T) {
 	}
 }
 
+// TestDonorOnlyPoolKeyFollowsFirstCycles: the pool key reads only the
+// donors' first cycles, and a shard (owned + donor-only) and the
+// unsharded fleet agree on it through every kind of change: a day
+// appended to a donor-only vehicle's tail moves neither key, a day
+// rewritten inside its first cycle moves both to the same new value.
+func TestDonorOnlyPoolKeyFollowsFirstCycles(t *testing.T) {
+	base, start := donorFleet(t)
+	owned := map[string]bool{"v03": true, "v04": true, "v05": true}
+	keys := func(fleet []*timeseries.VehicleSeries) (unsharded, shard uint64) {
+		t.Helper()
+		var out [2]uint64
+		for i, sharded := range []bool{false, true} {
+			fp, err := NewFleetPredictor(donorTestConfig())
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, vs := range fleet {
+				if sharded && !owned[vs.ID] {
+					err = fp.AddDonor(vs, start)
+				} else {
+					err = fp.AddVehicle(vs, start)
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+			}
+			plan, err := fp.PlanTrainingWithReuse(nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			out[i] = plan.PoolHash
+		}
+		return out[0], out[1]
+	}
+	edit := func(f func(u timeseries.Series) timeseries.Series) []*timeseries.VehicleSeries {
+		t.Helper()
+		fleet := append([]*timeseries.VehicleSeries(nil), base...)
+		vs, err := timeseries.Derive("v01", f(base[0].U.Clone()), base[0].Allowance) // v01 is donor-only on the shard
+		if err != nil {
+			t.Fatal(err)
+		}
+		fleet[0] = vs
+		return fleet
+	}
+
+	want, shard := keys(base)
+	if shard != want {
+		t.Fatalf("shard key %x differs from unsharded %x", shard, want)
+	}
+	tailU, tailS := keys(edit(func(u timeseries.Series) timeseries.Series { return append(u, 17500) }))
+	if tailU != want || tailS != want {
+		t.Errorf("tail day on a donor moved the pool key: unsharded %x shard %x, want %x", tailU, tailS, want)
+	}
+	backU, backS := keys(edit(func(u timeseries.Series) timeseries.Series { u[5] += 250; return u }))
+	if backU == want || backS != backU {
+		t.Errorf("first-cycle backfill: unsharded key %x shard key %x (before: %x), want both moved to one value", backU, backS, want)
+	}
+}
+
 // TestDonorOnlyReuse: a shard retraining on unchanged telemetry reuses
 // its owned vehicles even though the donor pool is registered on a
 // fresh predictor each build.

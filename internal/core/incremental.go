@@ -126,16 +126,36 @@ func deriveSeed(root uint64, domain byte, id string) uint64 {
 	return rng.New(h).Uint64()
 }
 
+// donorKey folds into h exactly what cold-start training reads from one
+// old vehicle: ID, allowance, first-cycle end day and the utilization of
+// that first complete cycle, of which L, D and the features are pure
+// functions. TrainUnified, TrainSimilarityForLive and halfCycleDay look
+// at nothing else ("only usage data related to the first maintenance
+// cycle", §4.4), so a day appended to a donor's tail leaves the key —
+// and every model trained on the pool — unchanged.
+func donorKey(h uint64, vs *timeseries.VehicleSeries) uint64 {
+	end := vs.Cycles[0].End
+	h = fnvString(h, vs.ID)
+	h = fnvUint64(h, math.Float64bits(vs.Allowance))
+	h = fnvUint64(h, uint64(end))
+	for _, v := range vs.U[:end] {
+		h = fnvUint64(h, math.Float64bits(v))
+	}
+	return h
+}
+
 // PriorGeneration carries the reusable outputs of a previous build:
-// per-vehicle fingerprints, statuses and trained models, plus the hash
-// of the old-vehicle donor pool those models were trained against.
-// internal/engine materializes one from its current Snapshot.
+// per-vehicle fingerprints, statuses and trained models, plus the key
+// of the donor pool the cold-start models among them were trained
+// against. internal/engine materializes one from its current Snapshot.
 type PriorGeneration struct {
 	// Fingerprints are the per-vehicle series content hashes at the
 	// previous build.
 	Fingerprints map[string]uint64
-	// PoolHash identifies the donor pool (IDs and contents of every
-	// old-category vehicle) of the previous build.
+	// PoolHash is the previous build's donor-pool key: donorKey folded
+	// over the old vehicles in ID order. A donor joining or leaving, a
+	// changed allowance and a rewritten day inside a donor's first cycle
+	// change it; a donor's growing tail never does.
 	PoolHash uint64
 	// Statuses are the previous per-vehicle outcomes, including failed
 	// vehicles (Err != "").
@@ -144,6 +164,25 @@ type PriorGeneration struct {
 	// entry.
 	Models map[string]ml.Regressor
 }
+
+// unified returns the generation's §4.4.1 unified model, or nil when no
+// vehicle was served by it. Every such vehicle holds the same model —
+// after a snapshot restore, equal decoded copies — so any holder will do.
+func (p *PriorGeneration) unified() ml.Regressor {
+	for id, st := range p.Statuses {
+		if st.Strategy == "unified" && p.Models[id] != nil {
+			return p.Models[id]
+		}
+	}
+	return nil
+}
+
+// Why a vehicle is in a build's task list (TrainTask.Reason).
+const (
+	ReasonFull        = "full"         // no prior generation: cold or forced full build
+	ReasonOwnData     = "own_data"     // its own series is new or changed, or nothing usable was carried
+	ReasonPoolChanged = "pool_changed" // its series is unchanged but the donor pool it trains on is not
+)
 
 // TrainPlan is the outcome of planning one build: the vehicles that
 // must (re)train, the shared training context, and the prior results
@@ -160,25 +199,34 @@ type TrainPlan struct {
 	ReusedModels map[string]ml.Regressor
 	// Fingerprints covers every registered vehicle at this build.
 	Fingerprints map[string]uint64
-	// PoolHash identifies this build's old-vehicle donor pool.
+	// PoolHash is this build's donor-pool key (see PriorGeneration).
 	PoolHash uint64
+	// PoolChanged reports that a prior generation existed and was trained
+	// against a different donor pool; UnifiedReused that Shared carries
+	// the prior generation's unified model instead of fitting one.
+	PoolChanged, UnifiedReused bool
 }
 
 // PlanTrainingWithReuse plans one build against a prior generation.
-// With prior == nil every vehicle trains (a full build). Otherwise a
-// vehicle is carried forward — status and model untouched — when its
-// series fingerprint matches the prior build's, and, for vehicles that
-// train on the donor pool rather than their own history (semi-new and
-// new), when the pool itself is also unchanged. Old vehicles train on
-// their own series only, so their reuse needs only their own
-// fingerprint to match.
+// With prior == nil every vehicle trains (a full build). Otherwise what
+// a model was trained on decides what invalidates it:
+//
+//	old      <- its own series
+//	semi-new <- its own series + the donors' first cycles
+//	new      <- the donors' first cycles
+//
+// so a vehicle is carried forward — status and model untouched — when
+// its series fingerprint matches the prior build's and, for semi-new and
+// new vehicles, the donor-pool key does too. With the key unchanged the
+// prior generation's unified model is carried into Shared as well: a
+// dirty or newly joined new vehicle costs a forecast, not a fit.
 //
 // Reuse is exact by construction, not approximation: a task seed is a
 // pure function of (config seed, vehicle ID), and TrainVehicle is a
-// pure function of (series, category, seed, config, donor pool), so a
-// reused model is bit-identical to the model a full rebuild would
-// train. Callers needing the escape hatch (changed config or seed —
-// which a FleetPredictor cannot observe) pass prior == nil.
+// pure function of (series, category, seed, config, donors' first
+// cycles), so a reused model is bit-identical to the model a full
+// rebuild would train. Callers needing the escape hatch (changed config
+// or seed — which a FleetPredictor cannot observe) pass prior == nil.
 func (fp *FleetPredictor) PlanTrainingWithReuse(prior *PriorGeneration) (*TrainPlan, error) {
 	if len(fp.vehicles) == 0 {
 		return nil, errNoVehicles()
@@ -193,10 +241,10 @@ func (fp *FleetPredictor) PlanTrainingWithReuse(prior *PriorGeneration) (*TrainP
 		Fingerprints: make(map[string]uint64, len(fp.vehicles)),
 	}
 
-	// Fingerprint and hash the pool over *every* registered vehicle,
-	// donor-only ones included: the pool hash must be a pure function of
-	// the fleet-wide old-vehicle contents so a shard (own partition +
-	// donors) and an unsharded build (everything owned) agree on it.
+	// The pool key is folded over *every* registered old vehicle,
+	// donor-only ones included: it must be a pure function of the
+	// fleet-wide donors so a shard (own partition + donors) and an
+	// unsharded build (everything owned) agree on it.
 	ids := fp.VehicleIDs()
 	categories := make(map[string]Category, len(ids))
 	poolHash := uint64(fnvOffset64)
@@ -204,16 +252,21 @@ func (fp *FleetPredictor) PlanTrainingWithReuse(prior *PriorGeneration) (*TrainP
 		vs := fp.vehicles[id]
 		cat := Categorize(vs)
 		categories[id] = cat
-		fpHash := Fingerprint(vs, fp.starts[id])
 		if !fp.donorOnly[id] {
-			plan.Fingerprints[id] = fpHash
+			plan.Fingerprints[id] = Fingerprint(vs, fp.starts[id])
 		}
 		if cat == Old {
-			poolHash = fnvString(poolHash, id)
-			poolHash = fnvUint64(poolHash, fpHash)
+			poolHash = donorKey(poolHash, vs)
 		}
 	}
 	plan.PoolHash = poolHash
+	if prior != nil {
+		plan.PoolChanged = prior.PoolHash != poolHash
+		if !plan.PoolChanged {
+			plan.Shared.unified = prior.unified()
+			plan.UnifiedReused = plan.Shared.unified != nil
+		}
+	}
 
 	// Only owned vehicles are planned (trained or carried forward);
 	// donor-only ones exist solely for the shared context above.
@@ -221,8 +274,8 @@ func (fp *FleetPredictor) PlanTrainingWithReuse(prior *PriorGeneration) (*TrainP
 		if fp.donorOnly[id] {
 			continue
 		}
-		vs := fp.vehicles[id]
-		if reusable(prior, id, plan.Fingerprints[id], categories[id], poolHash) {
+		reason := retrainReason(prior, id, plan.Fingerprints[id], categories[id], poolHash)
+		if reason == "" {
 			st := prior.Statuses[id]
 			plan.Reused = append(plan.Reused, st)
 			if st.Err == "" {
@@ -231,40 +284,33 @@ func (fp *FleetPredictor) PlanTrainingWithReuse(prior *PriorGeneration) (*TrainP
 			continue
 		}
 		plan.Tasks = append(plan.Tasks, TrainTask{
-			Vehicle:  vs,
+			Vehicle:  fp.vehicles[id],
 			Category: categories[id],
 			Seed:     deriveSeed(fp.cfg.Seed, seedDomainVehicle, id),
+			Reason:   reason,
 		})
 	}
 	return plan, nil
 }
 
-// reusable decides whether one vehicle's prior result can be carried
-// forward unchanged.
-func reusable(prior *PriorGeneration, id string, fpHash uint64, cat Category, poolHash uint64) bool {
+// retrainReason applies the dependency rule to one vehicle: "" when its
+// prior result can be carried forward unchanged, else why it cannot.
+func retrainReason(prior *PriorGeneration, id string, fpHash uint64, cat Category, poolHash uint64) string {
 	if prior == nil {
-		return false
-	}
-	prev, ok := prior.Fingerprints[id]
-	if !ok || prev != fpHash {
-		return false
+		return ReasonFull
 	}
 	st, ok := prior.Statuses[id]
-	if !ok {
-		return false
+	if prev, seen := prior.Fingerprints[id]; !ok || !seen || prev != fpHash || (st.Err == "" && prior.Models[id] == nil) {
+		return ReasonOwnData
 	}
 	// A matching fingerprint implies an identical series, hence an
-	// identical category; re-deriving it above keeps this robust even
-	// against a (vanishingly unlikely) hash collision on membership.
+	// identical category; re-deriving it keeps this robust even against
+	// a (vanishingly unlikely) hash collision on membership.
 	if cat != Old && prior.PoolHash != poolHash {
-		// Semi-new and new vehicles train on the donor pool: a changed
-		// pool means a retrain could pick a different donor or unified
-		// model, so carrying the old one forward would break the
-		// bit-identical contract.
-		return false
+		// A changed pool key means a retrain could pick a different donor
+		// or fit a different unified model, so carrying the old model
+		// forward would break the bit-identical contract.
+		return ReasonPoolChanged
 	}
-	if st.Err == "" && prior.Models[id] == nil {
-		return false
-	}
-	return true
+	return ""
 }

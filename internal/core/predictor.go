@@ -87,11 +87,11 @@ type FleetPredictor struct {
 	vehicles map[string]*timeseries.VehicleSeries
 	starts   map[string]time.Time
 	// donorOnly marks vehicles registered for the cold-start donor pool
-	// only: they contribute to Olds()/PoolHash exactly as in an
-	// unsharded build but are never trained, statused or forecast. A
-	// cluster shard registers the rest of the fleet's old vehicles this
-	// way, which is what keeps its models bit-identical to an unsharded
-	// build's (see AddDonor).
+	// only: their first cycles feed Olds() and the pool key exactly as in
+	// an unsharded build, but they are never trained, statused or
+	// forecast. A cluster shard registers the rest of the fleet's old
+	// vehicles this way, which is what keeps its models bit-identical to
+	// an unsharded build's (see AddDonor).
 	donorOnly map[string]bool
 	models    map[string]ml.Regressor
 	status    map[string]VehicleStatus
@@ -128,7 +128,7 @@ func (fp *FleetPredictor) AddVehicle(vs *timeseries.VehicleSeries, start time.Ti
 }
 
 // AddDonor registers a vehicle for the cold-start donor pool only: it
-// joins Olds() and the pool hash exactly as a trained vehicle would,
+// joins Olds() and the pool key exactly as a trained vehicle would,
 // but is never planned, trained or forecast. A cluster shard registers
 // its own partition with AddVehicle and every other shard's old
 // vehicles with AddDonor, so a semi-new or new vehicle trains against
@@ -192,8 +192,10 @@ type TrainTask struct {
 	Vehicle  *timeseries.VehicleSeries
 	Category Category
 	// Seed is this vehicle's private rng split, derived from the
-	// predictor seed in ID order.
+	// predictor seed and the vehicle ID.
 	Seed uint64
+	// Reason says why the vehicle trains this build (Reason* constants).
+	Reason string
 }
 
 // StageObserver receives per-stage training timings: stage is "search"
@@ -219,7 +221,9 @@ func (o StageObserver) observe(stage string, alg Algorithm, t0 time.Time) {
 // every new vehicle with it). The unified model is trained lazily, at
 // most once even under concurrent tasks, with its own seed split — so
 // sharing costs nothing in determinism and saves O(olds) training per
-// additional new vehicle.
+// additional new vehicle. It reads only the donors' first cycles, so an
+// incremental plan whose pool key matches the prior generation's hands
+// that generation's unified model over and nothing is fitted at all.
 type TrainShared struct {
 	olds []*timeseries.VehicleSeries
 	cfg  PredictorConfig
@@ -242,6 +246,9 @@ func (sh *TrainShared) Olds() []*timeseries.VehicleSeries { return sh.olds }
 // first use.
 func (sh *TrainShared) Unified() (ml.Regressor, error) {
 	sh.once.Do(func() {
+		if sh.unified != nil {
+			return // carried over from the prior generation by the plan
+		}
 		if len(sh.olds) == 0 {
 			sh.err = fmt.Errorf("no old vehicles available to train a unified model")
 			return

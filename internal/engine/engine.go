@@ -7,10 +7,10 @@
 //
 // Determinism: training work is planned by core.PlanTraining, which
 // derives each vehicle's seed from (config seed, vehicle ID) before any
-// task runs. Each task is a pure function of (vehicle, donor pool,
-// config, seed), so executing the plan on 1 worker or N workers
+// task runs. Each task is a pure function of (vehicle, donors' first
+// cycles, config, seed), so executing the plan on 1 worker or N workers
 // produces bit-identical models, statuses and forecasts — and a
-// vehicle whose series is unchanged between two builds trains the same
+// vehicle whose inputs are unchanged between two builds trains the same
 // model both times, which is what lets incremental retrains carry
 // clean vehicles forward without training them at all (see Retrain).
 // The parallel path is a scheduling change only.
@@ -90,12 +90,15 @@ type Engine struct {
 
 	snap atomic.Pointer[Snapshot]
 
-	// buildMu serializes snapshot builds; serving never takes it.
+	// buildMu serializes snapshot builds; serving never takes it. Every
+	// holder gives it up through release.
 	buildMu    sync.Mutex
 	generation uint64
 
-	// stateMu guards the observability fields below.
+	// stateMu guards the observability fields below and pending: the
+	// context of the latest kick refused while buildMu was held, if any.
 	stateMu    sync.Mutex
+	pending    context.Context
 	retraining bool
 	lastErr    error
 	lastErrAt  time.Time
@@ -138,12 +141,13 @@ var ErrRetrainInFlight = errors.New("engine: retrain already in progress")
 // serialized: a concurrent Retrain blocks until the one in flight
 // finishes.
 //
-// Retrains are incremental: vehicles whose series fingerprint matches
-// the previous snapshot's carry their model, status and forecast
-// forward unchanged, so a retrain after a one-vehicle telemetry update
-// costs O(changed vehicles), not O(fleet). Reuse is bit-exact (see
-// core.PlanTrainingWithReuse); RetrainFull is the escape hatch that
-// rebuilds everything from scratch.
+// Retrains are incremental: a vehicle retrains only when something its
+// model was trained on changed — its own series, or, for semi-new and
+// new vehicles, the donors' first cycles (see
+// core.PlanTrainingWithReuse for the rule). Everything else carries
+// model and status forward, so one vehicle's daily report costs one
+// vehicle's training, whatever its category. Reuse is bit-exact;
+// RetrainFull is the escape hatch that rebuilds everything from scratch.
 func (e *Engine) Retrain(ctx context.Context, fleet []Vehicle) (*Snapshot, error) {
 	return e.retrain(ctx, fleet, false)
 }
@@ -160,7 +164,7 @@ func (e *Engine) RetrainFull(ctx context.Context, fleet []Vehicle) (*Snapshot, e
 
 func (e *Engine) retrain(ctx context.Context, fleet []Vehicle, full bool) (*Snapshot, error) {
 	e.buildMu.Lock()
-	defer e.buildMu.Unlock()
+	defer e.release()
 	return e.retrainLocked(ctx, func(context.Context) ([]Vehicle, error) { return fleet, nil }, full)
 }
 
@@ -171,7 +175,7 @@ func (e *Engine) retrain(ctx context.Context, fleet []Vehicle, full bool) (*Snap
 // generation's.
 func (e *Engine) RetrainFromSource(ctx context.Context) (*Snapshot, error) {
 	e.buildMu.Lock()
-	defer e.buildMu.Unlock()
+	defer e.release()
 	return e.retrainLocked(ctx, e.sourceFetch, false)
 }
 
@@ -183,7 +187,7 @@ func (e *Engine) TryRetrainFromSource(ctx context.Context, full bool) (*Snapshot
 	if !e.buildMu.TryLock() {
 		return nil, ErrRetrainInFlight
 	}
-	defer e.buildMu.Unlock()
+	defer e.release()
 	return e.retrainLocked(ctx, e.sourceFetch, full)
 }
 
@@ -195,18 +199,64 @@ func (e *Engine) TryRetrainFromSource(ctx context.Context, full bool) (*Snapshot
 // values — in particular the trace ID, so the retrain's log lines name
 // the request that caused it.
 func (e *Engine) BeginRetrainFromSource(ctx context.Context, full bool) bool {
+	return e.begin(ctx, full, false)
+}
+
+// KickRetrainFromSource is BeginRetrainFromSource(ctx, false) for a
+// caller nobody retries for — a telemetry door that just acknowledged
+// a report. A refusal is remembered: when the build in flight releases
+// the engine, exactly one follow-up incremental build runs for all the
+// kicks refused meanwhile (it re-reads the source, so it covers them
+// all), and Status reports retraining until that follow-up is done.
+func (e *Engine) KickRetrainFromSource(ctx context.Context) bool {
+	return e.begin(ctx, false, true)
+}
+
+func (e *Engine) begin(ctx context.Context, full, remember bool) bool {
+	ctx = context.WithoutCancel(ctx)
+	// TryLock under stateMu, where release unlocks: a refusal noted here
+	// is always seen by the holder's release, never lost between its
+	// check and its unlock.
+	e.stateMu.Lock()
+	defer e.stateMu.Unlock()
 	if !e.buildMu.TryLock() {
+		if remember {
+			e.pending = ctx
+		}
 		return false
 	}
 	// Mark the engine retraining before returning, not inside the
 	// goroutine: a caller that was just told "started" must never read
 	// retraining=false while the goroutine awaits scheduling.
-	e.setRetraining(true)
-	go func() {
-		defer e.buildMu.Unlock()
-		_, _ = e.retrainLocked(context.WithoutCancel(ctx), e.sourceFetch, full)
-	}()
+	e.retraining = true
+	e.goBuild(ctx, full)
 	return true
+}
+
+// goBuild runs one detached build from the source; the caller holds
+// buildMu and hands it over.
+func (e *Engine) goBuild(ctx context.Context, full bool) {
+	go func() {
+		defer e.release()
+		_, _ = e.retrainLocked(ctx, e.sourceFetch, full)
+	}()
+}
+
+// release ends a build: it clears retraining and gives buildMu up —
+// unless a kick was refused while the lock was held: then both pass
+// straight on to the follow-up build.
+func (e *Engine) release() {
+	e.stateMu.Lock()
+	ctx := e.pending
+	e.pending = nil
+	e.retraining = ctx != nil
+	if ctx == nil {
+		e.buildMu.Unlock()
+	}
+	e.stateMu.Unlock()
+	if ctx != nil {
+		e.goBuild(ctx, false)
+	}
 }
 
 func (e *Engine) sourceFetch(ctx context.Context) ([]Vehicle, error) {
@@ -221,10 +271,11 @@ func (e *Engine) sourceFetch(ctx context.Context) ([]Vehicle, error) {
 }
 
 // retrainLocked fetches, builds and publishes one generation. Callers
-// hold buildMu.
+// hold buildMu and end the build with release.
 func (e *Engine) retrainLocked(ctx context.Context, fetch func(context.Context) ([]Vehicle, error), full bool) (*Snapshot, error) {
-	e.setRetraining(true)
-	defer e.setRetraining(false)
+	e.stateMu.Lock()
+	e.retraining = true
+	e.stateMu.Unlock()
 
 	tPrep := time.Now()
 	fleet, err := fetch(ctx)
@@ -260,6 +311,8 @@ func (e *Engine) retrainLocked(ctx context.Context, fetch func(context.Context) 
 		slog.Int("reused", snap.Reused),
 		slog.Int("retrained", snap.Retrained),
 		slog.Bool("full", full),
+		slog.Bool("pool_changed", snap.PoolChanged),
+		slog.Bool("unified_reused", snap.UnifiedReused),
 		slog.Float64("seconds", snap.TrainDuration.Seconds()))
 	return snap, nil
 }
@@ -274,11 +327,12 @@ func (e *Engine) logRetrainError(ctx context.Context, stage string, err error) {
 // Restore installs a previously persisted snapshot (see
 // internal/snapstore) as the current generation, so a rebooted engine
 // serves its last build immediately instead of cold-training. The
-// restored snapshot carries the fingerprints, pool hash and models of
+// restored snapshot carries the fingerprints, pool key and models of
 // its build, so the next Retrain is incremental against it — only
-// vehicles whose telemetry changed since the snapshot retrain. Restore
-// is a boot-time operation: it refuses once the engine has any
-// snapshot.
+// vehicles whose telemetry changed since the snapshot retrain (plus,
+// once, the cold-start vehicles of a spill whose pool key predates the
+// first-cycle key). Restore is a boot-time operation: it refuses once
+// the engine has any snapshot.
 //
 // With a durable telemetry store the full boot order is
 // snapstore-restore → ingest WAL-replay → incremental reconcile
@@ -292,7 +346,7 @@ func (e *Engine) Restore(snap *Snapshot) error {
 		return fmt.Errorf("engine: Restore with a nil snapshot")
 	}
 	e.buildMu.Lock()
-	defer e.buildMu.Unlock()
+	defer e.release()
 	if e.snap.Load() != nil {
 		return fmt.Errorf("engine: Restore after a snapshot is already live")
 	}
@@ -342,6 +396,9 @@ func (e *Engine) build(ctx context.Context, fleet []Vehicle, full bool) (*Snapsh
 	}
 	e.metrics.ObserveStage("plan", t0)
 	plan.Shared.Observe = e.metrics.observer()
+	for _, task := range plan.Tasks {
+		e.metrics.retrains.CounterWith(task.Reason).Inc()
+	}
 
 	tFit := time.Now()
 	trained, models, err := e.runPool(ctx, plan.Tasks, plan.Shared)
@@ -427,12 +484,6 @@ func (e *Engine) runPool(ctx context.Context, tasks []core.TrainTask, shared *co
 	return statuses, models, nil
 }
 
-func (e *Engine) setRetraining(v bool) {
-	e.stateMu.Lock()
-	e.retraining = v
-	e.stateMu.Unlock()
-}
-
 func (e *Engine) recordError(err error) {
 	e.stateMu.Lock()
 	e.lastErr = err
@@ -456,8 +507,12 @@ type Status struct {
 	TrainSeconds float64 `json:"train_seconds"`
 	// Reused and Retrained split the current snapshot's vehicles by how
 	// the last build produced them (carried forward vs trained).
-	Reused    int `json:"reused"`
-	Retrained int `json:"retrained"`
+	// PoolChanged and UnifiedReused say whether that build saw a changed
+	// donor pool and whether it carried the unified model forward.
+	Reused        int  `json:"reused"`
+	Retrained     int  `json:"retrained"`
+	PoolChanged   bool `json:"pool_changed"`
+	UnifiedReused bool `json:"unified_reused"`
 	// FailedVehicles maps each vehicle whose training failed in the
 	// current snapshot to its error.
 	FailedVehicles map[string]string `json:"failed_vehicles,omitempty"`
@@ -476,6 +531,8 @@ func (e *Engine) Status() Status {
 		st.TrainSeconds = snap.TrainDuration.Seconds()
 		st.Reused = snap.Reused
 		st.Retrained = snap.Retrained
+		st.PoolChanged = snap.PoolChanged
+		st.UnifiedReused = snap.UnifiedReused
 		if len(snap.FailedVehicles) > 0 {
 			st.FailedVehicles = snap.FailedVehicles
 		}

@@ -3,6 +3,7 @@ package engine
 import (
 	"context"
 	"math"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -237,6 +238,61 @@ func TestSingleFlight(t *testing.T) {
 	// Once drained, a Try retrain succeeds again.
 	if _, err := eng.TryRetrainFromSource(context.Background(), false); err != nil {
 		t.Fatalf("retrain after drain: %v", err)
+	}
+}
+
+// TestRefusedKicksRunOneFollowUp: kicks refused while a build holds the
+// engine are not lost — when that build releases, exactly one follow-up
+// build runs for all of them, re-reading the source, and the engine
+// reports retraining until it is done. A refused Begin (whose caller was
+// told and retries on its own) leaves nothing behind.
+func TestRefusedKicksRunOneFollowUp(t *testing.T) {
+	fleet := genFleet(t, 4, 900)
+	release := make(chan struct{})
+	entered := make(chan struct{}, 1)
+	var fetches atomic.Int32
+	cfg := Config{Predictor: fastPredictorConfig(), Workers: 2, Source: func(context.Context) ([]Vehicle, error) {
+		if fetches.Add(1) == 1 {
+			entered <- struct{}{}
+			<-release
+		}
+		return fleet, nil
+	}}
+	eng, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !eng.KickRetrainFromSource(context.Background()) {
+		t.Fatal("kick on an idle engine refused")
+	}
+	<-entered // the build has fetched (stale) data and holds the engine
+	for i := 0; i < 3; i++ {
+		if eng.KickRetrainFromSource(context.Background()) {
+			t.Fatal("kick started a second build while one is in flight")
+		}
+	}
+	if eng.BeginRetrainFromSource(context.Background(), false) {
+		t.Fatal("Begin started a second build while one is in flight")
+	}
+	close(release)
+	deadline := time.Now().Add(10 * time.Second)
+	for eng.Status().Retraining {
+		if time.Now().After(deadline) {
+			t.Fatal("engine never went idle")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	// Idle means the follow-up is done too: retraining never dropped
+	// between the two builds.
+	if st := eng.Status(); st.Generation != 2 || fetches.Load() != 2 {
+		t.Fatalf("3 refused kicks: generation %d after %d fetches, want one follow-up (2/2)", st.Generation, fetches.Load())
+	}
+	// Nothing is left pending: a clean build does not trigger another.
+	if _, err := eng.TryRetrainFromSource(context.Background(), false); err != nil {
+		t.Fatal(err)
+	}
+	if st := eng.Status(); st.Retraining || st.Generation != 3 {
+		t.Fatalf("after a clean build: retraining=%v generation=%d, want idle at 3", st.Retraining, st.Generation)
 	}
 }
 

@@ -49,13 +49,7 @@ func mixedFleet(t testing.TB) []Vehicle {
 // telemetry arrived" event.
 func perturb(t testing.TB, v Vehicle) Vehicle {
 	t.Helper()
-	u := v.Series.U.Clone()
-	u = append(u, 17500)
-	vs, err := timeseries.Derive(v.Series.ID, u, v.Series.Allowance)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return Vehicle{Series: vs, Start: v.Start}
+	return rederive(t, v, v.Series.Allowance, func(u timeseries.Series) timeseries.Series { return append(u, 17500) })
 }
 
 func sameStatus(a, b core.VehicleStatus) bool {
@@ -131,51 +125,166 @@ func TestIncrementalReuseCleanFleet(t *testing.T) {
 	}
 }
 
-// TestIncrementalRetrainsDirtyOldVehicle: one old vehicle's new
-// telemetry retrains that vehicle; the other old vehicles carry their
-// models forward pointer-equal. Because the dirty vehicle is part of
-// the donor pool, the semi-new and new vehicles retrain too — their
-// models depend on the pool. The result is bit-identical to a full
-// rebuild on the same fleet.
+// rederive rebuilds a vehicle from an edited copy of its utilization
+// series (and, optionally, another allowance), so all derived series
+// stay consistent.
+func rederive(t testing.TB, v Vehicle, allowance float64, edit func(u timeseries.Series) timeseries.Series) Vehicle {
+	t.Helper()
+	vs, err := timeseries.Derive(v.Series.ID, edit(v.Series.U.Clone()), allowance)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return Vehicle{Series: vs, Start: v.Start}
+}
+
+// TestIncrementalRetrainsDirtyOldVehicle pins the dependency rule of
+// incremental retrains (old <- own series; semi-new <- own series +
+// donors' first cycles; new <- donors' first cycles) edge by edge: a
+// day appended to an old vehicle's tail retrains that vehicle alone,
+// and exactly the events that can change what cold-start training reads
+// — a rewritten day inside a donor's first cycle, a donor joining or
+// leaving, a changed allowance — retrain every cold-start vehicle.
+// Every row must equal a fresh full rebuild of the same fleet.
 func TestIncrementalRetrainsDirtyOldVehicle(t *testing.T) {
-	base := mixedFleet(t)
-	eng, err := New(Config{Predictor: fastPredictorConfig(), Workers: 2})
-	if err != nil {
-		t.Fatal(err)
+	const allowance = 600_000
+	cfg := fastPredictorConfig()
+	rows := []struct {
+		name   string
+		mutate func(t *testing.T, fleet []Vehicle) []Vehicle
+		// retrained lists the vehicles that must train; everything else
+		// must carry its model forward pointer-equal.
+		retrained                []string
+		ownData, poolChanged     uint64
+		poolMoved, unifiedReused bool
+		// unifiedKept: v05's model (the unified one) is the prior
+		// generation's even though v05 itself trained.
+		unifiedKept bool
+	}{
+		{
+			name: "old vehicle tail append",
+			mutate: func(t *testing.T, f []Vehicle) []Vehicle {
+				f[0] = perturb(t, f[0])
+				return f
+			},
+			retrained: []string{"v01"}, ownData: 1, unifiedReused: true,
+		},
+		{
+			name: "backfill inside an old vehicle's first cycle",
+			mutate: func(t *testing.T, f []Vehicle) []Vehicle {
+				f[0] = rederive(t, f[0], allowance, func(u timeseries.Series) timeseries.Series {
+					u[3] += 500
+					return u
+				})
+				return f
+			},
+			retrained: []string{"v01", "v04", "v05"}, ownData: 1, poolChanged: 2, poolMoved: true,
+		},
+		{
+			name: "semi-new vehicle completes its first cycle and joins the pool",
+			mutate: func(t *testing.T, f []Vehicle) []Vehicle {
+				f[3] = rederive(t, f[3], allowance, func(u timeseries.Series) timeseries.Series {
+					for i := 0; i < 30; i++ {
+						u = append(u, 18000)
+					}
+					return u
+				})
+				if got := core.Categorize(f[3].Series); got != core.Old {
+					t.Fatalf("v04 is %s after 30 more days, want old", got)
+				}
+				return f
+			},
+			retrained: []string{"v04", "v05"}, ownData: 1, poolChanged: 1, poolMoved: true,
+		},
+		{
+			name: "donor removed",
+			mutate: func(t *testing.T, f []Vehicle) []Vehicle {
+				return append(f[:1:1], f[2:]...) // drop v02
+			},
+			retrained: []string{"v04", "v05"}, poolChanged: 2, poolMoved: true,
+		},
+		{
+			name: "allowance changed",
+			mutate: func(t *testing.T, f []Vehicle) []Vehicle {
+				f[0] = rederive(t, f[0], allowance+50_000, func(u timeseries.Series) timeseries.Series { return u })
+				return f
+			},
+			retrained: []string{"v01", "v04", "v05"}, ownData: 1, poolChanged: 2, poolMoved: true,
+		},
+		{
+			name: "dirty new vehicle, pool unchanged",
+			mutate: func(t *testing.T, f []Vehicle) []Vehicle {
+				f[4] = perturb(t, f[4])
+				return f
+			},
+			retrained: []string{"v05"}, ownData: 1, unifiedReused: true, unifiedKept: true,
+		},
 	}
-	first, err := eng.Retrain(context.Background(), base)
-	if err != nil {
-		t.Fatal(err)
-	}
+	for _, row := range rows {
+		t.Run(row.name, func(t *testing.T) {
+			eng, err := New(Config{Predictor: cfg, Workers: 2})
+			if err != nil {
+				t.Fatal(err)
+			}
+			first, err := eng.Retrain(context.Background(), mixedFleet(t))
+			if err != nil {
+				t.Fatal(err)
+			}
+			coldFits := eng.metrics.models.With(string(cfg.ColdStartAlgorithm), "fit").Count()
+			own := eng.metrics.retrains.CounterWith(core.ReasonOwnData).Value()
+			pool := eng.metrics.retrains.CounterWith(core.ReasonPoolChanged).Value()
 
-	dirty := append([]Vehicle(nil), base...)
-	dirty[0] = perturb(t, base[0]) // v01 is old
-	second, err := eng.Retrain(context.Background(), dirty)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// v01 dirty; v04 (semi-new) and v05 (new) follow the pool change.
-	if second.Reused != 2 || second.Retrained != 3 {
-		t.Fatalf("reused=%d retrained=%d, want 2/3", second.Reused, second.Retrained)
-	}
-	for _, id := range []string{"v02", "v03"} {
-		if second.Models[id] != first.Models[id] {
-			t.Errorf("clean old vehicle %s was not reused", id)
-		}
-	}
-	if second.Models["v01"] == first.Models["v01"] {
-		t.Error("dirty vehicle v01 kept its stale model")
-	}
+			fleet := row.mutate(t, mixedFleet(t))
+			second, err := eng.Retrain(context.Background(), fleet)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if second.Retrained != len(row.retrained) || second.Reused != len(fleet)-len(row.retrained) {
+				t.Fatalf("reused=%d retrained=%d, want %d/%d", second.Reused, second.Retrained, len(fleet)-len(row.retrained), len(row.retrained))
+			}
+			trains := make(map[string]bool)
+			for _, id := range row.retrained {
+				trains[id] = true
+			}
+			for id, m := range second.Models {
+				kept := m == first.Models[id]
+				switch {
+				case id == "v05" && row.unifiedKept:
+					if !kept {
+						t.Error("unified model was refitted although the donor pool is unchanged")
+					}
+				case trains[id] == kept:
+					t.Errorf("vehicle %s: model carried forward = %v, want %v", id, kept, !trains[id])
+				}
+			}
+			if second.PoolChanged != row.poolMoved || second.UnifiedReused != row.unifiedReused {
+				t.Errorf("pool_changed=%v unified_reused=%v, want %v/%v", second.PoolChanged, second.UnifiedReused, row.poolMoved, row.unifiedReused)
+			}
+			if st := eng.Status(); st.PoolChanged != row.poolMoved || st.UnifiedReused != row.unifiedReused {
+				t.Errorf("status pool_changed=%v unified_reused=%v, want %v/%v", st.PoolChanged, st.UnifiedReused, row.poolMoved, row.unifiedReused)
+			}
+			if got := eng.metrics.retrains.CounterWith(core.ReasonOwnData).Value() - own; got != row.ownData {
+				t.Errorf("reason own_data counted %d vehicles, want %d", got, row.ownData)
+			}
+			if got := eng.metrics.retrains.CounterWith(core.ReasonPoolChanged).Value() - pool; got != row.poolChanged {
+				t.Errorf("reason pool_changed counted %d vehicles, want %d", got, row.poolChanged)
+			}
+			if row.unifiedKept {
+				if got := eng.metrics.models.With(string(cfg.ColdStartAlgorithm), "fit").Count(); got != coldFits {
+					t.Errorf("observed %d %s fits for a dirty new vehicle, want none", got-coldFits, cfg.ColdStartAlgorithm)
+				}
+			}
 
-	fresh, err := New(Config{Predictor: fastPredictorConfig(), Workers: 2})
-	if err != nil {
-		t.Fatal(err)
+			fresh, err := New(Config{Predictor: cfg, Workers: 2})
+			if err != nil {
+				t.Fatal(err)
+			}
+			full, err := fresh.Retrain(context.Background(), fleet)
+			if err != nil {
+				t.Fatal(err)
+			}
+			assertSameResults(t, "incremental vs full", second, full)
+		})
 	}
-	full, err := fresh.Retrain(context.Background(), dirty)
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertSameResults(t, "incremental vs full", second, full)
 }
 
 // TestIncrementalRetrainsDirtyNewVehicleOnly: new telemetry for a

@@ -23,10 +23,19 @@ type TrainMetrics struct {
 	// stage="search" is one candidate's validation evaluation, "fit" a
 	// final/similarity/unified model fit (see core.StageObserver).
 	models *obs.Family
+	// retrains counts trained vehicles by why they trained: own_data,
+	// pool_changed or full (core.TrainTask.Reason).
+	retrains *obs.Family
 }
 
 func newTrainMetrics() *TrainMetrics {
+	retrains := obs.NewCounterFamily("fleet_retrain_vehicles_total",
+		"Vehicles trained, by why a build could not carry them forward.", "reason")
+	for _, reason := range []string{core.ReasonOwnData, core.ReasonPoolChanged, core.ReasonFull} {
+		retrains.CounterWith(reason) // exported from the first scrape, at 0
+	}
 	return &TrainMetrics{
+		retrains: retrains,
 		stages: obs.NewHistogramFamily("fleet_train_stage_seconds",
 			"Wall-clock seconds per training pipeline stage.", obs.TrainBuckets, "stage"),
 		models: obs.NewHistogramFamily("fleet_train_model_seconds",
@@ -53,6 +62,7 @@ func (m *TrainMetrics) observer() core.StageObserver {
 func (m *TrainMetrics) Write(w *obs.TextWriter) {
 	m.stages.Write(w)
 	m.models.Write(w)
+	m.retrains.Write(w)
 	writeHistStats(w)
 }
 

@@ -66,8 +66,11 @@ type Snapshot struct {
 	// build trained against (core.Fingerprint); the next build compares
 	// against them to decide which vehicles are dirty.
 	Fingerprints map[string]uint64
-	// PoolHash identifies the old-vehicle donor pool of this build.
-	PoolHash uint64
+	// PoolHash is this build's donor-pool key (a hash of the old
+	// vehicles' first cycles); PoolChanged and UnifiedReused echo its
+	// plan (core.TrainPlan).
+	PoolHash                   uint64
+	PoolChanged, UnifiedReused bool
 	// ConfigHash fingerprints the predictor configuration this build
 	// trained under (core.PredictorConfig.Hash). Restore refuses a
 	// snapshot whose hash differs from the engine's — fingerprints
@@ -221,6 +224,8 @@ func newSnapshot(fp *core.FleetPredictor, statuses []core.VehicleStatus, models 
 		Models:         models,
 		Fingerprints:   plan.Fingerprints,
 		PoolHash:       plan.PoolHash,
+		PoolChanged:    plan.PoolChanged,
+		UnifiedReused:  plan.UnifiedReused,
 		ConfigHash:     cfgHash,
 		Reused:         len(plan.Reused),
 		Retrained:      len(plan.Tasks),

@@ -21,6 +21,26 @@ import (
 // live-ingestion surface enabled.
 func ingestServer(t testing.TB, retrainDirty int) (*Server, *engine.Engine, *ingest.Store) {
 	t.Helper()
+	store := seededStore(t)
+	cfg := testEngineConfig()
+	cfg.Source = store.Fleet
+	eng, err := engine.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := eng.RetrainFromSource(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	srv, err := NewWithOptions(eng, Options{Ingest: store, RetrainDirty: retrainDirty})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return srv, eng, store
+}
+
+// seededStore is an in-memory ingest store holding the tiny fleet.
+func seededStore(t testing.TB) *ingest.Store {
+	t.Helper()
 	store := ingest.New(600_000)
 	start := time.Date(2015, 1, 1, 0, 0, 0, 0, time.UTC)
 	var reports []ingest.Report
@@ -36,21 +56,7 @@ func ingestServer(t testing.TB, retrainDirty int) (*Server, *engine.Engine, *ing
 	if res, _ := store.UpsertBatch(reports); res.Rejected != 0 {
 		t.Fatalf("seeding rejected %d reports", res.Rejected)
 	}
-
-	cfg := testEngineConfig()
-	cfg.Source = store.Fleet
-	eng, err := engine.New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := eng.RetrainFromSource(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	srv, err := NewWithOptions(eng, Options{Ingest: store, RetrainDirty: retrainDirty})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return srv, eng, store
+	return store
 }
 
 func postJSON(t testing.TB, srv *Server, path, body string) (*httptest.ResponseRecorder, []byte) {
@@ -186,15 +192,7 @@ func TestTelemetryIncrementalRetrain(t *testing.T) {
 // again, so a later batch re-triggers even though it alone is under
 // the threshold.
 func TestFailedKickRollsBackDirtyBaseline(t *testing.T) {
-	store := ingest.New(600_000)
-	start := time.Date(2015, 1, 1, 0, 0, 0, 0, time.UTC)
-	var reports []ingest.Report
-	for _, v := range tinyFleet(t) {
-		for d, sec := range v.Series.U {
-			reports = append(reports, ingest.Report{VehicleID: v.Series.ID, Date: start.AddDate(0, 0, d), Seconds: sec})
-		}
-	}
-	store.UpsertBatch(reports)
+	store := seededStore(t)
 
 	var failFetch atomic.Bool
 	cfg := testEngineConfig()
@@ -259,6 +257,86 @@ func TestFailedKickRollsBackDirtyBaseline(t *testing.T) {
 			t.Fatal("recovery retrain never landed")
 		}
 		time.Sleep(2 * time.Millisecond)
+	}
+}
+
+// TestRefusedKickIsCoveredWithoutAnotherPost: a report acknowledged
+// while a build holds the engine gets retrain_started:false, yet its
+// forecast catches up on its own — the engine runs one follow-up build
+// when the one in flight releases — and three such reports cost one
+// extra generation, not three.
+func TestRefusedKickIsCoveredWithoutAnotherPost(t *testing.T) {
+	store := seededStore(t)
+	var hold atomic.Bool
+	entered, release := make(chan struct{}, 1), make(chan struct{})
+	cfg := testEngineConfig()
+	cfg.Source = func(ctx context.Context) ([]engine.Vehicle, error) {
+		fleet, err := store.Fleet(ctx)
+		if hold.CompareAndSwap(true, false) {
+			// The build has read the store: what arrives from here on it
+			// cannot cover.
+			entered <- struct{}{}
+			<-release
+		}
+		return fleet, err
+	}
+	eng, err := engine.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := eng.RetrainFromSource(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	srv, err := NewWithOptions(eng, Options{Ingest: store, RetrainDirty: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	post := func(vehicle, date string) bool {
+		t.Helper()
+		rec, body := postJSON(t, srv, "/telemetry", fmt.Sprintf(`{"reports":[{"vehicle":%q,"date":%q,"seconds":17000}]}`, vehicle, date))
+		var res TelemetryResponse
+		if err := json.Unmarshal(body, &res); err != nil || rec.Code != http.StatusOK {
+			t.Fatalf("POST /telemetry: %d %s (%v)", rec.Code, body, err)
+		}
+		return res.RetrainStarted
+	}
+
+	hold.Store(true)
+	if !post("v01", "2016-02-10") {
+		t.Fatal("first report did not start a retrain")
+	}
+	<-entered
+	for _, r := range [][2]string{{"v02", "2016-02-10"}, {"v02", "2016-02-11"}, {"v03", "2016-02-10"}} {
+		if post(r[0], r[1]) {
+			t.Fatalf("report for %s started a second build while one is in flight", r[0])
+		}
+	}
+	close(release)
+	deadline := time.Now().Add(30 * time.Second)
+	for eng.Status().Retraining {
+		if time.Now().After(deadline) {
+			t.Fatal("engine never went idle")
+		}
+		time.Sleep(time.Millisecond)
+	}
+
+	snap := eng.Snapshot()
+	if snap.Generation != 3 { // initial, the held build, one follow-up
+		t.Fatalf("generation %d after 3 refused kicks, want 3", snap.Generation)
+	}
+	fleet, err := store.Fleet(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, v := range fleet {
+		if got, want := snap.ForecastByID[v.Series.ID].AsOfDay, len(v.Series.U)-1; got != want {
+			t.Errorf("vehicle %s forecast is as of day %d, want %d (its last report)", v.Series.ID, got, want)
+		}
+	}
+	// The refusals moved the sequence point: nothing is left dirty, and
+	// a redelivery kicks nothing.
+	if post("v03", "2016-02-10") || eng.Status().Retraining {
+		t.Fatal("redelivered report kicked another retrain")
 	}
 }
 

@@ -111,16 +111,14 @@ type Server struct {
 	doors [numDoors]doorStats
 	udp   *UDPDoor
 	// kickMu guards the dirty-threshold retrain policy: lastKickSeq is
-	// the store sequence the latest auto-retrain was kicked at;
-	// prevKickSeq is the baseline to roll back to if that build fails,
-	// so a failed build does not permanently consume its dirty set.
+	// the store sequence the latest auto-retrain kick (started, or
+	// refused and remembered by the engine) was made at; prevKickSeq is
+	// the baseline to roll back to when the engine's last build failed —
+	// the sequence point before the latest kick that started one — so a
+	// failed build does not permanently consume its dirty set.
 	kickMu      sync.Mutex
 	lastKickSeq uint64
 	prevKickSeq uint64
-	// kickGen is the snapshot generation observed when the latest kick
-	// started; a later generation means some build has since succeeded
-	// (and, re-reading the same source, covered the kick's data).
-	kickGen uint64
 
 	// cacheHits/cacheMisses count per-vehicle forecast responses served
 	// from the snapshot's response cache vs marshaled fresh (exported on
@@ -548,38 +546,37 @@ const maxTelemetryBody = 32 << 20
 // of body size.
 const maxTelemetryReports = 500_000
 
-// maybeKickRetrain starts a background incremental retrain when the
+// maybeKickRetrain kicks a background incremental retrain when the
 // number of vehicles changed since the last kick reaches the
-// configured threshold. The sequence point only advances when a
-// rebuild actually starts, so dirtiness observed while a build is in
-// flight re-triggers on the next batch instead of getting lost — and
-// if a kicked build *fails*, the baseline rolls back so the failed
-// build's dirty set counts again instead of being silently consumed.
+// configured threshold, and reports whether a build started. The
+// sequence point advances either way: a kick that meets a build (or its
+// spill) in flight is refused but remembered by the engine, whose one
+// follow-up build re-reads the store and so covers everything up to
+// here without waiting for another batch. If the engine's last build
+// *failed*, the baseline rolls back so the dirty set it was meant to
+// cover counts again instead of being silently consumed.
 func (s *Server) maybeKickRetrain(ctx context.Context) bool {
 	if s.retrainDirty <= 0 {
 		return false
 	}
 	s.kickMu.Lock()
 	defer s.kickMu.Unlock()
-	st := s.engine.Status()
-	if !st.Retraining && st.LastError != "" && st.Generation == s.kickGen && s.lastKickSeq > s.prevKickSeq {
-		// No build has succeeded since the kick (the generation is
-		// unchanged) and the last one failed: restore the pre-kick
-		// baseline so the vehicles that kick covered re-trigger on
-		// this or a later batch. Any successful build from the shared
-		// source would have covered them already.
+	if st := s.engine.Status(); !st.Retraining && st.LastError != "" {
+		// Nothing has succeeded since that failure (a success clears the
+		// error): restore the baseline so the vehicles the kicks since
+		// then covered re-trigger on this or a later batch.
 		s.lastKickSeq = s.prevKickSeq
 	}
 	if len(s.ingest.DirtySince(s.lastKickSeq)) < s.retrainDirty {
 		return false
 	}
 	seq := s.ingest.Seq()
-	if !s.engine.BeginRetrainFromSource(ctx, false) {
-		return false
+	started := s.engine.KickRetrainFromSource(ctx)
+	if started {
+		s.prevKickSeq = s.lastKickSeq
 	}
-	s.prevKickSeq, s.lastKickSeq = s.lastKickSeq, seq
-	s.kickGen = st.Generation
-	return true
+	s.lastKickSeq = seq
+	return started
 }
 
 // IngestStatsJSON is the GET /admin/ingest response: store stats plus

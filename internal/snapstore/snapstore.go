@@ -1,7 +1,7 @@
 // Package snapstore persists engine snapshots so a rebooted
 // fleetserver (or one shard of a cluster) serves its last trained
 // generation immediately instead of cold-training, and — because a
-// snapshot carries its per-vehicle fingerprints, pool hash and models —
+// snapshot carries its per-vehicle fingerprints, donor-pool key and models —
 // retrains *incrementally* from the persisted state: only vehicles
 // whose telemetry changed since the spill train again.
 //

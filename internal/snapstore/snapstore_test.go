@@ -3,8 +3,10 @@ package snapstore
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"encoding/gob"
 	"errors"
+	"hash/fnv"
 	"math"
 	"os"
 	"testing"
@@ -249,19 +251,10 @@ func TestRestoreThenIncrementalRetrain(t *testing.T) {
 		}
 	}
 
-	// One vehicle changes: only it retrains. v01 is old, so the donor
-	// pool shifts with it — but v04/v05 (pool-dependent) still reuse
-	// only when the pool is unchanged; perturb the semi-new vehicle
-	// instead to keep the pool stable.
-	changed := make([]engine.Vehicle, len(fleet))
-	copy(changed, fleet)
-	u := fleet[3].Series.U.Clone()
-	u = append(u, 17500)
-	vs, err := timeseries.Derive(fleet[3].Series.ID, u, fleet[3].Series.Allowance)
-	if err != nil {
-		t.Fatal(err)
-	}
-	changed[3] = engine.Vehicle{Series: vs, Start: fleet[3].Start}
+	// One vehicle changes: only it retrains — also when it is an old
+	// vehicle, whose tail day leaves the donors' first cycles (the pool
+	// key the restored snapshot carries) untouched.
+	changed := withExtraDay(t, fleet, 0)
 	snap3, err := eng2.Retrain(context.Background(), changed)
 	if err != nil {
 		t.Fatal(err)
@@ -269,6 +262,161 @@ func TestRestoreThenIncrementalRetrain(t *testing.T) {
 	if snap3.Retrained != 1 || snap3.Reused != len(fleet)-1 {
 		t.Errorf("dirty retrain: reused=%d retrained=%d, want %d/1", snap3.Reused, snap3.Retrained, len(fleet)-1)
 	}
+}
+
+// withExtraDay returns the fleet with one more day of telemetry on
+// vehicle i.
+func withExtraDay(t testing.TB, fleet []engine.Vehicle, i int) []engine.Vehicle {
+	t.Helper()
+	changed := append([]engine.Vehicle(nil), fleet...)
+	vs, err := timeseries.Derive(fleet[i].Series.ID, append(fleet[i].Series.U.Clone(), 17500), fleet[i].Series.Allowance)
+	if err != nil {
+		t.Fatal(err)
+	}
+	changed[i] = engine.Vehicle{Series: vs, Start: fleet[i].Start}
+	return changed
+}
+
+// spillAndRestore trains the fleet on one engine, spills it, and
+// returns a second engine restored from the (optionally edited) spill.
+func spillAndRestore(t *testing.T, fleet []engine.Vehicle, edit func(*engine.Snapshot)) *engine.Engine {
+	t.Helper()
+	store, err := New(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng1, err := engine.New(engine.Config{Predictor: testConfig(), Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap, err := eng1.Retrain(context.Background(), fleet)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := store.Save("s", snap); err != nil {
+		t.Fatal(err)
+	}
+	restored, err := store.Load("s")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if edit != nil {
+		edit(restored)
+	}
+	eng2, err := engine.New(engine.Config{Predictor: testConfig(), Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := eng2.Restore(restored); err != nil {
+		t.Fatal(err)
+	}
+	return eng2
+}
+
+// assertEqualsFullRebuild checks a snapshot's forecasts bit for bit
+// against a fresh engine's cold train of the same fleet.
+func assertEqualsFullRebuild(t *testing.T, label string, got *engine.Snapshot, fleet []engine.Vehicle) {
+	t.Helper()
+	fresh, err := engine.New(engine.Config{Predictor: testConfig(), Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := fresh.Retrain(context.Background(), fleet)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got.Forecasts) != len(want.Forecasts) {
+		t.Fatalf("%s: %d forecasts, full rebuild has %d", label, len(got.Forecasts), len(want.Forecasts))
+	}
+	for i, f := range want.Forecasts {
+		g := got.Forecasts[i]
+		if f.VehicleID != g.VehicleID || f.AsOfDay != g.AsOfDay || f.Strategy != g.Strategy ||
+			math.Float64bits(f.DaysLeft) != math.Float64bits(g.DaysLeft) || !f.DueDate.Equal(g.DueDate) {
+			t.Errorf("%s: forecast %s differs from a full rebuild:\ngot  %+v\nwant %+v", label, f.VehicleID, g, f)
+		}
+	}
+}
+
+// legacyPoolHash is the donor-pool hash binaries before the
+// first-cycle key spilled: FNV-1a over every old vehicle's ID and
+// whole-series fingerprint, in ID order.
+func legacyPoolHash(fleet []engine.Vehicle) uint64 {
+	h := fnv.New64a()
+	word := func(v uint64) {
+		var b [8]byte
+		binary.LittleEndian.PutUint64(b[:], v)
+		h.Write(b[:])
+	}
+	for _, v := range fleet { // testFleet is in ID order
+		if core.Categorize(v.Series) == core.Old {
+			word(uint64(len(v.Series.ID)))
+			h.Write([]byte(v.Series.ID))
+			word(core.Fingerprint(v.Series, v.Start))
+		}
+	}
+	return h.Sum64()
+}
+
+// TestRestoreSnapshotWithLegacyPoolHash: a snapshot spilled by an
+// older binary carries the whole-series pool hash, which no build
+// computes any more. Restoring it is safe: the key mismatches, so the
+// cold-start vehicles retrain once on the reconcile retrain — the old
+// vehicles still reuse — the result equals a full rebuild, and the next
+// clean retrain reuses everything against the new key.
+func TestRestoreSnapshotWithLegacyPoolHash(t *testing.T) {
+	fleet := testFleet(t)
+	eng := spillAndRestore(t, fleet, func(snap *engine.Snapshot) {
+		legacy := legacyPoolHash(fleet)
+		if legacy == snap.PoolHash {
+			t.Fatal("legacy hash equals the first-cycle key; the test would prove nothing")
+		}
+		snap.PoolHash = legacy
+	})
+	reconcile, err := eng.Retrain(context.Background(), fleet)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if reconcile.Retrained != 2 || reconcile.Reused != 3 || !reconcile.PoolChanged || reconcile.UnifiedReused {
+		t.Errorf("reconcile after a legacy restore: reused=%d retrained=%d pool_changed=%v unified_reused=%v, want 3/2 (v04, v05), true, false",
+			reconcile.Reused, reconcile.Retrained, reconcile.PoolChanged, reconcile.UnifiedReused)
+	}
+	assertEqualsFullRebuild(t, "reconcile after a legacy restore", reconcile, fleet)
+	again, err := eng.Retrain(context.Background(), fleet)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if again.Retrained != 0 || again.PoolChanged {
+		t.Errorf("second retrain after a legacy restore: retrained=%d pool_changed=%v, want a clean reuse", again.Retrained, again.PoolChanged)
+	}
+}
+
+// TestRestoredUnifiedModelIsCarriedForward: a snapshot spilled by this
+// binary restores to a clean reconcile (nothing retrains), and the
+// per-vehicle decoded copies of the unified model it holds are accepted
+// as the carried-forward unified: a new vehicle reporting after the
+// restore trains without a fit and lands on the full rebuild's forecast.
+func TestRestoredUnifiedModelIsCarriedForward(t *testing.T) {
+	fleet := testFleet(t)
+	eng := spillAndRestore(t, fleet, nil)
+	reconcile, err := eng.Retrain(context.Background(), fleet)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if reconcile.Retrained != 0 || reconcile.PoolChanged {
+		t.Fatalf("clean reconcile: retrained=%d pool_changed=%v, want 0/false", reconcile.Retrained, reconcile.PoolChanged)
+	}
+	changed := withExtraDay(t, fleet, 4) // v05 is new: served by the unified model
+	snap, err := eng.Retrain(context.Background(), changed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if snap.Retrained != 1 || !snap.UnifiedReused {
+		t.Errorf("new vehicle's report after restore: retrained=%d unified_reused=%v, want 1/true", snap.Retrained, snap.UnifiedReused)
+	}
+	if snap.Models["v05"] != reconcile.Models["v05"] {
+		t.Error("the restored unified model was refitted instead of carried forward")
+	}
+	assertEqualsFullRebuild(t, "new vehicle's report after restore", snap, changed)
 }
 
 // TestRestoreRejectsChangedConfig: a spill from a different predictor

@@ -304,6 +304,20 @@ for series in fleet_http_request_seconds_bucket fleet_train_stage_seconds_bucket
     exit 1
   fi
 done
+# Why vehicles trained is counted per reason on every shard (relabeled
+# by the router); by now each shard has trained its partition at least
+# once, for one reason or another.
+for reason in own_data pool_changed full; do
+  if ! grep -q "^fleet_retrain_vehicles_total{.*reason=\"$reason\"" "$WORK/metrics.txt"; then
+    echo "cluster-smoke: FAIL — /metrics is missing fleet_retrain_vehicles_total{reason=\"$reason\"}" >&2
+    exit 1
+  fi
+done
+RETRAINED=$(awk '/^fleet_retrain_vehicles_total[{]/ {n += $NF} END {print n + 0}' "$WORK/metrics.txt")
+if [ "$RETRAINED" -le 0 ]; then
+  echo "cluster-smoke: FAIL — fleet_retrain_vehicles_total counts no trained vehicle on any shard" >&2
+  exit 1
+fi
 "$WORK/fleetctl" metrics -url http://127.0.0.1:18084 >"$WORK/fleetctl-metrics.txt"
 if ! grep -q "p99" "$WORK/fleetctl-metrics.txt"; then
   echo "cluster-smoke: FAIL — fleetctl metrics printed no latency quantiles" >&2
