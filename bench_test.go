@@ -59,17 +59,54 @@ var (
 )
 
 // fleet24 lazily builds the paper-scale 24-vehicle fleet used by the
-// fleet-training benchmarks.
-func fleet24(b *testing.B) *experiments.Env {
-	b.Helper()
+// fleet-training benchmarks and the deployed-path golden.
+func fleet24(tb testing.TB) *experiments.Env {
+	tb.Helper()
 	fleet24Once.Do(func() {
 		s := experiments.FullScale()
 		fleet24Env, fleet24Err = experiments.NewEnv(s)
 	})
 	if fleet24Err != nil {
-		b.Fatal(fleet24Err)
+		tb.Fatal(fleet24Err)
 	}
 	return fleet24Env
+}
+
+// mixedFleet24 is fleet24 as a deployment actually has it — 18 old, 3
+// semi-new and 3 new vehicles: every 8th vehicle cut to 0.75·T_v,
+// every 8th+1 to 0.25·T_v, as fleetbench cuts its seed fleet.
+func mixedFleet24(tb testing.TB) []engine.Vehicle {
+	tb.Helper()
+	base := fleet24(tb).FleetVehicles()
+	for i, v := range base {
+		var share float64
+		switch i % 8 {
+		case 0:
+			share = 0.75 // semi-new
+		case 1:
+			share = 0.25 // new
+		default:
+			continue
+		}
+		cum, keep := 0.0, 0
+		for keep < len(v.Series.U) && cum < share*v.Series.Allowance {
+			cum += v.Series.U[keep]
+			keep++
+		}
+		cut, err := timeseries.Derive(v.Series.ID, v.Series.U.Slice(0, keep), v.Series.Allowance)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		base[i] = engine.Vehicle{Series: cut, Start: v.Start}
+	}
+	counts := map[core.Category]int{}
+	for _, v := range base {
+		counts[core.Categorize(v.Series)]++
+	}
+	if counts[core.Old] != 18 || counts[core.SemiNew] != 3 || counts[core.New] != 3 {
+		tb.Fatalf("fleet is %d old / %d semi-new / %d new, want 18/3/3", counts[core.Old], counts[core.SemiNew], counts[core.New])
+	}
+	return base
 }
 
 // benchFleetTrain measures one full deployed-system training run — all
@@ -102,20 +139,12 @@ func BenchmarkFleetTrainParallel(b *testing.B) {
 	}
 }
 
-// benchOneDirtyVehicle measures the telemetry-update steady state on
-// the given fleet: a retrain after exactly one vehicle (base[i]) gained
-// a day. Alternating between the base fleet and the one-vehicle
-// perturbation keeps every iteration at exactly one dirty vehicle, and
-// an iteration that retrains any other vehicle fails the benchmark.
-func benchOneDirtyVehicle(b *testing.B, seed uint64, base []engine.Vehicle, i int) {
-	u := base[i].Series.U
-	pert, err := timeseries.Derive(base[i].Series.ID, append(u.Clone(), u[len(u)-1]), base[i].Series.Allowance)
-	if err != nil {
-		b.Fatal(err)
-	}
-	dirty := append([]engine.Vehicle(nil), base...)
-	dirty[i] = engine.Vehicle{Series: pert, Start: base[i].Start}
-
+// benchReport measures the telemetry-update steady state on the given
+// fleet: a retrain after vehicle i's series changed from base[i] to
+// report[i]. Alternating between the two fleets keeps every iteration
+// at exactly one changed vehicle, and an iteration that retrains other
+// than want vehicles fails the benchmark.
+func benchReport(b *testing.B, seed uint64, base, report []engine.Vehicle, want int) {
 	cfg := core.DefaultPredictorConfig()
 	cfg.Seed = seed
 	eng, err := engine.New(engine.Config{Predictor: cfg, Workers: 1})
@@ -129,67 +158,74 @@ func benchOneDirtyVehicle(b *testing.B, seed uint64, base []engine.Vehicle, i in
 	for n := 0; n < b.N; n++ {
 		fleet := base
 		if n%2 == 0 {
-			fleet = dirty
+			fleet = report
 		}
 		snap, err := eng.Retrain(context.Background(), fleet)
 		if err != nil {
 			b.Fatal(err)
 		}
-		if snap.Retrained != 1 {
-			b.Fatalf("retrained %d vehicles for one vehicle's new day, want 1", snap.Retrained)
+		if snap.Retrained != want {
+			b.Fatalf("retrained %d vehicles for one vehicle's report, want %d", snap.Retrained, want)
 		}
 	}
+}
+
+// benchTailDay is benchReport for the daily report: base[i] gains one
+// day that completes no maintenance cycle. It adds no label, so nothing
+// may retrain — the report costs a forecast.
+func benchTailDay(b *testing.B, seed uint64, base []engine.Vehicle, i int) {
+	u := base[i].Series.U
+	pert, err := timeseries.Derive(base[i].Series.ID, append(u.Clone(), u[len(u)-1]), base[i].Series.Allowance)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if len(pert.CompleteCycles()) != len(base[i].Series.CompleteCycles()) {
+		b.Fatalf("vehicle %s: the tail day completes a cycle", pert.ID)
+	}
+	report := append([]engine.Vehicle(nil), base...)
+	report[i] = engine.Vehicle{Series: pert, Start: base[i].Start}
+	benchReport(b, seed, base, report, 0)
 }
 
 // BenchmarkIncrementalRetrain measures the telemetry-update steady
-// state: a retrain after exactly one of the 24 (all old) vehicles
-// received new telemetry. The engine carries the 23 clean vehicles'
-// models forward (hash-gated reuse), so the cost is O(changed vehicles)
-// — expect this to beat BenchmarkFleetTrain by roughly the fleet size.
+// state: a retrain after one of the 24 (all old) vehicles reported a
+// day. The engine carries every model forward — the reporter's too,
+// since the day adds no label — so the cost is the plan and the
+// forecasts, not a fit.
 func BenchmarkIncrementalRetrain(b *testing.B) {
 	e := fleet24(b)
-	benchOneDirtyVehicle(b, e.Scale.Seed, e.FleetVehicles(), 0)
+	benchTailDay(b, e.Scale.Seed, e.FleetVehicles(), 0)
 }
 
 // BenchmarkIncrementalRetrainMixed is BenchmarkIncrementalRetrain on
-// the fleet a deployment actually has — 18 old, 3 semi-new and 3 new
-// vehicles (every 8th vehicle cut to 0.75·T_v, every 8th+1 to 0.25·T_v,
-// as fleetbench cuts its seed fleet) — with an old vehicle reporting.
-// The donors' first cycles do not change, so the cold-start vehicles
-// must be carried forward: this is what keeps the donor-pool fan-out
-// (5.4 vehicles retrained per report) from coming back.
+// the fleet a deployment actually has (mixedFleet24) with an old
+// vehicle reporting. The donors' first cycles do not change, so the
+// cold-start vehicles must be carried forward too: this is what keeps
+// the donor-pool fan-out (5.4 vehicles retrained per report) from
+// coming back.
 func BenchmarkIncrementalRetrainMixed(b *testing.B) {
-	e := fleet24(b)
-	base := e.FleetVehicles()
-	for i, v := range base {
-		var share float64
-		switch i % 8 {
-		case 0:
-			share = 0.75 // semi-new
-		case 1:
-			share = 0.25 // new
-		default:
-			continue
-		}
-		cum, keep := 0.0, 0
-		for keep < len(v.Series.U) && cum < share*v.Series.Allowance {
-			cum += v.Series.U[keep]
-			keep++
-		}
-		cut, err := timeseries.Derive(v.Series.ID, v.Series.U.Slice(0, keep), v.Series.Allowance)
+	benchTailDay(b, fleet24(b).Scale.Seed, mixedFleet24(b), 2) // base[2] is the first vehicle left whole
+}
+
+// BenchmarkCycleCompletingReport is the one report that does add labels:
+// an old vehicle of the mixed fleet receives the day that completes its
+// trailing maintenance cycle, so exactly that vehicle retrains — the
+// §4.3 competition and refit on its longer labelled prefix.
+func BenchmarkCycleCompletingReport(b *testing.B) {
+	base := mixedFleet24(b)
+	v := base[2] // the first vehicle left whole
+	last := v.Series.CompleteCycles()
+	end := last[len(last)-1].End // its last maintenance day
+	upTo := func(days int) engine.Vehicle {
+		vs, err := timeseries.Derive(v.Series.ID, v.Series.U.Slice(0, days), v.Series.Allowance)
 		if err != nil {
 			b.Fatal(err)
 		}
-		base[i] = engine.Vehicle{Series: cut, Start: v.Start}
+		return engine.Vehicle{Series: vs, Start: v.Start}
 	}
-	counts := map[core.Category]int{}
-	for _, v := range base {
-		counts[core.Categorize(v.Series)]++
-	}
-	if counts[core.Old] != 18 || counts[core.SemiNew] != 3 || counts[core.New] != 3 {
-		b.Fatalf("fleet is %d old / %d semi-new / %d new, want 18/3/3", counts[core.Old], counts[core.SemiNew], counts[core.New])
-	}
-	benchOneDirtyVehicle(b, e.Scale.Seed, base, 2) // base[2] is the first vehicle left whole
+	report := append([]engine.Vehicle(nil), base...)
+	base[2], report[2] = upTo(end-1), upTo(end)
+	benchReport(b, fleet24(b).Scale.Seed, base, report, 1)
 }
 
 // BenchmarkFig1DataGeneration measures the full data path behind

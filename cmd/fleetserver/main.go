@@ -45,7 +45,7 @@
 // Snapshot persistence: with -snapshot-dir every published generation
 // is spilled to disk (atomic rename) and restored at the next boot, so
 // a restarted server answers from its last generation immediately and
-// retrains incrementally from the persisted fingerprints instead of
+// retrains incrementally from the persisted model keys instead of
 // cold-training.
 //
 // Telemetry protection (enforce at the fleet's front door — the
@@ -580,7 +580,7 @@ func initialTrain(eng *engine.Engine, retries int, failFast bool) {
 
 // reconcileRetrain folds WAL-recovered telemetry into a restored
 // generation with one incremental retrain (near-free when the
-// snapshot already covers the store: fingerprints match, everything
+// snapshot already covers the store: model keys match, everything
 // reuses). Like initialTrain it retries while a partitioned cluster's
 // peers come up, so crash recovery completes without waiting for the
 // next telemetry batch or periodic tick. ErrRetrainInFlight means some

@@ -37,11 +37,11 @@ import (
 // Consistency: donor sets are pulled from the peers' *stores* (not
 // their snapshots), so a retrain sees every report the peers had
 // acknowledged when it fetched. Cold-start training reads only the
-// donors' first maintenance cycles (old <- own series; semi-new <- own
-// series + donors' first cycles; new <- donors' first cycles), and the
-// pool key that gates reuse hashes exactly those: a peer's old vehicle
-// reporting another day changes nothing here and retrains nobody on
-// this shard. What does change a shard's cold-start models is a donor
+// donors' first maintenance cycles (old <- own labelled prefix;
+// semi-new <- own series through the donor pick + donors' first cycles;
+// new <- donors' first cycles), and the pool key that gates reuse
+// hashes exactly those: a peer's old vehicle reporting another day
+// changes nothing here and retrains nobody on this shard. What does change a shard's cold-start models is a donor
 // joining or leaving (a peer's semi-new vehicle completing its first
 // cycle), a changed allowance, or a backfilled day inside a donor's
 // first cycle; such a change reaches the other shards at their next

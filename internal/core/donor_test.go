@@ -107,8 +107,13 @@ func TestDonorOnlyPoolEquivalence(t *testing.T) {
 			t.Fatalf("shard plans donor-only vehicle %s", task.Vehicle.ID)
 		}
 	}
-	if len(shardPlan.Fingerprints) != len(owned) {
-		t.Fatalf("shard fingerprints cover %d vehicles, want %d", len(shardPlan.Fingerprints), len(owned))
+	if len(shardPlan.ModelKeys) != len(owned) {
+		t.Fatalf("shard model keys cover %d vehicles, want %d", len(shardPlan.ModelKeys), len(owned))
+	}
+	for id, key := range shardPlan.ModelKeys {
+		if want := fullPlan.ModelKeys[id]; key != want {
+			t.Errorf("vehicle %s: shard model key %x differs from unsharded %x", id, key, want)
+		}
 	}
 
 	if _, err := shard.Train(); err != nil {
@@ -143,12 +148,15 @@ func TestDonorOnlyPoolEquivalence(t *testing.T) {
 // unsharded fleet agree on it through every kind of change: a day
 // appended to a donor-only vehicle's tail moves neither key, a day
 // rewritten inside its first cycle moves both to the same new value.
+// They agree on every owned vehicle's model key too — the semi-new v04
+// picks its donor from a pool the shard holds mostly donor-only.
 func TestDonorOnlyPoolKeyFollowsFirstCycles(t *testing.T) {
 	base, start := donorFleet(t)
 	owned := map[string]bool{"v03": true, "v04": true, "v05": true}
 	keys := func(fleet []*timeseries.VehicleSeries) (unsharded, shard uint64) {
 		t.Helper()
 		var out [2]uint64
+		var modelKeys [2]map[string]uint64
 		for i, sharded := range []bool{false, true} {
 			fp, err := NewFleetPredictor(donorTestConfig())
 			if err != nil {
@@ -169,6 +177,12 @@ func TestDonorOnlyPoolKeyFollowsFirstCycles(t *testing.T) {
 				t.Fatal(err)
 			}
 			out[i] = plan.PoolHash
+			modelKeys[i] = plan.ModelKeys
+		}
+		for id := range owned {
+			if modelKeys[0][id] != modelKeys[1][id] {
+				t.Errorf("vehicle %s: shard model key %x differs from unsharded %x", id, modelKeys[1][id], modelKeys[0][id])
+			}
 		}
 		return out[0], out[1]
 	}
@@ -233,10 +247,10 @@ func TestDonorOnlyReuse(t *testing.T) {
 	// Execute the first build's tasks and package the prior generation
 	// the way internal/engine does from its snapshot.
 	prior := &PriorGeneration{
-		Fingerprints: plan1.Fingerprints,
-		PoolHash:     plan1.PoolHash,
-		Statuses:     make(map[string]VehicleStatus),
-		Models:       make(map[string]ml.Regressor),
+		ModelKeys: plan1.ModelKeys,
+		PoolHash:  plan1.PoolHash,
+		Statuses:  make(map[string]VehicleStatus),
+		Models:    make(map[string]ml.Regressor),
 	}
 	for _, task := range plan1.Tasks {
 		st, model, err := TrainVehicle(task, plan1.Shared)

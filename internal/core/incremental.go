@@ -3,7 +3,6 @@ package core
 import (
 	"math"
 	"sort"
-	"time"
 
 	"repro/internal/ml"
 	"repro/internal/rng"
@@ -37,32 +36,12 @@ func fnvString(h uint64, s string) uint64 {
 	return h
 }
 
-// Fingerprint is the FNV-1a content hash of one prepared vehicle: its
-// identity, acquisition start, allowance and the full daily utilization
-// series. Every other per-vehicle series (C, L, D, the cycle
-// segmentation) is a pure function of these inputs, so two vehicles
-// with equal fingerprints train — and forecast — bit-identically under
-// the same configuration. Incremental builds use the fingerprint to
-// decide whether the previous generation's model can be carried
-// forward.
-func Fingerprint(vs *timeseries.VehicleSeries, start time.Time) uint64 {
-	h := uint64(fnvOffset64)
-	h = fnvString(h, vs.ID)
-	h = fnvUint64(h, uint64(start.Unix()))
-	h = fnvUint64(h, math.Float64bits(vs.Allowance))
-	h = fnvUint64(h, uint64(len(vs.U)))
-	for _, v := range vs.U {
-		h = fnvUint64(h, math.Float64bits(v))
-	}
-	return h
-}
-
 // Hash fingerprints everything about a predictor configuration that
 // changes what a trained model looks like. A persisted snapshot
 // records it (engine.Snapshot.ConfigHash) so a reboot under a changed
 // configuration — different window, candidates, seed, ... — refuses to
 // reuse the old models instead of silently serving a mixed-config
-// fleet: the series fingerprints alone cannot see a config change.
+// fleet: the model and pool keys alone cannot see a config change.
 //
 // FitWorkers is deliberately NOT hashed: it is an execution knob with
 // bit-identical results for every value, so a snapshot trained with a
@@ -126,15 +105,11 @@ func deriveSeed(root uint64, domain byte, id string) uint64 {
 	return rng.New(h).Uint64()
 }
 
-// donorKey folds into h exactly what cold-start training reads from one
-// old vehicle: ID, allowance, first-cycle end day and the utilization of
-// that first complete cycle, of which L, D and the features are pure
-// functions. TrainUnified, TrainSimilarityForLive and halfCycleDay look
-// at nothing else ("only usage data related to the first maintenance
-// cycle", §4.4), so a day appended to a donor's tail leaves the key —
-// and every model trained on the pool — unchanged.
-func donorKey(h uint64, vs *timeseries.VehicleSeries) uint64 {
-	end := vs.Cycles[0].End
+// prefixKey folds into h what a model trained on days [0, end) of vs
+// reads: ID, allowance, end and U[0:end). C, L, D and every feature on
+// those days are pure functions of these (Derive on the prefix
+// reproduces them), so a day appended after end never moves the key.
+func prefixKey(h uint64, vs *timeseries.VehicleSeries, end int) uint64 {
 	h = fnvString(h, vs.ID)
 	h = fnvUint64(h, math.Float64bits(vs.Allowance))
 	h = fnvUint64(h, uint64(end))
@@ -144,18 +119,45 @@ func donorKey(h uint64, vs *timeseries.VehicleSeries) uint64 {
 	return h
 }
 
+// modelKey hashes exactly what a vehicle's own model reads, one rule per
+// category:
+//
+//	old      <- ID, allowance and the labelled prefix U[0:labelledEnd)
+//	semi-new <- ID and the donor pickDonor chose
+//	new      <- ID
+//
+// Semi-new and new models also read the donors' first cycles; the pool
+// key covers those. The category leads the hash, so a vehicle that
+// changes category never matches its prior key.
+func modelKey(vs *timeseries.VehicleSeries, cat Category, donor *timeseries.VehicleSeries) uint64 {
+	h := fnvByte(fnvOffset64, byte(cat))
+	switch cat {
+	case Old:
+		return prefixKey(h, vs, labelledEnd(vs))
+	case SemiNew:
+		donorID := ""
+		if donor != nil {
+			donorID = donor.ID
+		}
+		return fnvString(fnvString(h, vs.ID), donorID)
+	default:
+		return fnvString(h, vs.ID)
+	}
+}
+
 // PriorGeneration carries the reusable outputs of a previous build:
-// per-vehicle fingerprints, statuses and trained models, plus the key
-// of the donor pool the cold-start models among them were trained
-// against. internal/engine materializes one from its current Snapshot.
+// per-vehicle model keys, statuses and trained models, plus the key of
+// the donor pool the cold-start models among them were trained against.
+// internal/engine materializes one from its current Snapshot.
 type PriorGeneration struct {
-	// Fingerprints are the per-vehicle series content hashes at the
+	// ModelKeys are the per-vehicle model keys (see modelKey) at the
 	// previous build.
-	Fingerprints map[string]uint64
-	// PoolHash is the previous build's donor-pool key: donorKey folded
-	// over the old vehicles in ID order. A donor joining or leaving, a
-	// changed allowance and a rewritten day inside a donor's first cycle
-	// change it; a donor's growing tail never does.
+	ModelKeys map[string]uint64
+	// PoolHash is the previous build's donor-pool key: each old
+	// vehicle's first cycle (prefixKey up to Cycles[0].End) folded in ID
+	// order. A donor joining or leaving, a changed allowance and a
+	// rewritten day inside a donor's first cycle change it; a donor's
+	// later cycles and growing tail never do.
 	PoolHash uint64
 	// Statuses are the previous per-vehicle outcomes, including failed
 	// vehicles (Err != "").
@@ -180,8 +182,8 @@ func (p *PriorGeneration) unified() ml.Regressor {
 // Why a vehicle is in a build's task list (TrainTask.Reason).
 const (
 	ReasonFull        = "full"         // no prior generation: cold or forced full build
-	ReasonOwnData     = "own_data"     // its own series is new or changed, or nothing usable was carried
-	ReasonPoolChanged = "pool_changed" // its series is unchanged but the donor pool it trains on is not
+	ReasonOwnData     = "own_data"     // its model key is new or changed, or nothing usable was carried
+	ReasonPoolChanged = "pool_changed" // its model key is unchanged but the donor pool it trains on is not
 )
 
 // TrainPlan is the outcome of planning one build: the vehicles that
@@ -197,8 +199,8 @@ type TrainPlan struct {
 	// ReusedModels are the carried-forward models (reused vehicles with
 	// Err == "" only).
 	ReusedModels map[string]ml.Regressor
-	// Fingerprints covers every registered vehicle at this build.
-	Fingerprints map[string]uint64
+	// ModelKeys covers every owned vehicle at this build.
+	ModelKeys map[string]uint64
 	// PoolHash is this build's donor-pool key (see PriorGeneration).
 	PoolHash uint64
 	// PoolChanged reports that a prior generation existed and was trained
@@ -211,19 +213,22 @@ type TrainPlan struct {
 // With prior == nil every vehicle trains (a full build). Otherwise what
 // a model was trained on decides what invalidates it:
 //
-//	old      <- its own series
-//	semi-new <- its own series + the donors' first cycles
+//	old      <- its labelled prefix (the days up to its last maintenance)
+//	semi-new <- its own series through the donor pick + the donors' first cycles
 //	new      <- the donors' first cycles
 //
 // so a vehicle is carried forward — status and model untouched — when
-// its series fingerprint matches the prior build's and, for semi-new and
-// new vehicles, the donor-pool key does too. With the key unchanged the
-// prior generation's unified model is carried into Shared as well: a
-// dirty or newly joined new vehicle costs a forecast, not a fit.
+// its model key matches the prior build's and, for semi-new and new
+// vehicles, the donor-pool key does too. A daily report adds a day whose
+// target is unknown until the next maintenance (§2), so it moves no old
+// vehicle's key: the carried model simply forecasts from the new tail.
+// With the pool key unchanged the prior generation's unified model is
+// carried into Shared as well: a dirty or newly joined new vehicle costs
+// a forecast, not a fit.
 //
 // Reuse is exact by construction, not approximation: a task seed is a
 // pure function of (config seed, vehicle ID), and TrainVehicle is a
-// pure function of (series, category, seed, config, donors' first
+// pure function of (model key inputs, seed, config, donors' first
 // cycles), so a reused model is bit-identical to the model a full
 // rebuild would train. Callers needing the escape hatch (changed config
 // or seed — which a FleetPredictor cannot observe) pass prior == nil.
@@ -231,35 +236,36 @@ func (fp *FleetPredictor) PlanTrainingWithReuse(prior *PriorGeneration) (*TrainP
 	if len(fp.vehicles) == 0 {
 		return nil, errNoVehicles()
 	}
-	plan := &TrainPlan{
-		Shared: &TrainShared{
-			olds: fp.oldVehicles(),
-			cfg:  fp.cfg,
-			seed: deriveSeed(fp.cfg.Seed, seedDomainShared, ""),
-		},
-		ReusedModels: make(map[string]ml.Regressor),
-		Fingerprints: make(map[string]uint64, len(fp.vehicles)),
-	}
-
-	// The pool key is folded over *every* registered old vehicle,
-	// donor-only ones included: it must be a pure function of the
+	// The pool and its key span *every* registered old vehicle,
+	// donor-only ones included: both must be pure functions of the
 	// fleet-wide donors so a shard (own partition + donors) and an
-	// unsharded build (everything owned) agree on it.
+	// unsharded build (everything owned) agree on them — and on every
+	// donor pick made against the pool.
 	ids := fp.VehicleIDs()
 	categories := make(map[string]Category, len(ids))
+	var olds []*timeseries.VehicleSeries
 	poolHash := uint64(fnvOffset64)
 	for _, id := range ids {
 		vs := fp.vehicles[id]
 		cat := Categorize(vs)
 		categories[id] = cat
-		if !fp.donorOnly[id] {
-			plan.Fingerprints[id] = Fingerprint(vs, fp.starts[id])
-		}
 		if cat == Old {
-			poolHash = donorKey(poolHash, vs)
+			olds = append(olds, vs)
+			// What cold-start training reads from a donor: its first cycle
+			// ("only usage data related to the first maintenance cycle", §4.4).
+			poolHash = prefixKey(poolHash, vs, vs.Cycles[0].End)
 		}
 	}
-	plan.PoolHash = poolHash
+	plan := &TrainPlan{
+		Shared: &TrainShared{
+			olds: olds,
+			cfg:  fp.cfg,
+			seed: deriveSeed(fp.cfg.Seed, seedDomainShared, ""),
+		},
+		ReusedModels: make(map[string]ml.Regressor),
+		ModelKeys:    make(map[string]uint64, fp.ownedCount()),
+		PoolHash:     poolHash,
+	}
 	if prior != nil {
 		plan.PoolChanged = prior.PoolHash != poolHash
 		if !plan.PoolChanged {
@@ -274,7 +280,14 @@ func (fp *FleetPredictor) PlanTrainingWithReuse(prior *PriorGeneration) (*TrainP
 		if fp.donorOnly[id] {
 			continue
 		}
-		reason := retrainReason(prior, id, plan.Fingerprints[id], categories[id], poolHash)
+		vs, cat := fp.vehicles[id], categories[id]
+		var donor *timeseries.VehicleSeries
+		if cat == SemiNew {
+			donor = pickDonor(vs, olds)
+		}
+		key := modelKey(vs, cat, donor)
+		plan.ModelKeys[id] = key
+		reason := retrainReason(prior, id, key, cat, poolHash)
 		if reason == "" {
 			st := prior.Statuses[id]
 			plan.Reused = append(plan.Reused, st)
@@ -284,8 +297,9 @@ func (fp *FleetPredictor) PlanTrainingWithReuse(prior *PriorGeneration) (*TrainP
 			continue
 		}
 		plan.Tasks = append(plan.Tasks, TrainTask{
-			Vehicle:  fp.vehicles[id],
-			Category: categories[id],
+			Vehicle:  vs,
+			Category: cat,
+			Donor:    donor,
 			Seed:     deriveSeed(fp.cfg.Seed, seedDomainVehicle, id),
 			Reason:   reason,
 		})
@@ -295,21 +309,19 @@ func (fp *FleetPredictor) PlanTrainingWithReuse(prior *PriorGeneration) (*TrainP
 
 // retrainReason applies the dependency rule to one vehicle: "" when its
 // prior result can be carried forward unchanged, else why it cannot.
-func retrainReason(prior *PriorGeneration, id string, fpHash uint64, cat Category, poolHash uint64) string {
+func retrainReason(prior *PriorGeneration, id string, key uint64, cat Category, poolHash uint64) string {
 	if prior == nil {
 		return ReasonFull
 	}
 	st, ok := prior.Statuses[id]
-	if prev, seen := prior.Fingerprints[id]; !ok || !seen || prev != fpHash || (st.Err == "" && prior.Models[id] == nil) {
+	if prev, seen := prior.ModelKeys[id]; !ok || !seen || prev != key || (st.Err == "" && prior.Models[id] == nil) {
 		return ReasonOwnData
 	}
-	// A matching fingerprint implies an identical series, hence an
-	// identical category; re-deriving it keeps this robust even against
-	// a (vanishingly unlikely) hash collision on membership.
+	// A matching key implies the same category (it leads the hash).
 	if cat != Old && prior.PoolHash != poolHash {
-		// A changed pool key means a retrain could pick a different donor
-		// or fit a different unified model, so carrying the old model
-		// forward would break the bit-identical contract.
+		// A changed pool key means a retrain could fit a different
+		// similarity or unified model, so carrying the old model forward
+		// would break the bit-identical contract.
 		return ReasonPoolChanged
 	}
 	return ""

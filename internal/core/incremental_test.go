@@ -40,10 +40,10 @@ func buildGeneration(t *testing.T, cfg PredictorConfig, fleet []*timeseries.Vehi
 		t.Fatal(err)
 	}
 	next := &PriorGeneration{
-		Fingerprints: plan.Fingerprints,
-		PoolHash:     plan.PoolHash,
-		Statuses:     make(map[string]VehicleStatus),
-		Models:       plan.ReusedModels,
+		ModelKeys: plan.ModelKeys,
+		PoolHash:  plan.PoolHash,
+		Statuses:  make(map[string]VehicleStatus),
+		Models:    plan.ReusedModels,
 	}
 	var statuses []VehicleStatus
 	for _, st := range plan.Reused {
@@ -85,7 +85,9 @@ func buildGeneration(t *testing.T, cfg PredictorConfig, fleet []*timeseries.Vehi
 // generation, planned against the previous one, is bit-identical to a
 // full rebuild of the same fleet. Vehicles drift through the
 // categories on the way (new -> semi-new -> old joins the donor pool).
-// A tail day on an old vehicle must additionally cost exactly one task.
+// A tail day must additionally cost exactly the tasks its model keys
+// ask for (tailDayTasks): none unless it completes a cycle, flips a
+// donor or moves the vehicle out of the new category.
 func TestIncrementalReplayMatchesFullRebuild(t *testing.T) {
 	cfg := donorTestConfig()
 	for _, seed := range []uint64{1, 20200330} {
@@ -113,10 +115,8 @@ func TestIncrementalReplayMatchesFullRebuild(t *testing.T) {
 			switch k := rnd.Intn(10); {
 			case k < 5:
 				event = "tail day on " + vs.ID
-				if Categorize(vs) == Old {
-					wantTasks = 1
-				}
 				fleet[i] = mustDerive(t, vs.ID, append(vs.U.Clone(), math.Round(20000*rnd.Float64())))
+				wantTasks = tailDayTasks(vs, fleet[i], fleet)
 			case k < 8:
 				u := vs.U.Clone()
 				d := rnd.Intn(len(u))
@@ -143,6 +143,11 @@ func TestIncrementalReplayMatchesFullRebuild(t *testing.T) {
 			if inc.plan.PoolHash != full.plan.PoolHash {
 				t.Fatalf("seed %d step %d (%s): pool key differs between incremental and full plan", seed, step, event)
 			}
+			for id, key := range full.plan.ModelKeys {
+				if inc.plan.ModelKeys[id] != key {
+					t.Fatalf("seed %d step %d (%s): vehicle %s model key differs between incremental and full plan", seed, step, event, id)
+				}
+			}
 			if len(inc.forecast) != len(full.forecast) {
 				t.Fatalf("seed %d step %d (%s): %d vehicles incremental, %d full", seed, step, event, len(inc.forecast), len(full.forecast))
 			}
@@ -156,6 +161,30 @@ func TestIncrementalReplayMatchesFullRebuild(t *testing.T) {
 			}
 			prev = inc
 		}
+	}
+}
+
+// tailDayTasks is the number of tasks a day appended to one vehicle
+// (before -> after) must plan, or -1 when a completed first cycle moves
+// the donor pool and with it every cold-start vehicle: one when the day
+// completes a cycle of an old vehicle, flips a semi-new vehicle's donor
+// or makes a new vehicle semi-new, else none.
+func tailDayTasks(before, after *timeseries.VehicleSeries, fleet []*timeseries.VehicleSeries) int {
+	var olds []*timeseries.VehicleSeries
+	for _, vs := range fleet {
+		if Categorize(vs) == Old {
+			olds = append(olds, vs)
+		}
+	}
+	switch cb, ca := Categorize(before), Categorize(after); {
+	case cb == Old && labelledEnd(before) != labelledEnd(after),
+		cb == SemiNew && ca == SemiNew && pickDonor(before, olds) != pickDonor(after, olds),
+		cb == New && ca == SemiNew:
+		return 1
+	case cb != ca:
+		return -1
+	default:
+		return 0
 	}
 }
 

@@ -87,11 +87,11 @@ type FleetPredictor struct {
 	vehicles map[string]*timeseries.VehicleSeries
 	starts   map[string]time.Time
 	// donorOnly marks vehicles registered for the cold-start donor pool
-	// only: their first cycles feed Olds() and the pool key exactly as in
-	// an unsharded build, but they are never trained, statused or
-	// forecast. A cluster shard registers the rest of the fleet's old
-	// vehicles this way, which is what keeps its models bit-identical to
-	// an unsharded build's (see AddDonor).
+	// only: their first cycles feed cold-start training, donor picks and
+	// the pool key exactly as in an unsharded build, but they are never
+	// trained, statused or forecast. A cluster shard registers the rest
+	// of the fleet's old vehicles this way, which is what keeps its models
+	// bit-identical to an unsharded build's (see AddDonor).
 	donorOnly map[string]bool
 	models    map[string]ml.Regressor
 	status    map[string]VehicleStatus
@@ -128,7 +128,7 @@ func (fp *FleetPredictor) AddVehicle(vs *timeseries.VehicleSeries, start time.Ti
 }
 
 // AddDonor registers a vehicle for the cold-start donor pool only: it
-// joins Olds() and the pool key exactly as a trained vehicle would,
+// joins the donor pool and its key exactly as a trained vehicle would,
 // but is never planned, trained or forecast. A cluster shard registers
 // its own partition with AddVehicle and every other shard's old
 // vehicles with AddDonor, so a semi-new or new vehicle trains against
@@ -191,6 +191,9 @@ func (fp *FleetPredictor) ownedCount() int {
 type TrainTask struct {
 	Vehicle  *timeseries.VehicleSeries
 	Category Category
+	// Donor is the similarity donor the plan picked for a semi-new
+	// vehicle (pickDonor); nil means it is served by the unified model.
+	Donor *timeseries.VehicleSeries
 	// Seed is this vehicle's private rng split, derived from the
 	// predictor seed and the vehicle ID.
 	Seed uint64
@@ -238,9 +241,6 @@ type TrainShared struct {
 	unified ml.Regressor
 	err     error
 }
-
-// Olds returns the old-vehicle donor pool.
-func (sh *TrainShared) Olds() []*timeseries.VehicleSeries { return sh.olds }
 
 // Unified returns the build's unified cold-start model, training it on
 // first use.
@@ -298,7 +298,7 @@ func TrainVehicle(task TrainTask, shared *TrainShared) (VehicleStatus, ml.Regres
 	case Old:
 		st, model, err = trainOld(task.Vehicle, shared.cfg, task.Seed, shared.Observe)
 	case SemiNew:
-		st, model, err = trainSemiNew(task.Vehicle, shared, task.Seed)
+		st, model, err = trainSemiNew(task, shared)
 	case New:
 		st, model, err = trainNew(shared)
 	}
@@ -371,29 +371,47 @@ func (fp *FleetPredictor) Train() ([]VehicleStatus, error) {
 	return out, nil
 }
 
-func (fp *FleetPredictor) oldVehicles() []*timeseries.VehicleSeries {
-	var olds []*timeseries.VehicleSeries
-	for _, id := range fp.VehicleIDs() {
-		vs := fp.vehicles[id]
-		if Categorize(vs) == Old {
-			olds = append(olds, vs)
+// labelledEnd is the end day of vs's last complete maintenance cycle:
+// D is known on exactly the days before it (§2), so U[0:labelledEnd) is
+// all a per-vehicle model can learn from. 0 when no cycle has completed.
+func labelledEnd(vs *timeseries.VehicleSeries) int {
+	for i := len(vs.Cycles) - 1; i >= 0; i-- {
+		if vs.Cycles[i].Complete {
+			return vs.Cycles[i].End
 		}
 	}
-	return olds
+	return 0
 }
 
-// trainOld competes the candidate algorithms on a validation tail and
-// refits the winner on the vehicle's full history.
+// trainOld competes the candidate algorithms on a 70/30 split of the
+// vehicle's labelled prefix (the days up to its last maintenance) and
+// refits the winner on all of it. Unlabelled tail days would only move
+// the split, so the model is a pure function of the prefix — what lets
+// a daily report carry it forward (modelKey).
 func trainOld(vs *timeseries.VehicleSeries, pcfg PredictorConfig, seed uint64, obs StageObserver) (VehicleStatus, ml.Regressor, error) {
+	vs, err := timeseries.Derive(vs.ID, vs.U[:labelledEnd(vs)], vs.Allowance)
+	if err != nil {
+		return VehicleStatus{}, nil, err
+	}
 	cfg := NewOldConfig()
 	cfg.Window = pcfg.Window
 	cfg.Normalize = pcfg.Normalize
 	cfg.TrainFraction = 1 - pcfg.ValidationFraction
 	cfg.Eval = pcfg.Eval
-	cfg.RestrictTrain = true // Table 1: restriction is strictly better
 	cfg.Seed = seed
 	cfg.FitWorkers = pcfg.FitWorkers
 	cfg.Bins = pcfg.Bins
+	// Table 1: restriction is strictly better — when there is a D̃ row to
+	// train on. A single long cycle (a vehicle just past its first
+	// maintenance) has all of them after the cut; compete unrestricted
+	// then, as the refit below does for a degenerate restriction.
+	cut := int(float64(len(vs.U)) * cfg.TrainFraction)
+	for t := cfg.Window; t < cut; t++ {
+		if pcfg.Eval[vs.D[t]] {
+			cfg.RestrictTrain = true
+			break
+		}
+	}
 
 	bestScore := math.Inf(1)
 	var bestAlg Algorithm
@@ -417,7 +435,7 @@ func trainOld(vs *timeseries.VehicleSeries, pcfg PredictorConfig, seed uint64, o
 		return VehicleStatus{}, nil, fmt.Errorf("no candidate algorithm produced a score")
 	}
 
-	// Refit the winner on all available records (restricted region).
+	// Refit the winner on the whole prefix (restricted region).
 	tFit := time.Now()
 	fcfg := FeatureConfig{Window: pcfg.Window, Normalize: pcfg.Normalize, Restrict: pcfg.Eval}
 	recs, err := BuildRecords(vs, fcfg)
@@ -443,15 +461,15 @@ func trainOld(vs *timeseries.VehicleSeries, pcfg PredictorConfig, seed uint64, o
 	return VehicleStatus{Strategy: "per-vehicle", Algorithm: bestAlg, ValidationMRE: bestScore}, model, nil
 }
 
-func trainSemiNew(vs *timeseries.VehicleSeries, shared *TrainShared, seed uint64) (VehicleStatus, ml.Regressor, error) {
+func trainSemiNew(task TrainTask, shared *TrainShared) (VehicleStatus, ml.Regressor, error) {
 	pcfg := shared.cfg
-	cs := ColdStartConfig{Window: pcfg.Window, Normalize: pcfg.Normalize, Seed: seed, FitWorkers: pcfg.FitWorkers, Bins: pcfg.Bins}
-	if olds := shared.Olds(); len(olds) > 0 {
+	cs := ColdStartConfig{Window: pcfg.Window, Normalize: pcfg.Normalize, Seed: task.Seed, FitWorkers: pcfg.FitWorkers, Bins: pcfg.Bins}
+	if task.Donor != nil {
 		t0 := time.Now()
-		model, donor, err := TrainSimilarityForLive(vs, olds, pcfg.ColdStartAlgorithm, cs)
+		model, err := fitSimilarity(task.Donor, pcfg.ColdStartAlgorithm, cs)
 		if err == nil {
 			shared.Observe.observe("fit", pcfg.ColdStartAlgorithm, t0)
-			return VehicleStatus{Strategy: "similarity", Algorithm: pcfg.ColdStartAlgorithm, ValidationMRE: math.NaN(), Donor: donor}, model, nil
+			return VehicleStatus{Strategy: "similarity", Algorithm: pcfg.ColdStartAlgorithm, ValidationMRE: math.NaN(), Donor: task.Donor.ID}, model, nil
 		}
 		// Fall through to unified on similarity failure.
 	}
@@ -466,22 +484,22 @@ func trainNew(shared *TrainShared) (VehicleStatus, ml.Regressor, error) {
 	return VehicleStatus{Strategy: "unified", Algorithm: shared.cfg.ColdStartAlgorithm, ValidationMRE: math.NaN()}, model, nil
 }
 
-// TrainSimilarityForLive is TrainSimilarity for a *live* semi-new vehicle
-// (one still inside its incomplete first cycle): similarity is computed
-// on the vehicle's available history instead of the first half of a
-// completed cycle.
-func TrainSimilarityForLive(test *timeseries.VehicleSeries, train []*timeseries.VehicleSeries, alg Algorithm, cfg ColdStartConfig) (ml.Regressor, string, error) {
-	if len(train) == 0 {
-		return nil, "", fmt.Errorf("core: no candidate donors")
-	}
+// pickDonor is the §4.4.1 donor selection for a *live* semi-new vehicle
+// (one still inside its incomplete first cycle): the old vehicle whose
+// first half-cycle is closest, by point-wise average distance, to the
+// vehicle's available history. Candidates without a usable first cycle
+// are skipped; nil means none was usable. A distance scan, cheap enough
+// for every plan to run, which is what lets a semi-new model be keyed
+// on its donor (modelKey).
+func pickDonor(test *timeseries.VehicleSeries, olds []*timeseries.VehicleSeries) *timeseries.VehicleSeries {
 	var best *timeseries.VehicleSeries
 	bestDist := math.Inf(1)
-	for _, cand := range train {
+	for _, cand := range olds {
 		candHalf, err := halfCycleDay(cand)
 		if err != nil {
 			continue
 		}
-		d, err := timeseries.AvgDistance(test.U, cand.U.Slice(0, candHalf))
+		d, err := timeseries.AvgDistance(test.U, cand.U[:candHalf])
 		if err != nil {
 			continue
 		}
@@ -490,12 +508,15 @@ func TrainSimilarityForLive(test *timeseries.VehicleSeries, train []*timeseries.
 			best = cand
 		}
 	}
-	if best == nil {
-		return nil, "", fmt.Errorf("core: no donor with a usable first cycle")
-	}
-	recs, err := FirstCycleRecords(best, cfg.featureConfig())
+	return best
+}
+
+// fitSimilarity fits the Model_Sim of a live semi-new vehicle: alg on
+// the picked donor's first complete cycle.
+func fitSimilarity(donor *timeseries.VehicleSeries, alg Algorithm, cfg ColdStartConfig) (ml.Regressor, error) {
+	recs, err := FirstCycleRecords(donor, cfg.featureConfig())
 	if err != nil {
-		return nil, "", err
+		return nil, err
 	}
 	params := cfg.Params
 	if params == nil {
@@ -503,13 +524,13 @@ func TrainSimilarityForLive(test *timeseries.VehicleSeries, train []*timeseries.
 	}
 	model, err := BuildWithOptions(alg, ApplyBins(params, cfg.Bins), cfg.Seed, ml.FitOptions{Workers: cfg.FitWorkers})
 	if err != nil {
-		return nil, "", err
+		return nil, err
 	}
 	x, y := RecordsToXY(recs)
 	if err := model.Fit(x, y); err != nil {
-		return nil, "", err
+		return nil, err
 	}
-	return model, best.ID, nil
+	return model, nil
 }
 
 // Forecast is a next-maintenance prediction for one vehicle.

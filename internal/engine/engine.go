@@ -142,12 +142,13 @@ var ErrRetrainInFlight = errors.New("engine: retrain already in progress")
 // finishes.
 //
 // Retrains are incremental: a vehicle retrains only when something its
-// model was trained on changed — its own series, or, for semi-new and
-// new vehicles, the donors' first cycles (see
+// model was trained on changed — its labelled days, its donor pick, or,
+// for semi-new and new vehicles, the donors' first cycles (see
 // core.PlanTrainingWithReuse for the rule). Everything else carries
-// model and status forward, so one vehicle's daily report costs one
-// vehicle's training, whatever its category. Reuse is bit-exact;
-// RetrainFull is the escape hatch that rebuilds everything from scratch.
+// model and status forward, so a daily report costs a forecast and only
+// a report that completes a maintenance cycle costs a fit. Reuse is
+// bit-exact; RetrainFull is the escape hatch that rebuilds everything
+// from scratch.
 func (e *Engine) Retrain(ctx context.Context, fleet []Vehicle) (*Snapshot, error) {
 	return e.retrain(ctx, fleet, false)
 }
@@ -156,7 +157,7 @@ func (e *Engine) Retrain(ctx context.Context, fleet []Vehicle) (*Snapshot, error
 // scratch regardless of the previous snapshot. By construction it
 // produces the same statuses and forecasts as an incremental Retrain on
 // the same fleet — it exists as the escape hatch for operators who want
-// to verify exactly that, or to rebuild after anything the fingerprint
+// to verify exactly that, or to rebuild after anything the model keys
 // cannot see.
 func (e *Engine) RetrainFull(ctx context.Context, fleet []Vehicle) (*Snapshot, error) {
 	return e.retrain(ctx, fleet, true)
@@ -327,20 +328,21 @@ func (e *Engine) logRetrainError(ctx context.Context, stage string, err error) {
 // Restore installs a previously persisted snapshot (see
 // internal/snapstore) as the current generation, so a rebooted engine
 // serves its last build immediately instead of cold-training. The
-// restored snapshot carries the fingerprints, pool key and models of
-// its build, so the next Retrain is incremental against it — only
-// vehicles whose telemetry changed since the snapshot retrain (plus,
-// once, the cold-start vehicles of a spill whose pool key predates the
-// first-cycle key). Restore is a boot-time operation: it refuses once
-// the engine has any snapshot.
+// restored snapshot carries the model keys, pool key and models of its
+// build, so the next Retrain is incremental against it — only vehicles
+// whose model key moved since the snapshot retrain (plus, once, every
+// vehicle of a spill that predates the model keys, and the cold-start
+// vehicles of one whose pool key predates the first-cycle key). Restore
+// is a boot-time operation: it refuses once the engine has any snapshot.
 //
 // With a durable telemetry store the full boot order is
 // snapstore-restore → ingest WAL-replay → incremental reconcile
 // retrain: Restore makes the last generation servable instantly, the
 // WAL replay puts every acknowledged report back in the store, and the
-// reconcile retrain (fingerprints match for everything the snapshot
-// covers, so it trains only the recovered tail) closes the gap — a
-// crash loses nothing and never forces a cold train.
+// reconcile retrain (model keys match for everything the snapshot
+// covers, so it fits only vehicles whose recovered reports completed a
+// cycle) closes the gap — a crash loses nothing and never forces a cold
+// train.
 func (e *Engine) Restore(snap *Snapshot) error {
 	if snap == nil {
 		return fmt.Errorf("engine: Restore with a nil snapshot")
@@ -351,7 +353,7 @@ func (e *Engine) Restore(snap *Snapshot) error {
 		return fmt.Errorf("engine: Restore after a snapshot is already live")
 	}
 	if want := e.cfg.Predictor.Hash(); snap.ConfigHash != want {
-		// Fingerprint-based reuse cannot see a config change; serving
+		// Key-based reuse cannot see a config change; serving
 		// (and reusing) models trained under a different window, seed
 		// or candidate set would silently mix configurations.
 		return fmt.Errorf("engine: snapshot was trained under a different predictor configuration (hash %x, engine %x); cold-train instead", snap.ConfigHash, want)

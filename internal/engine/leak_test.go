@@ -18,7 +18,12 @@ import (
 // OnSnapshot hook) would keep every dead generation's models alive and
 // grow memory without bound on a long-lived server.
 func TestSupersededModelsDroppable(t *testing.T) {
+	// One old vehicle one day short of completing a cycle: that day adds
+	// labels, so its generation-1 model is superseded in generation 2
+	// (everything else is reused and legitimately stays alive).
 	fleet := mixedFleet(t)
+	before, after := completeCycle(t, fleet[0], 18000)
+	fleet[0] = before
 	eng, err := New(Config{Predictor: fastPredictorConfig(), Workers: 2})
 	if err != nil {
 		t.Fatal(err)
@@ -28,9 +33,6 @@ func TestSupersededModelsDroppable(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Perturb one old vehicle: its generation-1 model is superseded in
-	// generation 2 (everything else is reused and legitimately stays
-	// alive).
 	dirtyID := fleet[0].Series.ID
 	var collected atomic.Bool
 	old := snap1.Models[dirtyID]
@@ -42,7 +44,7 @@ func TestSupersededModelsDroppable(t *testing.T) {
 
 	changed := make([]Vehicle, len(fleet))
 	copy(changed, fleet)
-	changed[0] = perturb(t, fleet[0])
+	changed[0] = after
 	snap2, err := eng.Retrain(context.Background(), changed)
 	if err != nil {
 		t.Fatal(err)

@@ -62,10 +62,12 @@ type Snapshot struct {
 	// set — a swapped-out generation's exclusive models are released as
 	// soon as its readers drain.
 	Models map[string]ml.Regressor
-	// Fingerprints are the per-vehicle series content hashes this
-	// build trained against (core.Fingerprint); the next build compares
-	// against them to decide which vehicles are dirty.
-	Fingerprints map[string]uint64
+	// ModelKeys are the per-vehicle model keys of this build: a hash of
+	// exactly what each vehicle's model reads (core.TrainPlan). The next
+	// build retrains a vehicle only when its key moves, so a report that
+	// adds no label carries the model forward. A spill from before the
+	// keys decodes without them, and each vehicle retrains once.
+	ModelKeys map[string]uint64
 	// PoolHash is this build's donor-pool key (a hash of the old
 	// vehicles' first cycles); PoolChanged and UnifiedReused echo its
 	// plan (core.TrainPlan).
@@ -73,7 +75,7 @@ type Snapshot struct {
 	PoolChanged, UnifiedReused bool
 	// ConfigHash fingerprints the predictor configuration this build
 	// trained under (core.PredictorConfig.Hash). Restore refuses a
-	// snapshot whose hash differs from the engine's — fingerprints
+	// snapshot whose hash differs from the engine's — model keys
 	// alone cannot see a config change, so reusing across one would
 	// silently serve stale-config models.
 	ConfigHash uint64
@@ -202,10 +204,10 @@ func (s *Snapshot) StoreCachedResponse(id string, body []byte) {
 // incremental plan.
 func (s *Snapshot) prior() *core.PriorGeneration {
 	return &core.PriorGeneration{
-		Fingerprints: s.Fingerprints,
-		PoolHash:     s.PoolHash,
-		Statuses:     s.StatusByID,
-		Models:       s.Models,
+		ModelKeys: s.ModelKeys,
+		PoolHash:  s.PoolHash,
+		Statuses:  s.StatusByID,
+		Models:    s.Models,
 	}
 }
 
@@ -222,7 +224,7 @@ func newSnapshot(fp *core.FleetPredictor, statuses []core.VehicleStatus, models 
 		ForecastErrors: make(map[string]string),
 		FailedVehicles: make(map[string]string),
 		Models:         models,
-		Fingerprints:   plan.Fingerprints,
+		ModelKeys:      plan.ModelKeys,
 		PoolHash:       plan.PoolHash,
 		PoolChanged:    plan.PoolChanged,
 		UnifiedReused:  plan.UnifiedReused,

@@ -21,7 +21,7 @@
 // Restore ordering at boot is snapstore-restore → WAL-replay →
 // incremental reconcile retrain: the rebooted engine serves its
 // persisted generation immediately, the store holds every acknowledged
-// report, and the reconcile retrain (cheap: fingerprint comparison
+// report, and the reconcile retrain (cheap: model-key comparison
 // reuses every vehicle the snapshot already covers) folds in whatever
 // the WAL had beyond the snapshot. A crash therefore loses nothing and
 // never forces a cold train.

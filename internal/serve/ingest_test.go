@@ -141,41 +141,62 @@ func TestTelemetryIdempotentRedelivery(t *testing.T) {
 
 // TestTelemetryIncrementalRetrain is the acceptance path: a telemetry
 // batch for one vehicle trips the dirty threshold, and the resulting
-// retrain rebuilds only that vehicle — the other vehicles' models are
-// carried forward pointer-equal.
+// retrain touches only that vehicle. Days that complete no maintenance
+// cycle add no labels, so its model is carried forward too and only its
+// forecast moves; the batch that completes its cycle retrains it alone —
+// the other vehicles' models are carried forward pointer-equal.
 func TestTelemetryIncrementalRetrain(t *testing.T) {
 	srv, eng, _ := ingestServer(t, 1)
+	post := func(from time.Time, days int) *engine.Snapshot {
+		t.Helper()
+		before := eng.Snapshot()
+		var reports []string
+		for d := 0; d < days; d++ {
+			reports = append(reports, fmt.Sprintf(`{"vehicle":"v02","date":"%s","seconds":17000}`, from.AddDate(0, 0, d).Format("2006-01-02")))
+		}
+		rec, body := postJSON(t, srv, "/telemetry", `{"reports":[`+strings.Join(reports, ",")+`]}`)
+		if rec.Code != http.StatusOK {
+			t.Fatalf("status %d: %s", rec.Code, body)
+		}
+		var res TelemetryResponse
+		if err := json.Unmarshal(body, &res); err != nil {
+			t.Fatal(err)
+		}
+		if !res.RetrainStarted {
+			t.Fatal("threshold=1 batch did not start a retrain")
+		}
+		deadline := time.Now().Add(30 * time.Second)
+		for {
+			if after := eng.Snapshot(); after.Generation > before.Generation {
+				return after
+			}
+			if time.Now().After(deadline) {
+				t.Fatal("background retrain never landed")
+			}
+			time.Sleep(5 * time.Millisecond)
+		}
+	}
+
 	before := eng.Snapshot()
-
-	var reports []string
-	for d := 0; d < 5; d++ {
-		reports = append(reports, fmt.Sprintf(`{"vehicle":"v02","date":"2016-02-%02d","seconds":17000}`, 10+d))
+	from := time.Date(2016, 2, 10, 0, 0, 0, 0, time.UTC)
+	after := post(from, 5)
+	if after.Retrained != 0 || after.Reused != 3 {
+		t.Fatalf("tail days: retrained=%d reused=%d, want 0/3", after.Retrained, after.Reused)
 	}
-	rec, body := postJSON(t, srv, "/telemetry", `{"reports":[`+strings.Join(reports, ",")+`]}`)
-	if rec.Code != http.StatusOK {
-		t.Fatalf("status %d: %s", rec.Code, body)
+	for _, id := range []string{"v01", "v02", "v03"} {
+		if after.Models[id] != before.Models[id] {
+			t.Errorf("tail days retrained vehicle %s", id)
+		}
 	}
-	var res TelemetryResponse
-	if err := json.Unmarshal(body, &res); err != nil {
-		t.Fatal(err)
-	}
-	if !res.RetrainStarted {
-		t.Fatal("threshold=1 batch did not start a retrain")
+	if after.ForecastByID["v02"].AsOfDay <= before.ForecastByID["v02"].AsOfDay {
+		t.Errorf("v02's forecast stayed as of day %d", after.ForecastByID["v02"].AsOfDay)
 	}
 
-	deadline := time.Now().Add(30 * time.Second)
-	var after *engine.Snapshot
-	for {
-		if after = eng.Snapshot(); after.Generation > before.Generation {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("background retrain never landed")
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
+	// 40 days × 17 000 s passes the 600 000 s allowance: v02 is maintained.
+	before = after
+	after = post(from.AddDate(0, 0, 5), 40)
 	if after.Retrained != 1 || after.Reused != 2 {
-		t.Fatalf("retrained=%d reused=%d, want 1/2", after.Retrained, after.Reused)
+		t.Fatalf("cycle-completing batch: retrained=%d reused=%d, want 1/2", after.Retrained, after.Reused)
 	}
 	for _, id := range []string{"v01", "v03"} {
 		if after.Models[id] != before.Models[id] {
@@ -183,7 +204,7 @@ func TestTelemetryIncrementalRetrain(t *testing.T) {
 		}
 	}
 	if after.Models["v02"] == before.Models["v02"] {
-		t.Error("dirty vehicle v02 kept its stale model")
+		t.Error("v02 kept its model across a completed cycle")
 	}
 }
 

@@ -1,9 +1,10 @@
 // Package snapstore persists engine snapshots so a rebooted
 // fleetserver (or one shard of a cluster) serves its last trained
 // generation immediately instead of cold-training, and — because a
-// snapshot carries its per-vehicle fingerprints, donor-pool key and models —
+// snapshot carries its per-vehicle model keys, donor-pool key and models —
 // retrains *incrementally* from the persisted state: only vehicles
-// whose telemetry changed since the spill train again.
+// whose telemetry since the spill moved a model key (completed a
+// maintenance cycle, flipped a donor, ...) train again.
 //
 // One snapshot is one file, <dir>/<shard>.snap, written atomically
 // (temp file + rename) so a crash mid-spill never corrupts the

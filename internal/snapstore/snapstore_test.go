@@ -6,6 +6,7 @@ import (
 	"encoding/binary"
 	"encoding/gob"
 	"errors"
+	"hash"
 	"hash/fnv"
 	"math"
 	"os"
@@ -134,7 +135,7 @@ func testConfig() core.PredictorConfig {
 }
 
 // TestSnapshotRoundTrip: Save + Load preserves everything a serving
-// shard needs — statuses, forecasts, fingerprints, pool hash — and the
+// shard needs — statuses, forecasts, model keys, pool hash — and the
 // restored models predict.
 func TestSnapshotRoundTrip(t *testing.T) {
 	fleet := testFleet(t)
@@ -173,9 +174,12 @@ func TestSnapshotRoundTrip(t *testing.T) {
 			t.Errorf("forecast %d differs: %+v vs %+v", i, f, g)
 		}
 	}
-	for id, fp := range snap.Fingerprints {
-		if got.Fingerprints[id] != fp {
-			t.Errorf("fingerprint %s: %x, want %x", id, got.Fingerprints[id], fp)
+	if len(got.ModelKeys) != len(snap.ModelKeys) {
+		t.Errorf("restored %d model keys, want %d", len(got.ModelKeys), len(snap.ModelKeys))
+	}
+	for id, key := range snap.ModelKeys {
+		if got.ModelKeys[id] != key {
+			t.Errorf("model key %s: %x, want %x", id, got.ModelKeys[id], key)
 		}
 	}
 	for id := range snap.Models {
@@ -188,7 +192,8 @@ func TestSnapshotRoundTrip(t *testing.T) {
 // TestRestoreThenIncrementalRetrain is the reboot contract: an engine
 // restored from a spilled snapshot serves it immediately and the next
 // retrain on unchanged telemetry reuses every vehicle (no
-// cold-training); a one-vehicle change retrains only that vehicle.
+// cold-training); a tail day retrains nothing, and a change that adds
+// labels to one vehicle retrains only that vehicle.
 func TestRestoreThenIncrementalRetrain(t *testing.T) {
 	fleet := testFleet(t)
 	dir := t.TempDir()
@@ -232,8 +237,8 @@ func TestRestoreThenIncrementalRetrain(t *testing.T) {
 		t.Fatal("restored engine does not serve the spilled generation")
 	}
 
-	// Unchanged telemetry: everything reuses against the restored
-	// fingerprints.
+	// Unchanged telemetry: everything reuses against the restored model
+	// keys.
 	snap2, err := eng2.Retrain(context.Background(), fleet)
 	if err != nil {
 		t.Fatal(err)
@@ -251,17 +256,39 @@ func TestRestoreThenIncrementalRetrain(t *testing.T) {
 		}
 	}
 
-	// One vehicle changes: only it retrains — also when it is an old
-	// vehicle, whose tail day leaves the donors' first cycles (the pool
-	// key the restored snapshot carries) untouched.
+	// A tail day on an old vehicle adds no label: nothing retrains, the
+	// restored model forecasts from the new day.
 	changed := withExtraDay(t, fleet, 0)
 	snap3, err := eng2.Retrain(context.Background(), changed)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if snap3.Retrained != 1 || snap3.Reused != len(fleet)-1 {
-		t.Errorf("dirty retrain: reused=%d retrained=%d, want %d/1", snap3.Reused, snap3.Retrained, len(fleet)-1)
+	if snap3.Retrained != 0 || snap3.ForecastByID["v01"].AsOfDay != snap2.ForecastByID["v01"].AsOfDay+1 {
+		t.Errorf("tail day: retrained=%d as-of %d, want 0 and day %d", snap3.Retrained, snap3.ForecastByID["v01"].AsOfDay, snap2.ForecastByID["v01"].AsOfDay+1)
 	}
+	assertEqualsFullRebuild(t, "tail day after restore", snap3, changed)
+
+	// A backfill inside v01's second (complete) cycle changes its labelled
+	// days but not the donors' first cycles: only v01 retrains.
+	day := fleet[0].Series.Cycles[1].Start + 1
+	vs, err := timeseries.Derive("v01", func() timeseries.Series {
+		u := fleet[0].Series.U.Clone()
+		u[day] += 500
+		return u
+	}(), fleet[0].Series.Allowance)
+	if err != nil {
+		t.Fatal(err)
+	}
+	changed = append([]engine.Vehicle(nil), fleet...)
+	changed[0] = engine.Vehicle{Series: vs, Start: fleet[0].Start}
+	snap4, err := eng2.Retrain(context.Background(), changed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if snap4.Retrained != 1 || snap4.Reused != len(fleet)-1 {
+		t.Errorf("backfill retrain: reused=%d retrained=%d, want %d/1", snap4.Reused, snap4.Retrained, len(fleet)-1)
+	}
+	assertEqualsFullRebuild(t, "backfill after restore", snap4, changed)
 }
 
 // withExtraDay returns the fleet with one more day of telemetry on
@@ -337,21 +364,45 @@ func assertEqualsFullRebuild(t *testing.T, label string, got *engine.Snapshot, f
 	}
 }
 
+// fnvWords is FNV-1a over little-endian 64-bit words and strings, the
+// encoding core's keys use.
+type fnvWords struct{ hash.Hash64 }
+
+func (h fnvWords) word(v uint64) {
+	var b [8]byte
+	binary.LittleEndian.PutUint64(b[:], v)
+	h.Write(b[:])
+}
+
+func (h fnvWords) str(s string) {
+	h.word(uint64(len(s)))
+	h.Write([]byte(s))
+}
+
+// legacyFingerprint is the whole-series hash older binaries keyed reuse
+// on (core.Fingerprint before the model keys): ID, acquisition start,
+// allowance and every day of U.
+func legacyFingerprint(vs *timeseries.VehicleSeries, start time.Time) uint64 {
+	h := fnvWords{fnv.New64a()}
+	h.str(vs.ID)
+	h.word(uint64(start.Unix()))
+	h.word(math.Float64bits(vs.Allowance))
+	h.word(uint64(len(vs.U)))
+	for _, v := range vs.U {
+		h.word(math.Float64bits(v))
+	}
+	return h.Sum64()
+}
+
 // legacyPoolHash is the donor-pool hash binaries before the
 // first-cycle key spilled: FNV-1a over every old vehicle's ID and
 // whole-series fingerprint, in ID order.
 func legacyPoolHash(fleet []engine.Vehicle) uint64 {
-	h := fnv.New64a()
-	word := func(v uint64) {
-		var b [8]byte
-		binary.LittleEndian.PutUint64(b[:], v)
-		h.Write(b[:])
-	}
+	h := fnvWords{fnv.New64a()}
 	for _, v := range fleet { // testFleet is in ID order
 		if core.Categorize(v.Series) == core.Old {
-			word(uint64(len(v.Series.ID)))
-			h.Write([]byte(v.Series.ID))
-			word(core.Fingerprint(v.Series, v.Start))
+			h.str(v.Series.ID)
+			h.word(legacyFingerprint(v.Series, v.Start))
 		}
 	}
 	return h.Sum64()
@@ -390,11 +441,52 @@ func TestRestoreSnapshotWithLegacyPoolHash(t *testing.T) {
 	}
 }
 
+// TestRestoreSnapshotWithoutModelKeys: a snapshot spilled before the
+// model keys existed decodes — gob drops its per-vehicle fingerprints —
+// with no ModelKeys. Restoring it is safe: no key matches, so every
+// vehicle retrains once on the reconcile retrain (the intact pool key
+// still hands the unified model over), the result equals a full
+// rebuild, and the next clean retrain fits nothing.
+func TestRestoreSnapshotWithoutModelKeys(t *testing.T) {
+	var buf bytes.Buffer
+	legacy := struct {
+		Generation   uint64
+		Fingerprints map[string]uint64
+	}{7, map[string]uint64{"v01": 1}}
+	if err := gob.NewEncoder(&buf).Encode(legacy); err != nil {
+		t.Fatal(err)
+	}
+	var decoded engine.Snapshot
+	if err := gob.NewDecoder(&buf).Decode(&decoded); err != nil || decoded.Generation != 7 || decoded.ModelKeys != nil {
+		t.Fatalf("legacy spill decoded to generation %d, model keys %v (err %v); want 7, none", decoded.Generation, decoded.ModelKeys, err)
+	}
+
+	fleet := testFleet(t)
+	eng := spillAndRestore(t, fleet, func(snap *engine.Snapshot) { snap.ModelKeys = nil })
+	reconcile, err := eng.Retrain(context.Background(), fleet)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if reconcile.Retrained != len(fleet) || reconcile.PoolChanged || !reconcile.UnifiedReused {
+		t.Errorf("reconcile after a keyless restore: retrained=%d pool_changed=%v unified_reused=%v, want %d/false/true",
+			reconcile.Retrained, reconcile.PoolChanged, reconcile.UnifiedReused, len(fleet))
+	}
+	assertEqualsFullRebuild(t, "reconcile after a keyless restore", reconcile, fleet)
+	again, err := eng.Retrain(context.Background(), fleet)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if again.Retrained != 0 {
+		t.Errorf("second retrain after a keyless restore: retrained=%d, want a clean reuse", again.Retrained)
+	}
+}
+
 // TestRestoredUnifiedModelIsCarriedForward: a snapshot spilled by this
 // binary restores to a clean reconcile (nothing retrains), and the
 // per-vehicle decoded copies of the unified model it holds are accepted
-// as the carried-forward unified: a new vehicle reporting after the
-// restore trains without a fit and lands on the full rebuild's forecast.
+// as the carried-forward unified: a new vehicle's report after the
+// restore carries its model as is, and a new vehicle joining trains
+// without a fit — both land on the full rebuild's forecasts.
 func TestRestoredUnifiedModelIsCarriedForward(t *testing.T) {
 	fleet := testFleet(t)
 	eng := spillAndRestore(t, fleet, nil)
@@ -410,18 +502,36 @@ func TestRestoredUnifiedModelIsCarriedForward(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if snap.Retrained != 1 || !snap.UnifiedReused {
-		t.Errorf("new vehicle's report after restore: retrained=%d unified_reused=%v, want 1/true", snap.Retrained, snap.UnifiedReused)
-	}
-	if snap.Models["v05"] != reconcile.Models["v05"] {
-		t.Error("the restored unified model was refitted instead of carried forward")
+	if snap.Retrained != 0 || snap.Models["v05"] != reconcile.Models["v05"] {
+		t.Errorf("new vehicle's report after restore: retrained=%d, want 0 and the restored model", snap.Retrained)
 	}
 	assertEqualsFullRebuild(t, "new vehicle's report after restore", snap, changed)
+
+	u := make(timeseries.Series, 8)
+	for i := range u {
+		u[i] = 15000
+	}
+	vs, err := timeseries.Derive("v06", u, 600_000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	joined := append(changed, engine.Vehicle{Series: vs, Start: fleet[0].Start})
+	snap, err = eng.Retrain(context.Background(), joined)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if snap.Retrained != 1 || !snap.UnifiedReused {
+		t.Errorf("new vehicle joining after restore: retrained=%d unified_reused=%v, want 1/true", snap.Retrained, snap.UnifiedReused)
+	}
+	if snap.Models["v06"] != reconcile.Models["v05"] {
+		t.Error("the restored unified model was refitted instead of carried forward")
+	}
+	assertEqualsFullRebuild(t, "new vehicle joining after restore", snap, joined)
 }
 
 // TestRestoreRejectsChangedConfig: a spill from a different predictor
-// configuration must not restore — fingerprint reuse cannot see a
-// config change, so serving it would silently mix configurations.
+// configuration must not restore — key-based reuse cannot see a config
+// change, so serving it would silently mix configurations.
 func TestRestoreRejectsChangedConfig(t *testing.T) {
 	fleet := testFleet(t)
 	eng1, err := engine.New(engine.Config{Predictor: testConfig(), Workers: 1})
