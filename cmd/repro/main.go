@@ -10,11 +10,14 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"math"
 	"os"
+	"slices"
 	"strings"
 	"time"
 
@@ -25,17 +28,37 @@ import (
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("repro: ")
+	if err := run(os.Args[1:], os.Stdout); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			os.Exit(0)
+		}
+		log.Print(err)
+		os.Exit(2)
+	}
+}
 
+var experimentNames = []string{"fig1", "fig2", "fig3", "table1", "fig4", "table2", "fig5", "table3", "timing", "ablations"}
+
+// run parses args, builds the synthetic fleet and writes the selected
+// experiment(s) to out.
+func run(args []string, out io.Writer) error {
+	fs := flag.NewFlagSet("repro", flag.ContinueOnError)
 	var (
-		exp      = flag.String("exp", "all", "experiment to run: all, fig1, fig2, fig3, table1, fig4, table2, fig5, table3, timing, ablations")
-		vehicles = flag.Int("vehicles", 24, "fleet size")
-		days     = flag.Int("days", 1735, "acquisition horizon in days")
-		seed     = flag.Uint64("seed", 42, "master random seed")
-		tuned    = flag.Bool("tuned", false, "grid-search hyper-parameters with 5-fold CV (slower)")
-		full     = flag.Bool("full", false, "with -tuned: use the paper's full grid ranges")
-		window   = flag.Int("w", 0, "window W for table1/table3/timing")
+		exp      = fs.String("exp", "all", "experiment to run: all, "+strings.Join(experimentNames, ", "))
+		vehicles = fs.Int("vehicles", 24, "fleet size")
+		days     = fs.Int("days", 1735, "acquisition horizon in days")
+		seed     = fs.Uint64("seed", 42, "master random seed")
+		tuned    = fs.Bool("tuned", false, "grid-search hyper-parameters with 5-fold CV (slower)")
+		full     = fs.Bool("full", false, "with -tuned: use the paper's full grid ranges")
+		window   = fs.Int("w", 0, "window W for table1/table3/timing")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
+	if *exp != "all" && !slices.Contains(experimentNames, *exp) {
+		fs.Usage()
+		return fmt.Errorf("unknown experiment %q", *exp)
+	}
 
 	scale := experiments.Scale{
 		Vehicles:   *vehicles,
@@ -49,133 +72,125 @@ func main() {
 	t0 := time.Now()
 	env, err := experiments.NewEnv(scale)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Printf("# fleet: %d vehicles, %d days, seed %d — %d old vehicles, %d values repaired by cleaning (%.1fs)\n\n",
+	fmt.Fprintf(out, "# fleet: %d vehicles, %d days, seed %d — %d old vehicles, %d values repaired by cleaning (%.1fs)\n\n",
 		scale.Vehicles, scale.Days, scale.Seed, len(env.Olds), env.CleanRepairs, time.Since(t0).Seconds())
 
-	run := func(name string, fn func(*experiments.Env) error) {
+	var fig4 []experiments.Fig4Series
+	fig4Cached := func() ([]experiments.Fig4Series, error) {
+		if fig4 != nil {
+			return fig4, nil
+		}
+		s, err := env.Figure4(experiments.DefaultWindows())
+		if err == nil {
+			fig4 = s
+		}
+		return s, err
+	}
+	steps := map[string]func() error{
+		"fig1":      func() error { return runFig1(out, env) },
+		"fig2":      func() error { return runFig2(out, env) },
+		"fig3":      func() error { return runFig3(out, env) },
+		"table1":    func() error { return runTable1(out, env, *window) },
+		"fig4":      func() error { return runFig4(out, env) },
+		"table2":    func() error { return runTable2(out, fig4Cached) },
+		"fig5":      func() error { return runFig5(out, env, fig4Cached) },
+		"table3":    func() error { return runTable3(out, env, *window) },
+		"timing":    func() error { return runTiming(out, env, *window) },
+		"ablations": func() error { return runAblations(out, env) },
+	}
+	for _, name := range experimentNames {
 		if *exp != "all" && *exp != name {
-			return
+			continue
 		}
 		start := time.Now()
-		if err := fn(env); err != nil {
-			log.Fatalf("%s: %v", name, err)
+		if err := steps[name](); err != nil {
+			return fmt.Errorf("%s: %w", name, err)
 		}
-		fmt.Printf("## (%s finished in %.1fs)\n\n", name, time.Since(start).Seconds())
+		fmt.Fprintf(out, "## (%s finished in %.1fs)\n\n", name, time.Since(start).Seconds())
 	}
-
-	run("fig1", runFig1)
-	run("fig2", runFig2)
-	run("fig3", runFig3)
-	run("table1", func(e *experiments.Env) error { return runTable1(e, *window) })
-	run("fig4", runFig4)
-	run("table2", runTable2)
-	run("fig5", runFig5)
-	run("table3", func(e *experiments.Env) error { return runTable3(e, *window) })
-	run("timing", func(e *experiments.Env) error { return runTiming(e, *window) })
-	run("ablations", runAblations)
-
-	known := map[string]bool{"all": true, "fig1": true, "fig2": true, "fig3": true, "table1": true,
-		"fig4": true, "table2": true, "fig5": true, "table3": true, "timing": true, "ablations": true}
-	if !known[*exp] {
-		log.Printf("unknown experiment %q", *exp)
-		flag.Usage()
-		os.Exit(2)
-	}
+	return nil
 }
 
-func printSeries(title, xLabel, yLabel string, series []experiments.SeriesXY) {
-	fmt.Printf("== %s ==\n", title)
+func printSeries(out io.Writer, title, xLabel, yLabel string, series []experiments.SeriesXY) {
+	fmt.Fprintf(out, "== %s ==\n", title)
 	for _, s := range series {
-		fmt.Printf("-- series %s (%s -> %s), %d points --\n", s.Name, xLabel, yLabel, len(s.X))
+		fmt.Fprintf(out, "-- series %s (%s -> %s), %d points --\n", s.Name, xLabel, yLabel, len(s.X))
 		for i := range s.X {
-			fmt.Printf("%10.1f %12.1f\n", s.X[i], s.Y[i])
+			fmt.Fprintf(out, "%10.1f %12.1f\n", s.X[i], s.Y[i])
 		}
 	}
 }
 
-func runFig1(env *experiments.Env) error {
+func runFig1(out io.Writer, env *experiments.Env) error {
 	s, err := env.Figure1()
 	if err != nil {
 		return err
 	}
-	printSeries("Figure 1: daily utilization U_v(t), two sample vehicles", "t", "U_v(t) [s]", s)
+	printSeries(out, "Figure 1: daily utilization U_v(t), two sample vehicles", "t", "U_v(t) [s]", s)
 	return nil
 }
 
-func runFig2(env *experiments.Env) error {
+func runFig2(out io.Writer, env *experiments.Env) error {
 	s, err := env.Figure2()
 	if err != nil {
 		return err
 	}
-	printSeries("Figure 2: days to next maintenance D_v(t)", "t", "D_v(t) [days]", s)
-	fmt.Println("-- cycle statistics --")
-	fmt.Printf("%-6s %6s %9s %9s %9s %7s\n", "veh", "cycles", "first[d]", "later-min", "later-max", "median")
+	printSeries(out, "Figure 2: days to next maintenance D_v(t)", "t", "D_v(t) [days]", s)
+	fmt.Fprintln(out, "-- cycle statistics --")
+	fmt.Fprintf(out, "%-6s %6s %9s %9s %9s %7s\n", "veh", "cycles", "first[d]", "later-min", "later-max", "median")
 	for _, st := range env.CycleStatistics() {
-		fmt.Printf("%-6s %6d %9d %9d %9d %7d\n", st.VehicleID, st.CycleCount, st.FirstCycle, st.LaterMin, st.LaterMax, st.LaterMedian)
+		fmt.Fprintf(out, "%-6s %6d %9d %9d %9d %7d\n", st.VehicleID, st.CycleCount, st.FirstCycle, st.LaterMin, st.LaterMax, st.LaterMedian)
 	}
 	return nil
 }
 
-func runFig3(env *experiments.Env) error {
+func runFig3(out io.Writer, env *experiments.Env) error {
 	s, err := env.Figure3()
 	if err != nil {
 		return err
 	}
-	printSeries("Figure 3: D_v(t) vs utilization seconds left L_v(t), one cycle", "L_v(t) [s]", "D_v(t) [days]", s)
+	printSeries(out, "Figure 3: D_v(t) vs utilization seconds left L_v(t), one cycle", "L_v(t) [s]", "D_v(t) [days]", s)
 	return nil
 }
 
-func runTable1(env *experiments.Env, w int) error {
+func runTable1(out io.Writer, env *experiments.Env, w int) error {
 	rows, err := env.Table1(w)
 	if err != nil {
 		return err
 	}
-	fmt.Printf("== Table 1: EMRE({1..29}), W=%d, trained on all data vs last-29-days region ==\n", w)
-	fmt.Printf("%-6s %12s %14s %11s\n", "alg", "all-data", "restricted", "reduction")
+	fmt.Fprintf(out, "== Table 1: EMRE({1..29}), W=%d, trained on all data vs last-29-days region ==\n", w)
+	fmt.Fprintf(out, "%-6s %12s %14s %11s\n", "alg", "all-data", "restricted", "reduction")
 	for _, r := range rows {
-		fmt.Printf("%-6s %12.1f %14.1f %10.0f%%\n", r.Algorithm, r.AllData, r.Restricted, r.ReductionPct)
+		fmt.Fprintf(out, "%-6s %12.1f %14.1f %10.0f%%\n", r.Algorithm, r.AllData, r.Restricted, r.ReductionPct)
 	}
 	return nil
 }
 
-func runFig4(env *experiments.Env) error {
+func runFig4(out io.Writer, env *experiments.Env) error {
 	series, err := env.Figure4(experiments.DefaultWindows())
 	if err != nil {
 		return err
 	}
-	fmt.Println("== Figure 4: improvement (%) vs W=0 by window size (restricted training) ==")
+	fmt.Fprintln(out, "== Figure 4: improvement (%) vs W=0 by window size (restricted training) ==")
 	header := fmt.Sprintf("%-6s", "W")
 	for _, s := range series {
 		header += fmt.Sprintf(" %14s", s.Algorithm)
 	}
-	fmt.Println(header)
+	fmt.Fprintln(out, header)
 	for i, w := range series[0].Windows {
 		line := fmt.Sprintf("%-6d", w)
 		for _, s := range series {
 			line += fmt.Sprintf(" %6.1f (%5.2f)", s.ImprovementPct[i], s.EMRE[i])
 		}
-		fmt.Println(line + "   // improvement% (EMRE)")
+		fmt.Fprintln(out, line+"   // improvement% (EMRE)")
 	}
 	return nil
 }
 
-var cachedFig4 []experiments.Fig4Series
-
-func fig4Cached(env *experiments.Env) ([]experiments.Fig4Series, error) {
-	if cachedFig4 != nil {
-		return cachedFig4, nil
-	}
-	s, err := env.Figure4(experiments.DefaultWindows())
-	if err == nil {
-		cachedFig4 = s
-	}
-	return s, err
-}
-
-func runTable2(env *experiments.Env) error {
-	fig4, err := fig4Cached(env)
+func runTable2(out io.Writer, fig4Cached func() ([]experiments.Fig4Series, error)) error {
+	fig4, err := fig4Cached()
 	if err != nil {
 		return err
 	}
@@ -183,16 +198,16 @@ func runTable2(env *experiments.Env) error {
 	if err != nil {
 		return err
 	}
-	fmt.Println("== Table 2: best window W and resulting EMRE({1..29}) ==")
-	fmt.Printf("%-6s %7s %10s\n", "alg", "best-W", "EMRE")
+	fmt.Fprintln(out, "== Table 2: best window W and resulting EMRE({1..29}) ==")
+	fmt.Fprintf(out, "%-6s %7s %10s\n", "alg", "best-W", "EMRE")
 	for _, r := range rows {
-		fmt.Printf("%-6s %7d %10.1f\n", r.Algorithm, r.BestW, r.EMRE)
+		fmt.Fprintf(out, "%-6s %7d %10.1f\n", r.Algorithm, r.BestW, r.EMRE)
 	}
 	return nil
 }
 
-func runFig5(env *experiments.Env) error {
-	fig4, err := fig4Cached(env)
+func runFig5(out io.Writer, env *experiments.Env, fig4Cached func() ([]experiments.Fig4Series, error)) error {
+	fig4, err := fig4Cached()
 	if err != nil {
 		return err
 	}
@@ -204,12 +219,12 @@ func runFig5(env *experiments.Env) error {
 	if err != nil {
 		return err
 	}
-	fmt.Println("== Figure 5: EMRE({d}) per single day-to-deadline d (best configs) ==")
+	fmt.Fprintln(out, "== Figure 5: EMRE({d}) per single day-to-deadline d (best configs) ==")
 	header := fmt.Sprintf("%-4s", "d")
 	for _, s := range series {
 		header += fmt.Sprintf(" %10s(W=%d)", s.Algorithm, s.BestW)
 	}
-	fmt.Println(header)
+	fmt.Fprintln(out, header)
 	for d := 1; d <= 29; d++ {
 		line := fmt.Sprintf("%-4d", d)
 		any := false
@@ -227,13 +242,13 @@ func runFig5(env *experiments.Env) error {
 			line += fmt.Sprintf(" %15.2f", v)
 		}
 		if any {
-			fmt.Println(line)
+			fmt.Fprintln(out, line)
 		}
 	}
 	return nil
 }
 
-func runTable3(env *experiments.Env, w int) error {
+func runTable3(out io.Writer, env *experiments.Env, w int) error {
 	useW := w
 	if useW == 0 {
 		useW = 6
@@ -242,8 +257,8 @@ func runTable3(env *experiments.Env, w int) error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("== Table 3: semi-new EMRE({1..29}) and new-vehicle EGlobal (W=%d) ==\n", useW)
-	fmt.Printf("%-10s %14s %12s\n", "model", "semi-new EMRE", "new EGlobal")
+	fmt.Fprintf(out, "== Table 3: semi-new EMRE({1..29}) and new-vehicle EGlobal (W=%d) ==\n", useW)
+	fmt.Fprintf(out, "%-10s %14s %12s\n", "model", "semi-new EMRE", "new EGlobal")
 	for _, r := range rows {
 		semi, fresh := "-", "-"
 		if !math.IsNaN(r.SemiNewEMRE) {
@@ -252,34 +267,34 @@ func runTable3(env *experiments.Env, w int) error {
 		if !math.IsNaN(r.NewEGlobal) {
 			fresh = fmt.Sprintf("%.1f", r.NewEGlobal)
 		}
-		fmt.Printf("%-10s %14s %12s\n", r.Model, semi, fresh)
+		fmt.Fprintf(out, "%-10s %14s %12s\n", r.Model, semi, fresh)
 	}
 	return nil
 }
 
-func runTiming(env *experiments.Env, w int) error {
+func runTiming(out io.Writer, env *experiments.Env, w int) error {
 	rows, err := env.Timing(w)
 	if err != nil {
 		return err
 	}
-	fmt.Printf("== Timing: mean per-vehicle train/predict seconds (W=%d) ==\n", w)
-	fmt.Printf("%-6s %12s %14s %9s\n", "alg", "train [s]", "predict [s]", "vehicles")
+	fmt.Fprintf(out, "== Timing: mean per-vehicle train/predict seconds (W=%d) ==\n", w)
+	fmt.Fprintf(out, "%-6s %12s %14s %9s\n", "alg", "train [s]", "predict [s]", "vehicles")
 	for _, r := range rows {
-		fmt.Printf("%-6s %12.3f %14.6f %9d\n", r.Algorithm, r.MeanTrainSeconds, r.MeanPredictSeconds, r.Vehicles)
+		fmt.Fprintf(out, "%-6s %12.3f %14.6f %9d\n", r.Algorithm, r.MeanTrainSeconds, r.MeanPredictSeconds, r.Vehicles)
 	}
 	return nil
 }
 
-func runAblations(env *experiments.Env) error {
-	fmt.Println("== Ablations (DESIGN.md §5) ==")
+func runAblations(out io.Writer, env *experiments.Env) error {
+	fmt.Fprintln(out, "== Ablations (DESIGN.md §5) ==")
 	print := func(rows []experiments.AblationRow, err error) error {
 		if err != nil {
 			return err
 		}
 		for _, r := range rows {
-			fmt.Printf("%-28s %-16s EMRE=%6.2f\n", r.Name, r.Variant, r.EMRE)
+			fmt.Fprintf(out, "%-28s %-16s EMRE=%6.2f\n", r.Name, r.Variant, r.EMRE)
 		}
-		fmt.Println(strings.Repeat("-", 56))
+		fmt.Fprintln(out, strings.Repeat("-", 56))
 		return nil
 	}
 	if err := print(env.AblationPooledVsPerVehicle(core.RF, 6)); err != nil {
@@ -299,7 +314,7 @@ func runAblations(env *experiments.Env) error {
 		return err
 	}
 	for _, r := range rows {
-		fmt.Printf("%-28s %-16s EMRE=%6.2f\n", "similarity-measure", r.Model, r.SemiNewEMRE)
+		fmt.Fprintf(out, "%-28s %-16s EMRE=%6.2f\n", "similarity-measure", r.Model, r.SemiNewEMRE)
 	}
 	return nil
 }
