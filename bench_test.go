@@ -8,9 +8,6 @@ package repro
 import (
 	"context"
 	"fmt"
-	"os"
-	"strconv"
-	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -456,29 +453,6 @@ func mlBenchData(n, p int, seed uint64) ([][]float64, []float64) {
 	return x, y
 }
 
-// mlBenchWorkers sweeps the intra-fit worker budget at the largest
-// size. Results are bit-identical across the sweep (pinned by the
-// internal/ml property tests), so any delta is pure scheduling. The
-// default sweep can be overridden with MLBENCH_WORKERS=1,2,4,8 — the CI
-// multi-core sweep uses that to measure worker counts this dev host
-// (historically nproc=1) cannot.
-var mlBenchWorkers = mlBenchWorkerList()
-
-func mlBenchWorkerList() []int {
-	if s := os.Getenv("MLBENCH_WORKERS"); s != "" {
-		var out []int
-		for _, part := range strings.Split(s, ",") {
-			if v, err := strconv.Atoi(strings.TrimSpace(part)); err == nil && v > 0 {
-				out = append(out, v)
-			}
-		}
-		if len(out) > 0 {
-			return out
-		}
-	}
-	return []int{1, 4, 8}
-}
-
 // BenchmarkTreeFit measures a single exact-engine CART fit across
 // training-set sizes (the unit of work both ensembles multiply).
 func BenchmarkTreeFit(b *testing.B) {
@@ -488,18 +462,6 @@ func BenchmarkTreeFit(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				m := tree.New(tree.Config{MaxDepth: 12, MinSamplesLeaf: 2})
-				if err := m.Fit(x, y); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-	for _, wk := range mlBenchWorkers {
-		b.Run(fmt.Sprintf("n=20000/workers=%d", wk), func(b *testing.B) {
-			x, y := mlBenchData(20000, 6, 42)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				m := tree.New(tree.Config{MaxDepth: 12, MinSamplesLeaf: 2, Workers: wk})
 				if err := m.Fit(x, y); err != nil {
 					b.Fatal(err)
 				}
@@ -523,18 +485,6 @@ func BenchmarkForestFit(b *testing.B) {
 			}
 		})
 	}
-	for _, wk := range mlBenchWorkers {
-		b.Run(fmt.Sprintf("n=20000/workers=%d", wk), func(b *testing.B) {
-			x, y := mlBenchData(20000, 6, 42)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				m := forest.New(forest.Config{NEstimators: 20, MaxDepth: 12, MinSamplesLeaf: 2, Seed: 7, Workers: wk})
-				if err := m.Fit(x, y); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
 	// Binned-mode forest: the histogram engine at full feature width,
 	// where the parent−sibling subtraction path carries the fill work.
 	b.Run("n=20000/bins=256", func(b *testing.B) {
@@ -547,18 +497,6 @@ func BenchmarkForestFit(b *testing.B) {
 			}
 		}
 	})
-	for _, wk := range mlBenchWorkers {
-		b.Run(fmt.Sprintf("n=20000/bins=256/workers=%d", wk), func(b *testing.B) {
-			x, y := mlBenchData(20000, 6, 42)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				m := forest.New(forest.Config{NEstimators: 20, MaxDepth: 12, MinSamplesLeaf: 2, Seed: 7, Bins: 256, Workers: wk})
-				if err := m.Fit(x, y); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
 }
 
 // BenchmarkGBMFit measures a 50-round boosted fit: binning happens once,
@@ -570,18 +508,6 @@ func BenchmarkGBMFit(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				m := gbm.New(gbm.Config{NEstimators: 50, MaxDepth: 6, Seed: 7})
-				if err := m.Fit(x, y); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-	for _, wk := range mlBenchWorkers {
-		b.Run(fmt.Sprintf("n=20000/workers=%d", wk), func(b *testing.B) {
-			x, y := mlBenchData(20000, 6, 42)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				m := gbm.New(gbm.Config{NEstimators: 50, MaxDepth: 6, Seed: 7, Workers: wk})
 				if err := m.Fit(x, y); err != nil {
 					b.Fatal(err)
 				}

@@ -6,7 +6,8 @@
 // the run with exit 1; everything else is informational. The committed
 // files keep one record per measurement point (e.g. pre/post an
 // optimization PR, same machine and budget), so "latest two" is exactly
-// the before/after pair of the most recent change.
+// the before/after pair of the most recent change. Rows present in
+// only one record are listed as "new" or "removed".
 //
 // Usage:
 //
@@ -37,12 +38,13 @@ type runRecord struct {
 
 // row is one benchmark's old-vs-new comparison.
 type row struct {
-	name   string
-	oldNs  float64
-	newNs  float64
-	ratio  float64 // new/old; > 1 is a slowdown
-	hot    bool
-	newRow bool // present only in the newer record
+	name    string
+	oldNs   float64
+	newNs   float64
+	ratio   float64 // new/old; > 1 is a slowdown
+	hot     bool
+	newRow  bool // present only in the newer record
+	removed bool // present only in the older record
 }
 
 // hotMatch reports whether a benchmark name is covered by one of the
@@ -57,14 +59,17 @@ func hotMatch(name string, hot []string) bool {
 }
 
 // compareRuns pairs the two records' results by benchmark name and
-// returns the comparison rows (new record's order) plus the hot
-// benchmarks whose slowdown exceeds threshold.
+// returns the comparison rows (new record's order, then the rows only
+// the old record has) plus the hot benchmarks whose slowdown exceeds
+// threshold.
 func compareRuns(old, new runRecord, hot []string, threshold float64) (rows []row, regressions []string) {
 	prev := make(map[string]benchResult, len(old.Results))
 	for _, r := range old.Results {
 		prev[r.Name] = r
 	}
+	seen := make(map[string]bool, len(new.Results))
 	for _, r := range new.Results {
+		seen[r.Name] = true
 		o, ok := prev[r.Name]
 		if !ok {
 			rows = append(rows, row{name: r.Name, newNs: r.NsPerOp, newRow: true})
@@ -78,6 +83,11 @@ func compareRuns(old, new runRecord, hot []string, threshold float64) (rows []ro
 		if rr.hot && rr.ratio > threshold {
 			regressions = append(regressions, fmt.Sprintf("%s: %.3gms -> %.3gms (%.2fx)",
 				r.Name, o.NsPerOp/1e6, r.NsPerOp/1e6, rr.ratio))
+		}
+	}
+	for _, o := range old.Results {
+		if !seen[o.Name] {
+			rows = append(rows, row{name: o.Name, oldNs: o.NsPerOp, hot: hotMatch(o.Name, hot), removed: true})
 		}
 	}
 	return rows, regressions
@@ -103,11 +113,14 @@ func printTable(file string, old, new runRecord, oldIdx, newIdx int, rows []row)
 		if r.hot {
 			mark = " *"
 		}
-		if r.newRow {
+		switch {
+		case r.newRow:
 			fmt.Printf("%-52s %14s %14.0f %8s\n", r.name+mark, "-", r.newNs, "new")
-			continue
+		case r.removed:
+			fmt.Printf("%-52s %14.0f %14s %8s\n", r.name+mark, r.oldNs, "-", "removed")
+		default:
+			fmt.Printf("%-52s %14.0f %14.0f %7.2fx\n", r.name+mark, r.oldNs, r.newNs, r.ratio)
 		}
-		fmt.Printf("%-52s %14.0f %14.0f %7.2fx\n", r.name+mark, r.oldNs, r.newNs, r.ratio)
 	}
 }
 

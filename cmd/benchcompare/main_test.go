@@ -50,6 +50,25 @@ func TestCompareRunsRatiosAndRegressions(t *testing.T) {
 	}
 }
 
+// TestCompareRunsListsRemovedRows: a benchmark the older record has and
+// the newer one lacks is listed as removed, after the newer record's
+// rows, instead of being dropped from the table. A removed row has no
+// ratio, so it never counts as a regression.
+func TestCompareRunsListsRemovedRows(t *testing.T) {
+	old := rec("before", map[string]float64{"BenchmarkGBMFit/n=20000": 100e6, "BenchmarkGBMFit/n=20000/workers=4": 120e6, "BenchmarkTreeFit/n=200": 1e6})
+	new := rec("after", map[string]float64{"BenchmarkGBMFit/n=20000": 101e6, "BenchmarkTreeFit/n=200": 1e6})
+	rows, regressions := compareRuns(old, new, []string{"BenchmarkGBMFit"}, 1.10)
+	if len(rows) != 3 || len(regressions) != 0 {
+		t.Fatalf("rows = %+v, regressions = %v; want 3 rows, no regression", rows, regressions)
+	}
+	if rows[0].removed || rows[1].removed {
+		t.Fatalf("paired rows marked removed: %+v", rows[:2])
+	}
+	if r := rows[2]; r.name != "BenchmarkGBMFit/n=20000/workers=4" || !r.removed || !r.hot || r.oldNs != 120e6 {
+		t.Fatalf("last row = %+v, want the removed hot workers=4 row at 120e6 ns", r)
+	}
+}
+
 func TestHotMatchCoversSubBenchmarks(t *testing.T) {
 	hot := []string{"BenchmarkGBMFit"}
 	if !hotMatch("BenchmarkGBMFit", hot) || !hotMatch("BenchmarkGBMFit/n=20000", hot) {

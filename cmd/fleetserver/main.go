@@ -103,7 +103,6 @@ func main() {
 		addr        = flag.String("addr", ":8080", "listen address")
 		window      = flag.Int("w", 6, "feature window W")
 		workers     = flag.Int("workers", 0, "training pool size per engine (0 = GOMAXPROCS)")
-		fitWorkers  = flag.Int("fit-workers", 0, "intra-fit parallelism per model (feature-parallel split search + subtree workers; 0/1 = serial, results are bit-identical)")
 		interval    = flag.Duration("retrain-interval", 0, "periodic retrain interval (0 disables)")
 		liveIngest  = flag.Bool("ingest", false, "enable live telemetry ingestion (POST /telemetry); -data becomes seed data")
 		retrainDirt = flag.Int("retrain-dirty", 0, "with -ingest: auto-retrain once this many vehicles changed (0 disables)")
@@ -167,7 +166,6 @@ func main() {
 
 	cfg := core.DefaultPredictorConfig()
 	cfg.Window = *window
-	cfg.FitWorkers = *fitWorkers
 
 	// Cluster shard membership (needed before seeding: a partitioned
 	// shard stores only its ring-owned slice of the fleet).

@@ -17,7 +17,6 @@ import (
 	"log"
 	"math"
 	"os"
-	"slices"
 	"strings"
 	"time"
 
@@ -37,14 +36,12 @@ func main() {
 	}
 }
 
-var experimentNames = []string{"fig1", "fig2", "fig3", "table1", "fig4", "table2", "fig5", "table3", "timing", "ablations"}
-
 // run parses args, builds the synthetic fleet and writes the selected
 // experiment(s) to out.
 func run(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("repro", flag.ContinueOnError)
 	var (
-		exp      = fs.String("exp", "all", "experiment to run: all, "+strings.Join(experimentNames, ", "))
+		exp      = fs.String("exp", "all", "experiment to run: all, fig1, fig2, fig3, table1, fig4, table2, fig5, table3, timing, ablations")
 		vehicles = fs.Int("vehicles", 24, "fleet size")
 		days     = fs.Int("days", 1735, "acquisition horizon in days")
 		seed     = fs.Uint64("seed", 42, "master random seed")
@@ -54,10 +51,6 @@ func run(args []string, out io.Writer) error {
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
-	}
-	if *exp != "all" && !slices.Contains(experimentNames, *exp) {
-		fs.Usage()
-		return fmt.Errorf("unknown experiment %q", *exp)
 	}
 
 	scale := experiments.Scale{
@@ -88,27 +81,36 @@ func run(args []string, out io.Writer) error {
 		}
 		return s, err
 	}
-	steps := map[string]func() error{
-		"fig1":      func() error { return runFig1(out, env) },
-		"fig2":      func() error { return runFig2(out, env) },
-		"fig3":      func() error { return runFig3(out, env) },
-		"table1":    func() error { return runTable1(out, env, *window) },
-		"fig4":      func() error { return runFig4(out, env) },
-		"table2":    func() error { return runTable2(out, fig4Cached) },
-		"fig5":      func() error { return runFig5(out, env, fig4Cached) },
-		"table3":    func() error { return runTable3(out, env, *window) },
-		"timing":    func() error { return runTiming(out, env, *window) },
-		"ablations": func() error { return runAblations(out, env) },
+	steps := []struct {
+		name string
+		fn   func() error
+	}{
+		{"fig1", func() error { return runFig1(out, env) }},
+		{"fig2", func() error { return runFig2(out, env) }},
+		{"fig3", func() error { return runFig3(out, env) }},
+		{"table1", func() error { return runTable1(out, env, *window) }},
+		{"fig4", func() error { return runFig4(out, env) }},
+		{"table2", func() error { return runTable2(out, fig4Cached) }},
+		{"fig5", func() error { return runFig5(out, env, fig4Cached) }},
+		{"table3", func() error { return runTable3(out, env, *window) }},
+		{"timing", func() error { return runTiming(out, env, *window) }},
+		{"ablations", func() error { return runAblations(out, env) }},
 	}
-	for _, name := range experimentNames {
-		if *exp != "all" && *exp != name {
+	ran := false
+	for _, s := range steps {
+		if *exp != "all" && *exp != s.name {
 			continue
 		}
+		ran = true
 		start := time.Now()
-		if err := steps[name](); err != nil {
-			return fmt.Errorf("%s: %w", name, err)
+		if err := s.fn(); err != nil {
+			return fmt.Errorf("%s: %w", s.name, err)
 		}
-		fmt.Fprintf(out, "## (%s finished in %.1fs)\n\n", name, time.Since(start).Seconds())
+		fmt.Fprintf(out, "## (%s finished in %.1fs)\n\n", s.name, time.Since(start).Seconds())
+	}
+	if !ran {
+		fs.Usage()
+		return fmt.Errorf("unknown experiment %q", *exp)
 	}
 	return nil
 }

@@ -35,9 +35,6 @@ func TestPaperGolden(t *testing.T) {
 
 			path := filepath.Join("testdata", exp+".golden")
 			if *update {
-				if err := os.MkdirAll("testdata", 0o755); err != nil {
-					t.Fatal(err)
-				}
 				if err := os.WriteFile(path, got, 0o644); err != nil {
 					t.Fatal(err)
 				}
@@ -50,15 +47,5 @@ func TestPaperGolden(t *testing.T) {
 				t.Errorf("%s differs from %s (rerun with -update if intended):\ngot:\n%s\nwant:\n%s", exp, path, got, want)
 			}
 		})
-	}
-}
-
-func TestRunRejectsUnknownExperiment(t *testing.T) {
-	var out bytes.Buffer
-	if err := run([]string{"-exp", "table9"}, &out); err == nil {
-		t.Fatal("want an error for an unknown experiment")
-	}
-	if out.Len() != 0 {
-		t.Fatalf("wrote %q before rejecting the experiment", out.String())
 	}
 }

@@ -54,11 +54,13 @@ func TestPredictorConfigHashIncludesBins(t *testing.T) {
 	if a.Hash() == b.Hash() {
 		t.Fatal("Bins change did not change the config hash")
 	}
-	// FitWorkers stays an execution knob: never hashed.
-	c := a
-	c.FitWorkers = 7
-	if a.Hash() != c.Hash() {
-		t.Fatal("FitWorkers changed the config hash")
+}
+
+// TestPredictorConfigHashPinned: persisted snapshots carry this hash
+// (engine.Snapshot.ConfigHash); if it moves, every one is refused at boot.
+func TestPredictorConfigHashPinned(t *testing.T) {
+	if got := DefaultPredictorConfig().Hash(); got != 0xf187d55e44ab4ac0 {
+		t.Fatalf("default config hash = %#x, want 0xf187d55e44ab4ac0", got)
 	}
 }
 

@@ -27,9 +27,6 @@ type ColdStartConfig struct {
 	Params ml.Params
 	// Seed drives model randomness.
 	Seed uint64
-	// FitWorkers caps the intra-fit worker budget (see
-	// PredictorConfig.FitWorkers); results are identical for every value.
-	FitWorkers int
 	// Bins is the fleet-level histogram resolution (see
 	// PredictorConfig.Bins): when > 1 it is folded into the parameter
 	// set unless Params pins "bins" itself.
@@ -125,7 +122,7 @@ func TrainUnified(train []*timeseries.VehicleSeries, alg Algorithm, cfg ColdStar
 	if params == nil {
 		params = DefaultParams(alg)
 	}
-	model, err := BuildWithOptions(alg, ApplyBins(params, cfg.Bins), cfg.Seed, ml.FitOptions{Workers: cfg.FitWorkers})
+	model, err := Build(alg, ApplyBins(params, cfg.Bins), cfg.Seed)
 	if err != nil {
 		return nil, err
 	}
@@ -191,7 +188,7 @@ func TrainSimilarity(test *timeseries.VehicleSeries, train []*timeseries.Vehicle
 	if params == nil {
 		params = DefaultParams(alg)
 	}
-	model, err := BuildWithOptions(alg, ApplyBins(params, cfg.Bins), cfg.Seed, ml.FitOptions{Workers: cfg.FitWorkers})
+	model, err := Build(alg, ApplyBins(params, cfg.Bins), cfg.Seed)
 	if err != nil {
 		return nil, "", err
 	}

@@ -42,10 +42,6 @@ func fnvString(h uint64, s string) uint64 {
 // configuration — different window, candidates, seed, ... — refuses to
 // reuse the old models instead of silently serving a mixed-config
 // fleet: the model and pool keys alone cannot see a config change.
-//
-// FitWorkers is deliberately NOT hashed: it is an execution knob with
-// bit-identical results for every value, so a snapshot trained with a
-// different worker count must stay reusable.
 func (c PredictorConfig) Hash() uint64 {
 	h := uint64(fnvOffset64)
 	h = fnvUint64(h, uint64(c.Window))

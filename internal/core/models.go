@@ -49,15 +49,6 @@ func ParseAlgorithm(s string) (Algorithm, error) {
 // cannot be built here because it needs the utilization series, not a
 // parameter set — use BaselineFromSeries.
 func Build(alg Algorithm, p ml.Params, seed uint64) (ml.Regressor, error) {
-	return BuildWithOptions(alg, p, seed, ml.FitOptions{})
-}
-
-// BuildWithOptions is Build plus execution options: opts.Workers flows
-// into the tree ensembles' intra-fit worker budget. Options never alter
-// the fitted model — results are bit-identical for every Workers value
-// — which is why they ride beside the hyper-parameters instead of
-// inside them (and stay out of PredictorConfig.Hash).
-func BuildWithOptions(alg Algorithm, p ml.Params, seed uint64, opts ml.FitOptions) (ml.Regressor, error) {
 	get := func(key string, def float64) float64 {
 		if v, ok := p[key]; ok {
 			return v
@@ -79,9 +70,8 @@ func BuildWithOptions(alg Algorithm, p ml.Params, seed uint64, opts ml.FitOption
 			// bins > 1 opts the member trees into the approximate
 			// histogram split engine; 0 keeps the exact presorted
 			// engine (the default, bit-identical to classic CART).
-			Bins:    int(get("bins", 0)),
-			Seed:    seed,
-			Workers: opts.Workers,
+			Bins: int(get("bins", 0)),
+			Seed: seed,
 		}), nil
 	case XGB:
 		return gbm.New(gbm.Config{
@@ -94,7 +84,6 @@ func BuildWithOptions(alg Algorithm, p ml.Params, seed uint64, opts ml.FitOption
 			// package default (256).
 			MaxBins: int(get("bins", 0)),
 			Seed:    seed,
-			Workers: opts.Workers,
 		}), nil
 	case BL:
 		return nil, fmt.Errorf("core: the baseline is built from the utilization series (BaselineFromSeries), not from parameters")

@@ -39,9 +39,6 @@ type OldConfig struct {
 	Normalize bool
 	// Seed drives augmentation sampling, CV shuffling and model seeds.
 	Seed uint64
-	// FitWorkers caps the intra-fit worker budget (see
-	// PredictorConfig.FitWorkers); results are identical for every value.
-	FitWorkers int
 	// Bins is the fleet-level histogram resolution (see
 	// PredictorConfig.Bins): when > 1 it is folded into every parameter
 	// set built here that does not pin "bins" itself.
@@ -159,7 +156,7 @@ func EvaluateOld(vs *timeseries.VehicleSeries, alg Algorithm, cfg OldConfig) (*O
 				return nil, derr
 			}
 			res, serr := ml.GridSearchCV(func(p ml.Params) ml.Regressor {
-				m, berr := BuildWithOptions(alg, ApplyBins(p, cfg.Bins), cfg.Seed, ml.FitOptions{Workers: cfg.FitWorkers})
+				m, berr := Build(alg, ApplyBins(p, cfg.Bins), cfg.Seed)
 				if berr != nil {
 					panic(berr) // unreachable: alg validated above
 				}
@@ -170,7 +167,7 @@ func EvaluateOld(vs *timeseries.VehicleSeries, alg Algorithm, cfg OldConfig) (*O
 			}
 			params = res.Best
 		}
-		model, err = BuildWithOptions(alg, ApplyBins(params, cfg.Bins), cfg.Seed, ml.FitOptions{Workers: cfg.FitWorkers})
+		model, err = Build(alg, ApplyBins(params, cfg.Bins), cfg.Seed)
 		if err != nil {
 			return nil, err
 		}

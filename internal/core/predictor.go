@@ -30,20 +30,12 @@ type PredictorConfig struct {
 	Eval DTilde
 	// Seed drives model randomness.
 	Seed uint64
-	// FitWorkers caps the intra-fit worker budget of every model built
-	// for this predictor (tree split searches, forest members, boosting
-	// histogram scans). 0 or 1 fits serially. It is an execution knob
-	// only: results are bit-identical for every value, which is why it
-	// is deliberately excluded from Hash() — a snapshot trained with a
-	// different worker count is still byte-for-byte reusable.
-	FitWorkers int
 	// Bins is the fleet-level histogram resolution for the tree
 	// ensembles (RF member trees, XGB stages): when > 1, every model
 	// built for this predictor trains on quantile-binned features at
 	// this resolution unless its parameter set pins "bins" itself. 0
 	// keeps the per-algorithm defaults (exact splits for RF, 256 bins
-	// for XGB). Unlike FitWorkers this changes the fitted models, so it
-	// IS part of Hash().
+	// for XGB). It changes the fitted models, so it is part of Hash().
 	Bins int
 }
 
@@ -207,8 +199,8 @@ type TrainTask struct {
 // unified-model fit), alg is the algorithm the time was spent in.
 // Observers are called from whatever goroutine runs the task, so they
 // must be safe for concurrent use and cheap — the obs histograms are
-// both. A nil observer costs one branch. Like FitWorkers, the observer
-// is an execution-side knob with no effect on trained models.
+// both. A nil observer costs one branch. The observer has no effect on
+// trained models.
 type StageObserver func(stage string, alg Algorithm, seconds float64)
 
 // observe records the time since t0 when an observer is installed.
@@ -254,7 +246,7 @@ func (sh *TrainShared) Unified() (ml.Regressor, error) {
 			return
 		}
 		t0 := time.Now()
-		cs := ColdStartConfig{Window: sh.cfg.Window, Normalize: sh.cfg.Normalize, Seed: sh.seed, FitWorkers: sh.cfg.FitWorkers, Bins: sh.cfg.Bins}
+		cs := ColdStartConfig{Window: sh.cfg.Window, Normalize: sh.cfg.Normalize, Seed: sh.seed, Bins: sh.cfg.Bins}
 		sh.unified, sh.err = TrainUnified(sh.olds, sh.cfg.ColdStartAlgorithm, cs)
 		if sh.err == nil {
 			sh.Observe.observe("fit", sh.cfg.ColdStartAlgorithm, t0)
@@ -399,7 +391,6 @@ func trainOld(vs *timeseries.VehicleSeries, pcfg PredictorConfig, seed uint64, o
 	cfg.TrainFraction = 1 - pcfg.ValidationFraction
 	cfg.Eval = pcfg.Eval
 	cfg.Seed = seed
-	cfg.FitWorkers = pcfg.FitWorkers
 	cfg.Bins = pcfg.Bins
 	// Table 1: restriction is strictly better — when there is a D̃ row to
 	// train on. A single long cycle (a vehicle just past its first
@@ -449,7 +440,7 @@ func trainOld(vs *timeseries.VehicleSeries, pcfg PredictorConfig, seed uint64, o
 			return VehicleStatus{}, nil, err
 		}
 	}
-	model, err := BuildWithOptions(bestAlg, ApplyBins(DefaultParams(bestAlg), pcfg.Bins), seed, ml.FitOptions{Workers: pcfg.FitWorkers})
+	model, err := Build(bestAlg, ApplyBins(DefaultParams(bestAlg), pcfg.Bins), seed)
 	if err != nil {
 		return VehicleStatus{}, nil, err
 	}
@@ -463,7 +454,7 @@ func trainOld(vs *timeseries.VehicleSeries, pcfg PredictorConfig, seed uint64, o
 
 func trainSemiNew(task TrainTask, shared *TrainShared) (VehicleStatus, ml.Regressor, error) {
 	pcfg := shared.cfg
-	cs := ColdStartConfig{Window: pcfg.Window, Normalize: pcfg.Normalize, Seed: task.Seed, FitWorkers: pcfg.FitWorkers, Bins: pcfg.Bins}
+	cs := ColdStartConfig{Window: pcfg.Window, Normalize: pcfg.Normalize, Seed: task.Seed, Bins: pcfg.Bins}
 	if task.Donor != nil {
 		t0 := time.Now()
 		model, err := fitSimilarity(task.Donor, pcfg.ColdStartAlgorithm, cs)
@@ -522,7 +513,7 @@ func fitSimilarity(donor *timeseries.VehicleSeries, alg Algorithm, cfg ColdStart
 	if params == nil {
 		params = DefaultParams(alg)
 	}
-	model, err := BuildWithOptions(alg, ApplyBins(params, cfg.Bins), cfg.Seed, ml.FitOptions{Workers: cfg.FitWorkers})
+	model, err := Build(alg, ApplyBins(params, cfg.Bins), cfg.Seed)
 	if err != nil {
 		return nil, err
 	}

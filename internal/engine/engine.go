@@ -36,6 +36,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/ml"
 	"repro/internal/obs"
+	"repro/internal/pool"
 	"repro/internal/timeseries"
 )
 
@@ -463,7 +464,7 @@ func (e *Engine) runPool(ctx context.Context, tasks []core.TrainTask, shared *co
 	statuses := make([]core.VehicleStatus, n)
 	trained := make([]ml.Regressor, n)
 
-	if err := ForEach(ctx, n, e.workers, func(i int) {
+	if err := pool.ForEach(ctx, n, e.workers, func(i int) {
 		st, model, err := core.TrainVehicle(tasks[i], shared)
 		if err != nil {
 			st = core.VehicleStatus{

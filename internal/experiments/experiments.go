@@ -11,7 +11,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/dataprep"
-	"repro/internal/engine"
+	"repro/internal/pool"
 	"repro/internal/telematics"
 	"repro/internal/timeseries"
 )
@@ -122,7 +122,7 @@ func (e *Env) evaluateFleet(alg core.Algorithm, window int, restrict bool) (*fle
 	// Bounded worker pool over the old fleet; results land in vehicle
 	// order so downstream tables do not depend on goroutine scheduling.
 	reports := make([]*core.ErrorReport, len(e.Olds))
-	_ = engine.ForEach(context.Background(), len(e.Olds), runtime.GOMAXPROCS(0), func(i int) {
+	_ = pool.ForEach(context.Background(), len(e.Olds), runtime.GOMAXPROCS(0), func(i int) {
 		// Insufficient data for this configuration is a data condition,
 		// not a failure: leave the slot nil and continue.
 		if r, err := core.EvaluateOld(e.Olds[i], alg, cfg); err == nil {

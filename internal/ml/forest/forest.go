@@ -47,16 +47,6 @@ type Config struct {
 	// engine with at most Bins quantile buckets (2..256); 0 keeps the
 	// exact presorted engine.
 	Bins int
-	// Workers bounds the fit's total parallelism
-	// (ml.FitOptions.Workers): it caps the across-tree pool, and when
-	// it exceeds NEstimators the surplus flows into each tree as
-	// intra-fit workers (tree.Config.Workers) so a small ensemble on a
-	// big machine still saturates it. 0 keeps the historical default of
-	// GOMAXPROCS across-tree workers. The fitted forest is
-	// bit-identical for every value: tree seeds derive from sequential
-	// sub-streams regardless of scheduling, and a single tree's fit is
-	// worker-count-invariant.
-	Workers int
 }
 
 // DefaultConfig returns a balanced forest configuration.
@@ -152,19 +142,11 @@ func (m *Model) FitMatrix(cm *ml.ColMatrix, y []float64) error {
 	if m.ComputeOOB {
 		inBag = make([][]bool, m.NEstimators)
 	}
+	// Trees train on at most GOMAXPROCS goroutines. The fitted forest
+	// does not depend on the pool width: tree seeds derive from
+	// sequential sub-streams and every tree writes its own slot.
 	var wg sync.WaitGroup
-	workers := m.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	treePool := workers
-	if treePool > m.NEstimators {
-		treePool = m.NEstimators
-	}
-	// Workers beyond the tree count can't add across-tree concurrency;
-	// hand them to the member trees as intra-fit workers instead.
-	perTree := workers / treePool
-	sem := make(chan struct{}, treePool)
+	sem := make(chan struct{}, runtime.GOMAXPROCS(0))
 	for t := 0; t < m.NEstimators; t++ {
 		wg.Add(1)
 		go func(t int) {
@@ -184,7 +166,6 @@ func (m *Model) FitMatrix(cm *ml.ColMatrix, y []float64) error {
 				MaxFeatures:    maxFeat,
 				Seed:           rnd.Uint64(),
 				Bins:           m.Bins,
-				Workers:        perTree,
 			})
 			if err := tr.FitWeighted(cm, y, w); err != nil {
 				errs[t] = err

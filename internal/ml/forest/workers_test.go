@@ -1,74 +1,35 @@
 package forest
 
 import (
-	"fmt"
+	"runtime"
 	"testing"
-
-	"repro/internal/rng"
 )
 
-// workersDataset draws a dataset large enough for the member trees to
-// cross the intra-fit parallel thresholds.
-func workersDataset(n, p int, seed uint64) ([][]float64, []float64) {
-	rnd := rng.New(seed)
-	x := make([][]float64, n)
-	y := make([]float64, n)
-	for i := range x {
-		x[i] = make([]float64, p)
-		for j := range x[i] {
-			if j%2 == 0 {
-				x[i][j] = float64(rnd.Intn(16)) / 4
-			} else {
-				x[i][j] = rnd.Float64() * 10
-			}
-		}
-		y[i] = 3*x[i][0] - 2*x[i][1%p] + rnd.NormFloat64()
-	}
-	return x, y
-}
-
-// TestWorkersBitIdentical pins the FitOptions contract: the fitted
-// forest must be bit-identical for every Workers value, including
-// Workers > NEstimators where the surplus flows into each member tree
-// as intra-fit workers. Predictions and importances compare exactly.
+// TestWorkersBitIdentical pins the across-tree pool: the fitted forest
+// must be bit-identical whatever the pool width (GOMAXPROCS), from one
+// goroutine up to more goroutines than trees.
 func TestWorkersBitIdentical(t *testing.T) {
 	if testing.Short() {
 		t.Skip("large dataset")
 	}
-	x, y := workersDataset(3000, 4, 11)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	x, y := pinDataset(3000, 4, 11)
 	for _, bins := range []int{0, 64} {
-		base := Config{NEstimators: 4, MaxDepth: 8, MinSamplesLeaf: 2, Seed: 7, Bins: bins}
-		ref := New(base)
-		if err := ref.Fit(x, y); err != nil {
-			t.Fatalf("bins=%d: serial fit: %v", bins, err)
-		}
-		refPred := ref.PredictBatch(x)
-		refImp, err := ref.Importances()
-		if err != nil {
-			t.Fatalf("bins=%d: importances: %v", bins, err)
-		}
-		// workers=8 > NEstimators=4 gives every tree 2 intra-fit workers.
+		var ref []float64
 		for _, workers := range []int{1, 2, 4, 8} {
-			cfg := base
-			cfg.Workers = workers
-			m := New(cfg)
+			runtime.GOMAXPROCS(workers)
+			m := New(Config{NEstimators: 4, MaxDepth: 8, MinSamplesLeaf: 2, Seed: 7, Bins: bins})
 			if err := m.Fit(x, y); err != nil {
-				t.Fatalf("bins=%d workers=%d: fit: %v", bins, workers, err)
+				t.Fatalf("bins=%d workers=%d: %v", bins, workers, err)
 			}
-			label := fmt.Sprintf("bins=%d workers=%d", bins, workers)
 			pred := m.PredictBatch(x)
+			if ref == nil {
+				ref = pred
+				continue
+			}
 			for i := range pred {
-				if pred[i] != refPred[i] {
-					t.Fatalf("%s: prediction %d: %v != serial %v", label, i, pred[i], refPred[i])
-				}
-			}
-			imp, err := m.Importances()
-			if err != nil {
-				t.Fatalf("%s: importances: %v", label, err)
-			}
-			for j := range imp {
-				if imp[j] != refImp[j] {
-					t.Fatalf("%s: importance %d: %v != serial %v", label, j, imp[j], refImp[j])
+				if pred[i] != ref[i] {
+					t.Fatalf("bins=%d workers=%d: prediction %d: %v != serial %v", bins, workers, i, pred[i], ref[i])
 				}
 			}
 		}

@@ -27,7 +27,6 @@ import (
 	"slices"
 
 	"repro/internal/ml"
-	"repro/internal/pool"
 	"repro/internal/rng"
 )
 
@@ -56,15 +55,6 @@ type Config struct {
 	EarlyStoppingRounds int
 	// Seed makes subsampling deterministic.
 	Seed uint64
-	// Workers bounds intra-fit parallelism (ml.FitOptions.Workers):
-	// each stage's split search scans features concurrently on large
-	// nodes, every worker filling a private histogram. Boosting rounds
-	// themselves are inherently sequential (each fits the previous
-	// round's residuals). 0 or 1 trains serially; the fitted ensemble
-	// is bit-identical for every value — the feature-order merge
-	// reproduces the serial strict-> tie-break — so Workers is an
-	// execution knob, not part of the model identity.
-	Workers int
 }
 
 // DefaultConfig mirrors common histogram-GBM defaults.
@@ -193,52 +183,7 @@ type trainer struct {
 	// the single-feature fast path to apply a stage to its rows
 	// without walking (a univariate stage is a function of the bin).
 	valTab [256]float64
-
-	// Feature-parallel split search (Config.Workers > 1): each worker
-	// fills a private histogram (scans[worker]) over the features it
-	// claims; per-feature results land in the feat* arrays and merge in
-	// feature order under the serial strict-> tie-break, so the chosen
-	// split is bit-identical to the serial scan's.
-	workers  int
-	scans    []*scanState
-	featGain []float64
-	featBin  []uint8
-	featGL   []float64
-	featHit  []bool
-
-	// Bin-range parallelism scratch for the univariate stage builder
-	// (growTree1D): per-range sweep prefixes and range-local bests,
-	// merged in bin order (see sweep1D).
-	rangePre []binRangePrefix
-	rangeRes []binRangeBest
 }
-
-// binRangePrefix is the serial sweep's running (gradient sum, row
-// count) snapshotted at a worker range's first bin.
-type binRangePrefix struct {
-	gl float64
-	nl int
-}
-
-// binRangeBest is one worker range's best split candidate.
-type binRangeBest struct {
-	gain float64
-	gl   float64
-	bin  int
-	nl   int
-	hit  bool
-}
-
-// scanState is one worker's private histogram accumulator.
-type scanState struct {
-	hist [256]histCell
-	mask [4]uint64
-}
-
-// parallelScanMinRows gates the feature fan-out: fanning a node's scan
-// to the pool costs about a microsecond, so smaller segments histogram
-// faster serially. The gate affects scheduling only, never results.
-const parallelScanMinRows = 2048
 
 // histCell packs one bin's gradient sum and row count into a single
 // cache line touch per accumulated row.
@@ -295,20 +240,6 @@ func (m *Model) FitMatrix(cm *ml.ColMatrix, y []float64) error {
 	}
 	for k := range t.recip {
 		t.recip[k] = 1 / (float64(k) + m.Lambda)
-	}
-	if t.workers = m.Workers; t.workers > 1 && p > 1 {
-		t.scans = make([]*scanState, t.workers)
-		for k := range t.scans {
-			t.scans[k] = new(scanState)
-		}
-		t.featGain = make([]float64, p)
-		t.featBin = make([]uint8, p)
-		t.featGL = make([]float64, p)
-		t.featHit = make([]bool, p)
-	}
-	if t.workers > 1 {
-		t.rangePre = make([]binRangePrefix, t.workers)
-		t.rangeRes = make([]binRangeBest, t.workers)
 	}
 	for i := range t.pred {
 		t.pred[i] = base
@@ -470,7 +401,7 @@ func (t *trainer) growTree1D(rows []int32, gRoot float64) {
 	m := t.m
 	codes := t.bins[0]
 	nb := len(m.edges[0]) + 1
-	t.fill1D(rows, nb)
+	t.fill1D(rows)
 	recip := t.recip
 	minChild := m.MinChildSamples
 
@@ -507,125 +438,35 @@ func (t *trainer) growTree1D(rows []int32, gRoot float64) {
 	}
 	buildRange(0, nb-1, 0, len(rows), gRoot)
 
-	// Apply the stage to its rows through the bin table (row-chunk
-	// parallel on large rounds — every row's update is independent) and
-	// reset the histogram for the next round.
-	if t.workers > 1 && len(rows) >= binRangeMinRows {
-		pool.DoWorkers(t.workers, t.workers, func(_, w int) {
-			chunk := rows[len(rows)*w/t.workers : len(rows)*(w+1)/t.workers]
-			for _, i := range chunk {
-				t.pred[i] += t.valTab[codes[i]]
-			}
-		})
-	} else {
-		for _, i := range rows {
-			t.pred[i] += t.valTab[codes[i]]
-		}
+	// Apply the stage to its rows through the bin table and reset the
+	// histogram for the next round.
+	for _, i := range rows {
+		t.pred[i] += t.valTab[codes[i]]
 	}
 	for c := 0; c < nb; c++ {
 		t.hist[c] = histCell{}
 	}
 }
 
-// fill1D builds the univariate stage's single histogram. Large rounds
-// with Workers > 1 fill by bin-range ownership: every worker scans the
-// whole segment but accumulates only the bins in its range, so each
-// bin's sum is built in segment row order by exactly one worker —
-// bit-identical to the serial fill with no merge step. (The scan work
-// is duplicated per worker; the gate keeps the fan-out to rounds large
-// enough that splitting the accumulation wins wall-clock.)
-func (t *trainer) fill1D(rows []int32, nb int) {
+// fill1D builds the univariate stage's single histogram.
+func (t *trainer) fill1D(rows []int32) {
 	codes := t.bins[0]
 	grad := t.grad
-	if t.workers > 1 && len(rows) >= binRangeMinRows && nb >= 2 {
-		nw := t.workers
-		if nw > nb {
-			nw = nb
-		}
-		pool.DoWorkers(nw, nw, func(_, w int) {
-			clo := uint8(nb * w / nw)
-			chi := uint8(nb*(w+1)/nw - 1)
-			for _, i := range rows {
-				c := codes[i]
-				if c < clo || c > chi {
-					continue
-				}
-				t.hist[c].g += grad[i]
-				t.hist[c].n++
-			}
-		})
-	} else {
-		for _, i := range rows {
-			c := codes[i]
-			t.hist[c].g += grad[i]
-			t.hist[c].n++
-		}
+	for _, i := range rows {
+		c := codes[i]
+		t.hist[c].g += grad[i]
+		t.hist[c].n++
 	}
 	t.stats.FillRows += uint64(len(rows))
 	t.stats.DirectNodes++
 }
 
 // sweep1D finds the best split boundary over bin range [lo, end] of the
-// univariate histogram, for a node holding cnt rows with gradient sum
-// g. Large nodes sweep the range in parallel worker sub-ranges: one
-// serial prefix pass snapshots the running (gl, nl) at each sub-range's
-// start — the exact floats the serial sweep would carry in — then the
-// sub-ranges sweep concurrently and merge in bin order under the
-// strict-> rule, preserving first-candidate-wins. Results are
-// bit-identical at every worker count.
+// univariate histogram, for a node holding cnt rows with gradient sum g.
 func (t *trainer) sweep1D(lo, end, cnt int, g, parent float64) (bestGain float64, bestBin int, bestGL float64, bestNL int) {
 	bestBin = -1
 	recip := t.recip
 	minChild := t.m.MinChildSamples
-	nbins := end - lo + 1
-	if t.workers > 1 && cnt >= binRangeMinRows && nbins >= 2 {
-		nw := t.workers
-		if nw > nbins {
-			nw = nbins
-		}
-		pre := t.rangePre[:nw]
-		var gl float64
-		var nl int
-		for k := 0; k < nw; k++ {
-			pre[k] = binRangePrefix{gl, nl}
-			for c := lo + nbins*k/nw; c <= lo+nbins*(k+1)/nw-1; c++ {
-				cell := t.hist[c]
-				if cell.n == 0 {
-					continue
-				}
-				gl += cell.g
-				nl += int(cell.n)
-			}
-		}
-		res := t.rangeRes[:nw]
-		pool.DoWorkers(nw, nw, func(_, k int) {
-			gl, nl := pre[k].gl, pre[k].nl
-			best := binRangeBest{bin: -1}
-			for c := lo + nbins*k/nw; c <= lo+nbins*(k+1)/nw-1; c++ {
-				cell := t.hist[c]
-				if cell.n == 0 {
-					continue
-				}
-				gl += cell.g
-				nl += int(cell.n)
-				nr := cnt - nl
-				if nl >= minChild && nr >= minChild {
-					gr := g - gl
-					gn := gl*gl*recip[nl] + gr*gr*recip[nr] - parent
-					if gn > best.gain {
-						best = binRangeBest{gain: gn, gl: gl, bin: c, nl: nl, hit: true}
-					}
-				}
-			}
-			res[k] = best
-		})
-		for k := 0; k < nw; k++ {
-			if res[k].hit && res[k].gain > bestGain {
-				bestGain, bestBin, bestGL, bestNL = res[k].gain, res[k].bin, res[k].gl, res[k].nl
-			}
-		}
-		return bestGain, bestBin, bestGL, bestNL
-	}
 	var gl float64
 	var nl int
 	for c := lo; c <= end; c++ {
@@ -732,12 +573,6 @@ func (t *trainer) partition(lo, hi int, codes []uint8, bin uint8) int {
 // segment are swept and reset, tracked in a 256-bit mask; sweeping
 // occupied bins is exactly equivalent to the dense sweep because empty
 // bins contribute zero mass and can never strictly improve the gain.
-//
-// Large segments scan features concurrently: each scan runs against a
-// zero floor into a private histogram (the floor only gates
-// comparisons, never the accumulation), and the per-feature bests merge
-// in feature order under the serial strict-> rule — the chosen
-// (feature, bin, gl) triple is bit-identical to the serial sweep's.
 func (t *trainer) bestHistSplit(lo, hi int, gTot float64) (feature int, bin uint8, glBest, gain float64) {
 	seg := t.rows[lo:hi]
 	parent := gTot * gTot * t.recip[len(seg)]
@@ -746,22 +581,9 @@ func (t *trainer) bestHistSplit(lo, hi int, gTot float64) (feature int, bin uint
 	bestFeat, bestBin := -1, uint8(0)
 	bestGL := 0.0
 
-	if t.workers > 1 && len(seg) >= parallelScanMinRows && len(t.bins) > 1 {
-		pool.DoWorkers(len(t.bins), t.workers, func(worker, f int) {
-			s := t.scans[worker]
-			t.featGain[f], t.featBin[f], t.featGL[f], t.featHit[f] = t.scanFeature(f, seg, gTot, parent, 0, s)
-		})
-		for f := range t.bins {
-			if t.featHit[f] && t.featGain[f] > bestGain {
-				bestGain, bestFeat, bestBin, bestGL = t.featGain[f], f, t.featBin[f], t.featGL[f]
-			}
-		}
-	} else {
-		st := (*scanState)(nil)
-		for f := 0; f < len(t.bins); f++ {
-			if g, b, gl, hit := t.scanFeature(f, seg, gTot, parent, bestGain, st); hit {
-				bestGain, bestFeat, bestBin, bestGL = g, f, b, gl
-			}
+	for f := 0; f < len(t.bins); f++ {
+		if g, b, gl, hit := t.scanFeature(f, seg, gTot, parent, bestGain); hit {
+			bestGain, bestFeat, bestBin, bestGL = g, f, b, gl
 		}
 	}
 	t.stats.FillRows += uint64(len(seg)) * uint64(len(t.bins))
@@ -774,17 +596,11 @@ func (t *trainer) bestHistSplit(lo, hi int, gTot float64) (feature int, bin uint
 
 // scanFeature histograms one feature over the segment and sweeps it for
 // the boundary with the best regularized gain strictly exceeding the
-// floor; hit=false when no boundary clears it. A nil st scans through
-// the trainer's own histogram (the serial path); concurrent scans pass
-// private states. The histogram is left zeroed either way, and the
-// accumulation is independent of the floor, which is what lets the
-// concurrent scans merge to the exact serial result.
-func (t *trainer) scanFeature(f int, seg []int32, gTot, parent, floor float64, st *scanState) (gain float64, bin uint8, glBest float64, hit bool) {
+// floor; hit=false when no boundary clears it. The histogram is left
+// zeroed.
+func (t *trainer) scanFeature(f int, seg []int32, gTot, parent, floor float64) (gain float64, bin uint8, glBest float64, hit bool) {
 	m := t.m
 	hist, mask := &t.hist, &t.mask
-	if st != nil {
-		hist, mask = &st.hist, &st.mask
-	}
 	bestGain := floor
 	var bestBin uint8
 	var bestGL float64

@@ -3,8 +3,6 @@ package gbm
 import (
 	"sync"
 	"time"
-
-	"repro/internal/pool"
 )
 
 // The boosting engine's parent−sibling subtraction path, mirroring the
@@ -20,10 +18,10 @@ import (
 // same sequences as scanFeature and therefore choose bit-identical
 // splits, and derived gradient sums can drift in the last ulps — which
 // is why every gate below is a pure function of segment sizes and
-// config, making the fitted ensemble deterministic and identical at
-// every worker count. Child gradient totals and leaf values are
-// threaded down the recursion (never read back from histograms), so
-// they come out of the same arithmetic on either path.
+// config, making the fitted ensemble deterministic. Child gradient
+// totals and leaf values are threaded down the recursion (never read
+// back from histograms), so they come out of the same arithmetic on
+// either path.
 var (
 	// histSlabMinRows is the stage row count at which a round engages
 	// the slab engine; smaller rounds keep the per-candidate fill path
@@ -33,12 +31,6 @@ var (
 	// deriving by subtraction; smaller subtrees fall back to the direct
 	// path. Tests move this gate to force or forbid subtraction.
 	histSubtractMinRows = 512
-	// binRangeMinRows gates the univariate (single-feature) stage
-	// builder's bin-range parallelism: below it the 256-bin sweep and
-	// the prediction-apply pass run serially. The gate affects
-	// scheduling only — bin-range ownership preserves each bin's
-	// row-order accumulation, so results are bit-identical either way.
-	binRangeMinRows = 4096
 )
 
 // histStatsTimingMinRows bounds fill/subtract wall-clock sampling to
@@ -138,9 +130,7 @@ func (t *trainer) releaseSlab(s *gslab) {
 
 // fillSlab directly fills the slab over segment [lo, hi) of the round's
 // rows: every feature in one pass each, in segment row order — the
-// exact accumulation sequence scanFeature produces. Large segments fill
-// features concurrently; workers own disjoint slab regions, so there is
-// no merge and the result is bit-identical at every worker count.
+// exact accumulation sequence scanFeature produces.
 func (t *trainer) fillSlab(s *gslab, lo, hi int) {
 	rows := hi - lo
 	timed := rows >= histStatsTimingMinRows
@@ -149,14 +139,8 @@ func (t *trainer) fillSlab(s *gslab, lo, hi int) {
 		t0 = time.Now()
 	}
 	p := len(t.bins)
-	if t.workers > 1 && rows >= parallelScanMinRows && p > 1 {
-		pool.DoWorkers(p, t.workers, func(_, f int) {
-			t.fillSlabFeature(s, f, lo, hi)
-		})
-	} else {
-		for f := 0; f < p; f++ {
-			t.fillSlabFeature(s, f, lo, hi)
-		}
+	for f := 0; f < p; f++ {
+		t.fillSlabFeature(s, f, lo, hi)
 	}
 	t.stats.FillRows += uint64(rows) * uint64(p)
 	t.stats.DirectNodes++
@@ -295,29 +279,16 @@ func (t *trainer) childSlabs(s *gslab, lo, mid, hi, depth int) (ls, rs *gslab) {
 // regularized gain — no refilling. Sweep order, gain arithmetic and the
 // strict-> rule are identical to scanFeature's dense and sparse paths
 // (which agree with each other), so a directly-filled slab node chooses
-// the exact same split as the legacy engine. Large nodes sweep features
-// concurrently against a zero floor and merge in feature order, the
-// same first-candidate-wins merge bestHistSplit uses.
+// the exact same split as the legacy engine.
 func (t *trainer) bestSplitSlab(s *gslab, lo, hi int, gTot float64) (feature int, bin uint8, glBest, gain float64) {
 	cnt := hi - lo
 	parent := gTot * gTot * t.recip[cnt]
 	bestGain := 0.0
 	bestFeat, bestBin := -1, uint8(0)
 	bestGL := 0.0
-	if t.workers > 1 && cnt >= parallelScanMinRows && len(t.bins) > 1 {
-		pool.DoWorkers(len(t.bins), t.workers, func(_, f int) {
-			t.featGain[f], t.featBin[f], t.featGL[f], t.featHit[f] = t.sweepSlabFeature(s, f, cnt, gTot, parent, 0)
-		})
-		for f := range t.bins {
-			if t.featHit[f] && t.featGain[f] > bestGain {
-				bestGain, bestFeat, bestBin, bestGL = t.featGain[f], f, t.featBin[f], t.featGL[f]
-			}
-		}
-	} else {
-		for f := 0; f < len(t.bins); f++ {
-			if g, b, gl, hit := t.sweepSlabFeature(s, f, cnt, gTot, parent, bestGain); hit {
-				bestGain, bestFeat, bestBin, bestGL = g, f, b, gl
-			}
+	for f := 0; f < len(t.bins); f++ {
+		if g, b, gl, hit := t.sweepSlabFeature(s, f, cnt, gTot, parent, bestGain); hit {
+			bestGain, bestFeat, bestBin, bestGL = g, f, b, gl
 		}
 	}
 	if bestFeat < 0 {

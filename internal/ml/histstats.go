@@ -46,19 +46,6 @@ type HistStats struct {
 	SubtractNanos uint64
 }
 
-// Merge folds another tally into s (forked subtree builders tally
-// privately and merge at the join point, so no counter is contended).
-func (s *HistStats) Merge(o *HistStats) {
-	s.FillRows += o.FillRows
-	s.FillCells += o.FillCells
-	s.SubtractCells += o.SubtractCells
-	s.SweepCells += o.SweepCells
-	s.DirectNodes += o.DirectNodes
-	s.DerivedNodes += o.DerivedNodes
-	s.FillNanos += o.FillNanos
-	s.SubtractNanos += o.SubtractNanos
-}
-
 // AddHistStats merges one fit's tally into the package counters.
 func AddHistStats(s *HistStats) {
 	if s.FillRows != 0 {

@@ -32,20 +32,6 @@ type Regressor interface {
 // search clone models through factories so folds never share state.
 type Factory func() Regressor
 
-// FitOptions carries cross-cutting training-execution knobs that are
-// not part of a model's statistical configuration. They change how a
-// fit runs, never what it produces: every model family guarantees
-// bit-identical results for any Workers value, so FitOptions is
-// deliberately excluded from configuration hashes and snapshot
-// fingerprints.
-type FitOptions struct {
-	// Workers bounds the intra-fit parallelism of a single model
-	// training (feature-parallel split search and subtree growth in the
-	// tree engines, per-stage split search in gbm, and the across-tree
-	// pool in forest). 0 or 1 trains serially.
-	Workers int
-}
-
 // MatrixFitter is implemented by regressors that can train directly
 // from a shared ColMatrix, reusing its cached presorted orders and
 // binnings instead of re-deriving them from row-major data. Grid search

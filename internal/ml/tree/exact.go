@@ -4,7 +4,6 @@ import (
 	"math"
 
 	"repro/internal/ml"
-	"repro/internal/pool"
 	"repro/internal/rng"
 )
 
@@ -18,20 +17,6 @@ import (
 // node sums iterate rows ascending, scan sums iterate the sorted order
 // — so the grown tree is bit-identical to naiveBuilder's (the oracle
 // tests in oracle_test.go enforce this).
-//
-// With Config.Workers > 1 the engine parallelizes two ways without
-// changing a single output bit:
-//
-//   - feature-parallel: large nodes scan candidate features (and
-//     partition the per-feature orders) concurrently. Each scan's float
-//     accumulation is independent of the running best — the best only
-//     gates comparisons — so per-feature results merged in candidate
-//     order with the serial strict-> tie-break pick the identical split.
-//   - subtree-parallel: split nodes above the frontier depth hand their
-//     right subtree to a bounded pool. A forked subtree grows into a
-//     private node buffer over its own disjoint segment of the shared
-//     order/idx arrays, then splices back into the parent's buffer at
-//     exactly the position serial growth would have used.
 type exactBuilder struct {
 	cols [][]float64
 	y    []float64
@@ -42,28 +27,14 @@ type exactBuilder struct {
 	feats   []int
 	nodes   []node
 	minLeaf float64
-
-	// gains accumulates per-feature importance on the root builder;
-	// forked subtree builders leave it nil and record into gainLog
-	// instead, replayed at the join point (see featGain).
-	gains   []float64
-	gainLog []featGain
+	gains   []float64 // per-feature importance, summed in DFS split order
 
 	// order holds per-feature sorted row ids; idx the ascending row
-	// ids. Both are segment-partitioned in place as the tree grows;
-	// concurrent subtree builders own disjoint [lo, hi) segments.
+	// ids. Both are segment-partitioned in place as the tree grows.
 	order   [][]int32
 	idx     []int32
-	scratch []int32 // stable-partition spill buffer (one per builder)
+	scratch []int32 // stable-partition spill buffer
 	left    []bool  // per-row side of the current split
-
-	// par is the fit-wide shared parallel state (nil = serial fit);
-	// featPar marks the one builder allowed to fan feature scans out to
-	// the pool — par's merge buffers are unsynchronized, so only the
-	// root builder uses them. Forked builders still fork further
-	// subtrees through par's semaphore.
-	par     *fitPar
-	featPar bool
 }
 
 // fitExact grows the tree with the presorted engine and installs it.
@@ -146,14 +117,6 @@ func (m *Model) fitExact(cm *ml.ColMatrix, y []float64, w []float64) {
 	est := 2*active/leafFloor + 1
 	b.nodes = make([]node, 0, est)
 
-	if b.par = newFitPar(m.Config, p); b.par != nil {
-		b.featPar = true
-		b.par.scratch = make([][]int32, b.par.workers-1)
-		for k := range b.par.scratch {
-			b.par.scratch[k] = make([]int32, active)
-		}
-	}
-
 	sum, count := b.nodeStats(0, active)
 	b.grow(0, active, 0, sum, count)
 	m.nodes = b.nodes
@@ -182,18 +145,6 @@ func (b *exactBuilder) nodeStats(lo, hi int) (sum, count float64) {
 		}
 	}
 	return sum, count
-}
-
-// logGain records one split's importance contribution: directly into
-// the gains array on the root builder, into the replay log on forked
-// subtree builders (the parent replays it at the join point, preserving
-// the serial DFS addition order).
-func (b *exactBuilder) logGain(feat int, improvement float64) {
-	if b.gains != nil {
-		b.gains[feat] += improvement
-	} else {
-		b.gainLog = append(b.gainLog, featGain{feat, improvement})
-	}
 }
 
 // grow builds the subtree over segment [lo, hi) and returns its node
@@ -269,89 +220,22 @@ func (b *exactBuilder) grow(lo, hi, depth int, sum, count float64) int32 {
 	if nl < b.minLeaf || nr < b.minLeaf {
 		return self
 	}
-	b.logGain(feat, improvement)
+	b.gains[feat] += improvement
 	b.nodes[self].feature = feat
 	b.nodes[self].threshold = thr
 	mid := lo + cl
 	// The split feature's own order needs no work: it is sorted by the
 	// split value, so the left set already occupies the prefix in
 	// (value, row) order. Only the other features' orders partition.
-	// Large nodes partition them concurrently — each feature's segment
-	// is a disjoint slice, b.left is read-only here, and every worker
-	// spills into its own scratch buffer.
-	if b.featPar && hi-lo >= parallelSplitMinRows && len(b.order) > 2 {
-		par := b.par
-		pool.DoWorkers(len(b.order), par.workers, func(worker, f int) {
-			if f == feat {
-				return
-			}
-			scratch := b.scratch
-			if worker > 0 {
-				scratch = par.scratch[worker-1]
-			}
-			stablePartition(b.order[f][lo:hi], b.left, scratch)
-		})
-	} else {
-		for f := range b.order {
-			if f != feat {
-				stablePartition(b.order[f][lo:hi], b.left, b.scratch)
-			}
+	for f := range b.order {
+		if f != feat {
+			stablePartition(b.order[f][lo:hi], b.left, b.scratch)
 		}
-	}
-	if b.par.shouldFork(depth, mid-lo, hi-mid) && b.par.acquire() {
-		l, r := b.growForked(lo, mid, hi, depth, sumL, nl, sumR, nr)
-		b.nodes[self].kids = [2]int32{l, r}
-		return self
 	}
 	l := b.grow(lo, mid, depth+1, sumL, nl)
 	r := b.grow(mid, hi, depth+1, sumR, nr)
 	b.nodes[self].kids = [2]int32{l, r}
 	return self
-}
-
-// growForked grows the right subtree [mid, hi) on a pooled goroutine
-// (the caller must already hold a pool slot) while the calling
-// goroutine grows the left subtree inline, then splices the forked
-// block into the serial node layout. The fork shares the row-disjoint
-// order/idx/left arrays; only the spill scratch and node buffer are
-// private. Importance contributions recorded by the fork replay at the
-// join, reproducing the serial DFS addition order.
-func (b *exactBuilder) growForked(lo, mid, hi, depth int, sumL, nl, sumR, nr float64) (l, r int32) {
-	leafFloor := b.cfg.MinSamplesLeaf
-	if leafFloor < 1 {
-		leafFloor = 1
-	}
-	child := &exactBuilder{
-		cols:    b.cols,
-		y:       b.y,
-		w:       b.w,
-		cfg:     b.cfg,
-		feats:   b.feats,
-		minLeaf: b.minLeaf,
-		order:   b.order,
-		idx:     b.idx,
-		left:    b.left,
-		scratch: make([]int32, hi-mid),
-		nodes:   make([]node, 0, 2*(hi-mid)/leafFloor+1),
-		par:     b.par,
-	}
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		defer b.par.release()
-		child.grow(mid, hi, depth+1, sumR, nr)
-	}()
-	l = b.grow(lo, mid, depth+1, sumL, nl)
-	<-done
-	b.nodes, r = spliceNodes(b.nodes, child.nodes)
-	if b.gains != nil {
-		for _, g := range child.gainLog {
-			b.gains[g.feat] += g.gain
-		}
-	} else {
-		b.gainLog = append(b.gainLog, child.gainLog...)
-	}
-	return l, r
 }
 
 // stablePartition moves rows flagged left to the segment's front,
@@ -375,13 +259,6 @@ func stablePartition(seg []int32, left []bool, scratch []int32) int {
 // bestSplit scans candidate features' presorted segments for the split
 // maximizing the variance reduction; returns ok=false when no valid
 // split exists. improvement is the SSE reduction of the winning split.
-//
-// Large nodes scan candidates concurrently: each scan runs against the
-// initial gain floor instead of the running best (the floor only gates
-// comparisons — the scan's float accumulation never depends on it) and
-// the per-candidate bests merge in candidate order under the serial
-// strict-> rule, so the winning (feature, threshold) is bit-identical
-// to the serial scan's first-candidate-attaining-the-maximum.
 func (b *exactBuilder) bestSplit(lo, hi int, total, count float64) (feature int, threshold, improvement float64, ok bool) {
 	candidates := b.feats
 	if b.cfg.MaxFeatures > 0 && b.cfg.MaxFeatures < len(b.feats) {
@@ -394,23 +271,10 @@ func (b *exactBuilder) bestSplit(lo, hi int, total, count float64) (feature int,
 	// guard a constant-target node would split arbitrarily (every
 	// split ties the parent score exactly).
 	parentScore := total * total / count
-	floor := parentScore + 1e-9*(1+math.Abs(parentScore))
-	bestGain := floor
-	if b.featPar && hi-lo >= parallelSplitMinRows && len(candidates) > 1 {
-		par := b.par
-		pool.Do(len(candidates), par.workers, func(ci int) {
-			par.gain[ci], par.thr[ci], par.hit[ci] = b.scanFeature(candidates[ci], lo, hi, total, count, floor)
-		})
-		for ci, f := range candidates {
-			if par.hit[ci] && par.gain[ci] > bestGain {
-				bestGain, feature, threshold, ok = par.gain[ci], f, par.thr[ci], true
-			}
-		}
-	} else {
-		for _, f := range candidates {
-			if g, t, hit := b.scanFeature(f, lo, hi, total, count, bestGain); hit {
-				bestGain, feature, threshold, ok = g, f, t, true
-			}
+	bestGain := parentScore + 1e-9*(1+math.Abs(parentScore))
+	for _, f := range candidates {
+		if g, t, hit := b.scanFeature(f, lo, hi, total, count, bestGain); hit {
+			bestGain, feature, threshold, ok = g, f, t, true
 		}
 	}
 	if ok {
@@ -422,9 +286,7 @@ func (b *exactBuilder) bestSplit(lo, hi int, total, count float64) (feature int,
 // scanFeature sweeps one feature's presorted segment for the boundary
 // maximizing Σ_L²/n_L + Σ_R²/n_R, returning the best gain strictly
 // exceeding the given floor and its midpoint threshold; hit=false when
-// no boundary clears the floor. The accumulation (and therefore every
-// returned float) is independent of the floor, which is what makes the
-// concurrent candidate scans mergeable without changing results.
+// no boundary clears the floor.
 func (b *exactBuilder) scanFeature(f, lo, hi int, total, count, floor float64) (gain, threshold float64, hit bool) {
 	col := b.cols[f]
 	ord := b.order[f][lo:hi]

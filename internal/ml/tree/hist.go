@@ -5,7 +5,6 @@ import (
 	"math/bits"
 
 	"repro/internal/ml"
-	"repro/internal/pool"
 	"repro/internal/rng"
 )
 
@@ -25,13 +24,6 @@ import (
 // flat slab, children derive as parent − sibling, and only the smaller
 // child is ever refilled from rows. Small fits, small subtrees and
 // MaxFeatures-sampled fits keep this file's direct per-candidate path.
-//
-// With Config.Workers > 1 the engine parallelizes the same two ways as
-// the exact engine (see exactBuilder): concurrent candidate histogram
-// builds at large nodes — each worker fills a private histState over
-// its claimed features (slab nodes instead fill feature chunks of the
-// shared slab and sweep it concurrently) — and forked subtrees below
-// the frontier depth. Results are bit-identical for every worker count.
 type histBuilder struct {
 	bn    *ml.Binned
 	bins  [][]uint8
@@ -45,27 +37,27 @@ type histBuilder struct {
 	nodes   []node
 	minLeaf float64
 
-	// slabFree pools this builder's histogram slabs (forked subtree
-	// builders pool their own); stats tallies fill/subtract/sweep work,
-	// merged into the package counters once per fit.
+	// slabFree pools this fit's histogram slabs; stats tallies
+	// fill/subtract/sweep work, merged into the package counters once
+	// per fit.
 	slabFree []*histSlab
 	stats    ml.HistStats
 
-	// gains accumulates per-feature importance on the root builder;
-	// forked subtree builders leave it nil and record into gainLog
-	// instead, replayed at the join point (see featGain).
-	gains   []float64
-	gainLog []featGain
+	gains []float64 // per-feature importance, summed in DFS split order
 
 	idx     []int32
 	scratch []int32
 
-	// hs is the builder's own histogram accumulator (serial scans);
-	// feature-parallel scans use the per-worker states in par.hist.
 	hs histState
+}
 
-	par     *fitPar
-	featPar bool
+// histState is the direct path's histogram accumulator: per-bin
+// weighted sums and counts plus the 256-bit occupancy mask. Each
+// feature scan fills it and leaves it zeroed.
+type histState struct {
+	sum  [256]float64
+	cnt  [256]float64
+	mask [4]uint64
 }
 
 // fitHist grows the tree with the histogram engine and installs it.
@@ -96,14 +88,6 @@ func (m *Model) fitHist(cm *ml.ColMatrix, y []float64, w []float64) {
 		}
 	}
 	b.scratch = make([]int32, len(b.idx))
-
-	if b.par = newFitPar(m.Config, p); b.par != nil {
-		b.featPar = true
-		b.par.hist = make([]*histState, b.par.workers)
-		for k := range b.par.hist {
-			b.par.hist[k] = new(histState)
-		}
-	}
 
 	// Engage the slab subtraction engine for large full-feature fits:
 	// the root's histogram is materialized once and every descendant
@@ -144,16 +128,6 @@ func (b *histBuilder) nodeStats(lo, hi int) (sum, count float64) {
 	return sum, count
 }
 
-// logGain records one split's importance contribution: directly on the
-// root builder, into the replay log on forked subtree builders.
-func (b *histBuilder) logGain(feat int, improvement float64) {
-	if b.gains != nil {
-		b.gains[feat] += improvement
-	} else {
-		b.gainLog = append(b.gainLog, featGain{feat, improvement})
-	}
-}
-
 // grow builds the subtree over segment [lo, hi) and returns its node
 // index. s is the node's materialized histogram on the slab path, nil
 // on the direct path; grow owns it and releases it (or hands it to a
@@ -176,7 +150,7 @@ func (b *histBuilder) grow(lo, hi, depth int, s *histSlab) int32 {
 	var improvement, nl float64
 	var ok bool
 	if s != nil {
-		feat, bin, improvement, nl, ok = b.bestSplitSlab(s, lo, hi, sum, count)
+		feat, bin, improvement, nl, ok = b.bestSplitSlab(s, sum, count)
 	} else {
 		feat, bin, improvement, ok = b.bestSplit(lo, hi, sum, count)
 	}
@@ -184,7 +158,7 @@ func (b *histBuilder) grow(lo, hi, depth int, s *histSlab) int32 {
 		b.releaseSlab(s)
 		return self
 	}
-	b.logGain(feat, improvement)
+	b.gains[feat] += improvement
 	b.nodes[self].feature = feat
 	// Raw-space threshold: the upper edge of the winning bin, so that
 	// x <= edge routes left exactly like code <= bin did in training.
@@ -194,56 +168,10 @@ func (b *histBuilder) grow(lo, hi, depth int, s *histSlab) int32 {
 	if s != nil {
 		ls, rs = b.childSlabs(s, lo, mid, hi, depth, nl, count-nl)
 	}
-	if b.par.shouldFork(depth, mid-lo, hi-mid) && b.par.acquire() {
-		l, r := b.growForked(lo, mid, hi, depth, ls, rs)
-		b.nodes[self].kids = [2]int32{l, r}
-		return self
-	}
 	l := b.grow(lo, mid, depth+1, ls)
 	r := b.grow(mid, hi, depth+1, rs)
 	b.nodes[self].kids = [2]int32{l, r}
 	return self
-}
-
-// growForked grows the right subtree [mid, hi) on a pooled goroutine
-// (the caller must already hold a pool slot) while the calling
-// goroutine grows the left subtree inline, then splices the forked
-// block into the serial node layout (see exactBuilder.growForked — the
-// mechanics are identical, minus the shared left/order arrays the
-// histogram engine does not have).
-func (b *histBuilder) growForked(lo, mid, hi, depth int, ls, rs *histSlab) (l, r int32) {
-	child := &histBuilder{
-		bn:      b.bn,
-		bins:    b.bins,
-		edges:   b.edges,
-		y:       b.y,
-		w:       b.w,
-		cfg:     b.cfg,
-		feats:   b.feats,
-		minLeaf: b.minLeaf,
-		idx:     b.idx,
-		scratch: make([]int32, hi-mid),
-		par:     b.par,
-	}
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		defer b.par.release()
-		child.grow(mid, hi, depth+1, rs)
-	}()
-	l = b.grow(lo, mid, depth+1, ls)
-	<-done
-	b.nodes, r = spliceNodes(b.nodes, child.nodes)
-	if b.gains != nil {
-		for _, g := range child.gainLog {
-			b.gains[g.feat] += g.gain
-		}
-	} else {
-		b.gainLog = append(b.gainLog, child.gainLog...)
-	}
-	b.stats.Merge(&child.stats)
-	b.slabFree = append(b.slabFree, child.slabFree...)
-	return l, r
 }
 
 // partition stably splits segment [lo, hi) of idx around
@@ -270,9 +198,6 @@ func (b *histBuilder) partition(lo, hi int, codes []uint8, bin uint8) int {
 // candidate feature and sweeps the occupied bins cumulatively for the
 // boundary maximizing the variance reduction. Only bins actually
 // present in the node are swept and reset (tracked in a 256-bit mask).
-// Large nodes scan candidates concurrently with per-worker histograms;
-// the candidate-order merge reproduces the serial tie-break exactly
-// (see exactBuilder.bestSplit for the argument).
 func (b *histBuilder) bestSplit(lo, hi int, total, count float64) (feature int, bin uint8, improvement float64, ok bool) {
 	candidates := b.feats
 	if b.cfg.MaxFeatures > 0 && b.cfg.MaxFeatures < len(b.feats) {
@@ -282,23 +207,10 @@ func (b *histBuilder) bestSplit(lo, hi int, total, count float64) (feature int, 
 
 	// Same strict-improvement guard as the exact engine.
 	parentScore := total * total / count
-	floor := parentScore + 1e-9*(1+math.Abs(parentScore))
-	bestGain := floor
-	if b.featPar && hi-lo >= parallelSplitMinRows && len(candidates) > 1 {
-		par := b.par
-		pool.DoWorkers(len(candidates), par.workers, func(worker, ci int) {
-			par.gain[ci], par.bin[ci], par.hit[ci] = b.scanFeature(candidates[ci], lo, hi, total, count, floor, par.hist[worker])
-		})
-		for ci, f := range candidates {
-			if par.hit[ci] && par.gain[ci] > bestGain {
-				bestGain, feature, bin, ok = par.gain[ci], f, par.bin[ci], true
-			}
-		}
-	} else {
-		for _, f := range candidates {
-			if g, c, hit := b.scanFeature(f, lo, hi, total, count, bestGain, &b.hs); hit {
-				bestGain, feature, bin, ok = g, f, c, true
-			}
+	bestGain := parentScore + 1e-9*(1+math.Abs(parentScore))
+	for _, f := range candidates {
+		if g, c, hit := b.scanFeature(f, lo, hi, total, count, bestGain); hit {
+			bestGain, feature, bin, ok = g, f, c, true
 		}
 	}
 	b.stats.FillRows += uint64(hi-lo) * uint64(len(candidates))
@@ -309,13 +221,12 @@ func (b *histBuilder) bestSplit(lo, hi int, total, count float64) (feature int, 
 	return feature, bin, improvement, ok
 }
 
-// scanFeature fills st's histogram over one candidate feature's segment
-// and sweeps the occupied bins for the boundary maximizing the variance
+// scanFeature fills b.hs over one candidate feature's segment and
+// sweeps the occupied bins for the boundary maximizing the variance
 // reduction, returning the best gain strictly exceeding the floor and
-// its bin; hit=false when no boundary clears it. st is left zeroed. The
-// accumulation is independent of the floor, so concurrent scans against
-// the initial floor merge to the exact serial result.
-func (b *histBuilder) scanFeature(f, lo, hi int, total, count, floor float64, st *histState) (gain float64, bin uint8, hit bool) {
+// its bin; hit=false when no boundary clears it. b.hs is left zeroed.
+func (b *histBuilder) scanFeature(f, lo, hi int, total, count, floor float64) (gain float64, bin uint8, hit bool) {
+	st := &b.hs
 	bestGain := floor
 	lastBin := len(b.edges[f]) // highest code; splits need bin < lastBin
 	if lastBin == 0 {

@@ -99,6 +99,32 @@ func TestExactEngineMatchesNaiveOracle(t *testing.T) {
 	}
 }
 
+// TestExactEngineMatchesNaiveOracleLarge is the oracle check at a size
+// the randomized trials above never reach: 4096 rows, so the root and
+// its children partition thousands of presorted rows per feature.
+func TestExactEngineMatchesNaiveOracleLarge(t *testing.T) {
+	if testing.Short() {
+		t.Skip("naive oracle re-sorts every node")
+	}
+	x, y := randomDataset(rng.New(991), 4096, 4)
+	cfg := Config{MaxDepth: 8, MinSamplesLeaf: 2, Seed: 7}
+	engine := New(cfg)
+	if err := engine.Fit(x, y); err != nil {
+		t.Fatalf("engine fit: %v", err)
+	}
+	oracle := New(cfg)
+	oracle.fitNaive(x, y)
+	if !nodesEqual(engine.nodes, oracle.nodes) {
+		t.Fatalf("engine tree differs from naive oracle: engine %d nodes, oracle %d nodes",
+			len(engine.nodes), len(oracle.nodes))
+	}
+	for j := range engine.importances {
+		if engine.importances[j] != oracle.importances[j] {
+			t.Fatalf("importance %d: engine %v, oracle %v", j, engine.importances[j], oracle.importances[j])
+		}
+	}
+}
+
 // TestWeightedMatchesMaterializedBag: fitting with integer row
 // multiplicities must be bit-identical to fitting on the materialized
 // multiset (rows repeated in ascending order) — the property the forest

@@ -4,8 +4,6 @@ import (
 	"math"
 	"sync"
 	"time"
-
-	"repro/internal/pool"
 )
 
 // The histogram engine's parent−sibling subtraction path (LightGBM's
@@ -20,9 +18,9 @@ import (
 // subtraction match direct fills bit for bit. Derived *sums* can drift
 // from a direct fill in the last ulps (float subtraction does not undo
 // an interleaved accumulation), which is why the gates below are pure
-// functions of segment sizes and config — results are deterministic
-// and identical at every worker count, and nodes below the gate fall
-// back to the direct per-candidate fill path unchanged. Leaf values
+// functions of segment sizes and config — results are deterministic,
+// and nodes below the gate fall back to the direct per-candidate fill
+// path unchanged. Leaf values
 // never come from histograms (nodeStats row scans), so predictions of
 // direct-path trees are byte-identical to the pre-subtraction engine.
 var (
@@ -139,9 +137,6 @@ func (b *histBuilder) releaseSlab(s *histSlab) {
 // fillSlab directly fills the slab over segment [lo, hi): every
 // feature's histogram in one pass each, in segment row order — the
 // exact accumulation sequence the per-candidate direct path produces.
-// Large segments fill features concurrently (feature-chunk
-// parallelism): workers own disjoint slab regions, so there is no
-// merge and the result is bit-identical at every worker count.
 func (b *histBuilder) fillSlab(s *histSlab, lo, hi int) {
 	rows := hi - lo
 	timed := rows >= histStatsTimingMinRows
@@ -150,14 +145,8 @@ func (b *histBuilder) fillSlab(s *histSlab, lo, hi int) {
 		t0 = time.Now()
 	}
 	p := len(b.feats)
-	if b.featPar && rows >= parallelSplitMinRows && p > 1 {
-		pool.DoWorkers(p, b.par.workers, func(_, f int) {
-			b.fillSlabFeature(s, f, lo, hi)
-		})
-	} else {
-		for f := 0; f < p; f++ {
-			b.fillSlabFeature(s, f, lo, hi)
-		}
+	for f := 0; f < p; f++ {
+		b.fillSlabFeature(s, f, lo, hi)
 	}
 	b.stats.FillRows += uint64(rows) * uint64(p)
 	b.stats.DirectNodes++
@@ -264,8 +253,7 @@ func (b *histBuilder) deriveSlab(parent, small *histSlab, timed bool) {
 // as parent − sibling (consuming the parent's slab), with children
 // that cannot split (depth or MinSamplesSplit) skipped and segments
 // below the subtraction gate dropped to the direct per-candidate path
-// (nil slab). The decision depends only on segment sizes, weights and
-// config, never on worker count or scheduling.
+// (nil slab). The decision depends only on segment sizes, weights and config.
 func (b *histBuilder) childSlabs(s *histSlab, lo, mid, hi, depth int, cl, cr float64) (ls, rs *histSlab) {
 	depthOK := b.cfg.MaxDepth == 0 || depth+1 < b.cfg.MaxDepth
 	minSplit := float64(b.cfg.MinSamplesSplit)
@@ -318,29 +306,13 @@ func (b *histBuilder) childSlabs(s *histSlab, lo, mid, hi, depth int, cl, cr flo
 // happened. Candidates are always all features here: the slab engine
 // only engages without MaxFeatures subsampling. Sweep order, gain
 // arithmetic and the strict-> floor are identical to the direct path's
-// scanFeature, so a directly-filled slab node chooses the exact same
-// split. Large nodes sweep candidates concurrently against a fixed
-// floor and merge in candidate order (first-candidate-wins preserved).
-func (b *histBuilder) bestSplitSlab(s *histSlab, lo, hi int, total, count float64) (feature int, bin uint8, improvement, nlBest float64, ok bool) {
+// scanFeature, so a directly-filled slab node chooses the exact same split.
+func (b *histBuilder) bestSplitSlab(s *histSlab, total, count float64) (feature int, bin uint8, improvement, nlBest float64, ok bool) {
 	parentScore := total * total / count
-	floor := parentScore + 1e-9*(1+math.Abs(parentScore))
-	bestGain := floor
-	candidates := b.feats
-	if b.featPar && hi-lo >= parallelSplitMinRows && len(candidates) > 1 {
-		par := b.par
-		pool.DoWorkers(len(candidates), par.workers, func(_, ci int) {
-			par.gain[ci], par.bin[ci], par.nl[ci], par.hit[ci] = b.sweepSlabFeature(s, candidates[ci], total, count, floor)
-		})
-		for ci, f := range candidates {
-			if par.hit[ci] && par.gain[ci] > bestGain {
-				bestGain, feature, bin, nlBest, ok = par.gain[ci], f, par.bin[ci], par.nl[ci], true
-			}
-		}
-	} else {
-		for _, f := range candidates {
-			if g, c, nl, hit := b.sweepSlabFeature(s, f, total, count, bestGain); hit {
-				bestGain, feature, bin, nlBest, ok = g, f, c, nl, true
-			}
+	bestGain := parentScore + 1e-9*(1+math.Abs(parentScore))
+	for _, f := range b.feats {
+		if g, c, nl, hit := b.sweepSlabFeature(s, f, total, count, bestGain); hit {
+			bestGain, feature, bin, nlBest, ok = g, f, c, nl, true
 		}
 	}
 	if ok {

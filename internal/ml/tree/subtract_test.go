@@ -10,7 +10,7 @@ import (
 // setHistGates overrides the slab engine's size gates for a test and
 // restores them afterwards. The gates are pure functions of segment
 // sizes, so moving them only changes WHICH nodes take the subtraction
-// path, never the worker-invariance of the result.
+// path.
 func setHistGates(t *testing.T, slabMin, subMin int) {
 	t.Helper()
 	oldSlab, oldSub := histSlabMinRows, histSubtractMinRows
@@ -40,7 +40,7 @@ func newNaiveHist(bn *ml.Binned) *naiveHist {
 // engine's parent−sibling subtraction recurrence and its size gates —
 // with the dumbest possible bookkeeping: per-node fresh allocations,
 // fresh row slices, full-range sweeps, strictly serial. It is the
-// reference the pooled/enveloped/parallel slab engine must reproduce
+// reference the pooled/enveloped slab engine must reproduce
 // bit for bit (the subtraction operands are the same floats in the same
 // order, so even derived sums must match exactly). MaxFeatures
 // subsampling is out of scope — the slab engine never engages there.
@@ -221,12 +221,11 @@ func abs(v float64) float64 {
 }
 
 // TestSubtractionEngineMatchesNaiveOracle anchors the whole slab engine
-// — pooled slabs, envelope sweeps, in-place derivation, feature-chunk
-// fills, concurrent sweeps, forked subtrees — to the naive
+// — pooled slabs, envelope sweeps, in-place derivation — to the naive
 // reimplementation of the same recurrence. Both subtract the same
 // floats in the same order, so the comparison is bitwise even for
 // continuous targets, across random datasets with ties, constant
-// columns and zero-weight compacted rows, at every worker count.
+// columns and zero-weight compacted rows.
 func TestSubtractionEngineMatchesNaiveOracle(t *testing.T) {
 	if testing.Short() {
 		t.Skip("large datasets")
@@ -258,23 +257,18 @@ func TestSubtractionEngineMatchesNaiveOracle(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		oracle := New(cfg)
-		wantNodes, wantGains := naiveBinnedFit(oracle, cm, y, w)
-		for _, workers := range []int{1, 2, 4, 8} {
-			c := cfg
-			c.Workers = workers
-			engine := New(c)
-			if err := engine.FitWeighted(cm, y, w); err != nil {
-				t.Fatalf("trial %d workers %d: %v", trial, workers, err)
-			}
-			if !nodesEqual(engine.nodes, wantNodes) {
-				t.Fatalf("trial %d (n=%d p=%d w=%v workers=%d): engine tree differs from naive subtraction oracle (engine %d nodes, oracle %d)",
-					trial, n, p, w != nil, workers, len(engine.nodes), len(wantNodes))
-			}
-			for f := range wantGains {
-				if engine.importances[f] != wantGains[f] {
-					t.Fatalf("trial %d workers %d: importance %d: engine %v oracle %v", trial, workers, f, engine.importances[f], wantGains[f])
-				}
+		wantNodes, wantGains := naiveBinnedFit(New(cfg), cm, y, w)
+		engine := New(cfg)
+		if err := engine.FitWeighted(cm, y, w); err != nil {
+			t.Fatalf("trial %d: %v", trial, err)
+		}
+		if !nodesEqual(engine.nodes, wantNodes) {
+			t.Fatalf("trial %d (n=%d p=%d w=%v): engine tree differs from naive subtraction oracle (engine %d nodes, oracle %d)",
+				trial, n, p, w != nil, len(engine.nodes), len(wantNodes))
+		}
+		for f := range wantGains {
+			if engine.importances[f] != wantGains[f] {
+				t.Fatalf("trial %d: importance %d: engine %v oracle %v", trial, f, engine.importances[f], wantGains[f])
 			}
 		}
 	}
@@ -484,34 +478,5 @@ func TestSlabRecyclerInvariant(t *testing.T) {
 	}
 	if !nodesEqual(first.nodes, second.nodes) {
 		t.Fatal("fit on recycled slabs differs from fresh-allocation fit")
-	}
-}
-
-// TestSlabWorkerSweepLargeBinned re-pins worker invariance right at the
-// acceptance benchmark's shape (n=20000-scale binned fits are covered
-// by the bench, this is the CI-sized version): binned forest-style
-// configs at workers ∈ {1, 2, 4, 8} must be bit-identical.
-func TestSlabWorkerSweepLargeBinned(t *testing.T) {
-	if testing.Short() {
-		t.Skip("large dataset")
-	}
-	rnd := rng.New(4242)
-	n, p := 6000, 6
-	x, y := randomDataset(rnd, n, p)
-	cfg := Config{MaxDepth: 12, MinSamplesLeaf: 2, Bins: 256}
-	base := New(cfg)
-	if err := base.Fit(x, y); err != nil {
-		t.Fatal(err)
-	}
-	for _, workers := range []int{2, 4, 8} {
-		c := cfg
-		c.Workers = workers
-		m := New(c)
-		if err := m.Fit(x, y); err != nil {
-			t.Fatal(err)
-		}
-		if !nodesEqual(base.nodes, m.nodes) {
-			t.Fatalf("workers=%d: binned slab tree differs from serial", workers)
-		}
 	}
 }

@@ -51,21 +51,6 @@ type Config struct {
 	// histogram engine with at most Bins quantile buckets per feature.
 	// Values above 256 are clamped to 256 (bin codes are uint8).
 	Bins int
-	// Workers bounds intra-fit parallelism (ml.FitOptions.Workers):
-	// candidate features are scanned concurrently at large nodes and
-	// whole subtrees are grown concurrently below the frontier depth.
-	// 0 or 1 grows strictly serially on the calling goroutine. The
-	// grown tree is bit-identical for every value — parallel scans
-	// reproduce the serial candidate-order tie-break, and forked
-	// subtrees splice back into the exact serial node layout — so
-	// Workers is an execution knob, not part of the model identity.
-	Workers int
-	// ParallelFrontier is the depth limit for subtree forking when
-	// Workers > 1: split nodes at depth < ParallelFrontier may hand
-	// their right subtree to a pooled worker, deeper nodes grow
-	// serially. 0 derives log2(Workers)+2 — enough fork points to fill
-	// the pool without flooding it with tiny tasks.
-	ParallelFrontier int
 }
 
 // Model is a fitted CART regression tree.

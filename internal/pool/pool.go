@@ -1,15 +1,13 @@
-// Package pool provides the bounded worker-pool idioms shared across
-// the codebase: ForEach for the engine's cancellable per-vehicle
-// training fan-out, and Do/DoWorkers for the ml split engines'
-// intra-fit parallelism. It sits below both internal/engine and
-// internal/ml in the dependency order, so either side can use it
-// without a cycle.
+// Package pool provides ForEach, the bounded, cancellable worker pool
+// behind the engine's per-vehicle training fan-out and the experiment
+// drivers' per-vehicle loops. Parallelism in this system lives across
+// vehicles (and, inside a random forest, across trees); a single
+// model's fit runs serially on the calling goroutine.
 package pool
 
 import (
 	"context"
 	"sync"
-	"sync/atomic"
 )
 
 // ForEach executes fn(i) for every i in [0, n) on at most workers
@@ -72,54 +70,4 @@ feed:
 		}
 	}
 	return nil
-}
-
-// DoWorkers executes fn(worker, i) for every i in [0, n) on at most
-// workers goroutines, passing each call the index of the worker running
-// it so callers can hand out per-worker scratch buffers. The calling
-// goroutine participates as worker 0; workers-1 extra goroutines are
-// spawned. Items are claimed from a shared atomic counter (no per-item
-// channel operation), which keeps the dispatch overhead small enough
-// for the split engines' per-node fan-outs. fn must be safe to call
-// concurrently for distinct items; the assignment of items to workers
-// is scheduling-dependent, so correctness must not depend on it.
-func DoWorkers(n, workers int, fn func(worker, i int)) {
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			fn(0, i)
-		}
-		return
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 1; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				fn(w, i)
-			}
-		}(w)
-	}
-	for {
-		i := int(next.Add(1)) - 1
-		if i >= n {
-			break
-		}
-		fn(0, i)
-	}
-	wg.Wait()
-}
-
-// Do is DoWorkers without the worker index, for callers whose items
-// need no per-worker state.
-func Do(n, workers int, fn func(i int)) {
-	DoWorkers(n, workers, func(_, i int) { fn(i) })
 }

@@ -8,7 +8,7 @@ import (
 	"testing"
 )
 
-// workerCounts are the pool bounds every runner must handle for n items:
+// workerCounts are the pool bounds ForEach must handle for n items:
 // nonsense (≤ 0), serial, exactly n, and more workers than items.
 func workerCounts(n int) []int { return []int{-3, 0, 1, n, n + 5} }
 
@@ -30,36 +30,6 @@ func TestForEachRunsEveryIndexOnce(t *testing.T) {
 			if err := ForEach(context.Background(), n, workers, func(i int) { calls[i].Add(1) }); err != nil {
 				t.Fatalf("%s: %v", label, err)
 			}
-			assertOnce(t, label, calls)
-		}
-	}
-}
-
-func TestDoRunsEveryIndexOnce(t *testing.T) {
-	for _, n := range []int{0, 1, 7, 64} {
-		for _, workers := range workerCounts(n) {
-			label := fmt.Sprintf("n=%d workers=%d", n, workers)
-			calls := make([]atomic.Int32, n)
-			Do(n, workers, func(i int) { calls[i].Add(1) })
-			assertOnce(t, label, calls)
-		}
-	}
-}
-
-// TestDoWorkersRunsEveryIndexOnce also pins the worker indices handed
-// out: callers size per-worker scratch by min(workers, n), at least 1.
-func TestDoWorkersRunsEveryIndexOnce(t *testing.T) {
-	for _, n := range []int{0, 1, 7, 64} {
-		for _, workers := range workerCounts(n) {
-			label := fmt.Sprintf("n=%d workers=%d", n, workers)
-			slots := max(1, min(workers, n))
-			calls := make([]atomic.Int32, n)
-			DoWorkers(n, workers, func(w, i int) {
-				if w < 0 || w >= slots {
-					t.Errorf("%s: worker index %d outside [0,%d)", label, w, slots)
-				}
-				calls[i].Add(1)
-			})
 			assertOnce(t, label, calls)
 		}
 	}
