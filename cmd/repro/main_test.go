@@ -18,14 +18,15 @@ var timingText = regexp.MustCompile(`(?m)^## \(\S+ finished in [0-9.]+s\)\n\n| \
 
 // TestPaperGolden pins the paper's tables and figures at a small fleet
 // (8 vehicles, 1100 days): Table 1, the Fig 4 window sweep, Table 2's
-// best windows, Fig 5 and Table 3's cold-start errors. Any learner or
+// best windows, Fig 5, Table 3's cold-start errors and the ablations
+// (whose similarity-measure rows are the DTW donor path). Any learner or
 // pipeline change that moves a number shows up as a golden diff.
 // Regenerate with `go test ./cmd/repro -run TestPaperGolden -update`.
 func TestPaperGolden(t *testing.T) {
 	if testing.Short() {
-		t.Skip("trains the small paper fleet five times")
+		t.Skip("trains the small paper fleet six times")
 	}
-	for _, exp := range []string{"table1", "table2", "fig4", "fig5", "table3"} {
+	for _, exp := range []string{"table1", "table2", "fig4", "fig5", "table3", "ablations"} {
 		t.Run(exp, func(t *testing.T) {
 			var out bytes.Buffer
 			if err := run([]string{"-exp", exp, "-vehicles", "8", "-days", "1100"}, &out); err != nil {
