@@ -10,20 +10,15 @@ import (
 	"fmt"
 	"sync"
 	"testing"
-	"time"
 
-	"repro/internal/anomaly"
-	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/experiments"
-	"repro/internal/forecast"
 	"repro/internal/ml"
 	"repro/internal/ml/forest"
 	"repro/internal/ml/gbm"
 	"repro/internal/ml/tree"
 	"repro/internal/rng"
-	"repro/internal/similarity"
 	"repro/internal/telematics"
 	"repro/internal/timeseries"
 )
@@ -367,38 +362,6 @@ func BenchmarkAblationHistogramBins(b *testing.B) {
 	}
 }
 
-// BenchmarkSimilarityMeasures contrasts the paper's point-wise distance
-// with the DTW extension on realistic series lengths.
-func BenchmarkSimilarityMeasures(b *testing.B) {
-	e := env(b)
-	a := e.Olds[0].U.Slice(0, 120)
-	c := e.Olds[1%len(e.Olds)].U.Slice(0, 120)
-	b.Run("avg", func(b *testing.B) {
-		m := similarity.AvgDistance{}
-		for i := 0; i < b.N; i++ {
-			if _, err := m.Distance(a, c); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("dtw", func(b *testing.B) {
-		m := similarity.DTW{}
-		for i := 0; i < b.N; i++ {
-			if _, err := m.Distance(a, c); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("dtw-band14", func(b *testing.B) {
-		m := similarity.BandedDTW{Band: 14}
-		for i := 0; i < b.N; i++ {
-			if _, err := m.Distance(a, c); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-}
-
 // BenchmarkFleetGeneration isolates the telematics simulator.
 func BenchmarkFleetGeneration(b *testing.B) {
 	cfg := telematics.DefaultFleetConfig()
@@ -543,72 +506,6 @@ func BenchmarkWalkForward(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := core.EvaluateWalkForward(vs, core.RF, cfg); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkFleetClustering measures usage-profile extraction plus
-// k-means over the fleet (the intro's analysis (ii)).
-func BenchmarkFleetClustering(b *testing.B) {
-	e := env(b)
-	var points [][]float64
-	for _, vs := range e.Olds {
-		f, err := cluster.UsageFeatures(vs.U)
-		if err != nil {
-			b.Fatal(err)
-		}
-		points = append(points, f)
-	}
-	k := 3
-	if k > len(points) {
-		k = len(points)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := cluster.KMeans(points, cluster.Config{K: k, Seed: 1}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkUsageForecast measures fitting + 30-day horizon of the
-// usage forecaster (the intro's analysis (i)).
-func BenchmarkUsageForecast(b *testing.B) {
-	e := env(b)
-	u := e.Olds[0].U
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		f := forecast.New(forecast.DefaultConfig())
-		if err := f.Fit(u); err != nil {
-			b.Fatal(err)
-		}
-		if _, err := f.Horizon(u, 30); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkDriftDetection measures the anomaly detector over a day of
-// 10-minute reports (the intro's analysis (iii)).
-func BenchmarkDriftDetection(b *testing.B) {
-	rnd := rng.New(5)
-	var reports []telematics.SummaryReport
-	t0 := time.Date(2019, 6, 3, 0, 0, 0, 0, time.UTC)
-	for i := 0; i < 144; i++ {
-		reports = append(reports, telematics.SummaryReport{
-			VehicleID:      "v1",
-			PeriodStart:    t0.Add(time.Duration(i) * 10 * time.Minute),
-			PeriodEnd:      t0.Add(time.Duration(i+1) * 10 * time.Minute),
-			WorkSeconds:    590,
-			AvgEngineSpeed: 1900 + rnd.NormFloat64()*20,
-			MinOilPressure: 350 + rnd.NormFloat64()*8,
-			MaxCoolantTemp: 95 + rnd.NormFloat64()*1.5,
-		})
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := anomaly.DetectDrift(reports, anomaly.DefaultDriftConfig()); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -311,7 +311,7 @@ func runAblations(out io.Writer, env *experiments.Env) error {
 	if err := print(env.AblationRestriction(core.RF, 0)); err != nil {
 		return err
 	}
-	rows, err := env.Table3Similarity(6, experiments.MeasureDTW)
+	rows, err := env.Table3DTW(6)
 	if err != nil {
 		return err
 	}

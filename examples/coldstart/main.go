@@ -74,7 +74,7 @@ func main() {
 
 	// Strategy 3: train only on the most similar donor.
 	for _, alg := range core.TrainedAlgorithms() {
-		model, donor, err := core.TrainSimilarity(newcomer, donors, alg, csCfg)
+		model, donor, err := core.TrainSimilarity(newcomer, donors, alg, csCfg, timeseries.AvgDistance)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -1,3 +1,9 @@
+// Package cluster is the serving cluster: the consistent-hash Ring and
+// the Sharded engine group partition the fleet across N engine shards
+// (ring.go, sharded.go) so training and snapshot memory scale
+// horizontally, and the donor exchange (donor.go) gives every shard the
+// fleet-wide donor pool. The HTTP fan-out router over the shards lives
+// in internal/serve.
 package cluster
 
 import (

@@ -133,67 +133,63 @@ func TrainUnified(train []*timeseries.VehicleSeries, alg Algorithm, cfg ColdStar
 	return model, nil
 }
 
-// MostSimilarVehicle implements the §4.4.1 selection: compare the
-// semi-new vehicle's utilization in the first half of its first cycle
-// against each candidate's same period using the point-wise average
-// distance, and return the closest candidate.
-func MostSimilarVehicle(test *timeseries.VehicleSeries, candidates []*timeseries.VehicleSeries) (*timeseries.VehicleSeries, float64, error) {
-	if len(candidates) == 0 {
-		return nil, 0, fmt.Errorf("core: MostSimilarVehicle with no candidates")
+// Distance is a §4.4.1 donor-selection measure between two utilization
+// series; lower is more similar. The paper's is timeseries.AvgDistance.
+type Distance func(a, b timeseries.Series) (float64, error)
+
+// nearestDonor is the one §4.4.1 donor scan: the candidate whose first
+// half-cycle is closest to probe under dist, with that distance. A
+// candidate without a half-cycle, or whose distance fails, is skipped;
+// a tie goes to the first candidate in input order. nil means no
+// candidate was usable.
+func nearestDonor(probe timeseries.Series, cands []*timeseries.VehicleSeries, dist Distance) (*timeseries.VehicleSeries, float64) {
+	var best *timeseries.VehicleSeries
+	bestDist := math.Inf(1)
+	for _, cand := range cands {
+		half, err := halfCycleDay(cand)
+		if err != nil {
+			continue
+		}
+		d, err := dist(probe, cand.U[:half])
+		if err != nil {
+			continue
+		}
+		if d < bestDist {
+			best, bestDist = cand, d
+		}
 	}
-	testHalf, err := halfCycleDay(test)
+	return best, bestDist
+}
+
+// MostSimilarVehicle implements the offline §4.4.1 selection: compare
+// the test vehicle's utilization in the first half of its first cycle
+// against each candidate's same period under dist, and return the
+// closest candidate.
+func MostSimilarVehicle(test *timeseries.VehicleSeries, candidates []*timeseries.VehicleSeries, dist Distance) (*timeseries.VehicleSeries, float64, error) {
+	half, err := halfCycleDay(test)
 	if err != nil {
 		return nil, 0, err
 	}
-	testSeries := test.U.Slice(0, testHalf)
-
-	var best *timeseries.VehicleSeries
-	bestDist := math.Inf(1)
-	for _, cand := range candidates {
-		candHalf, err := halfCycleDay(cand)
-		if err != nil {
-			return nil, 0, err
-		}
-		d, err := timeseries.AvgDistance(testSeries, cand.U.Slice(0, candHalf))
-		if err != nil {
-			return nil, 0, err
-		}
-		if d < bestDist {
-			bestDist = d
-			best = cand
-		}
+	best, d := nearestDonor(test.U[:half], candidates, dist)
+	if best == nil {
+		return nil, 0, fmt.Errorf("core: no usable donor for %s among %d candidates", test.ID, len(candidates))
 	}
-	return best, bestDist, nil
+	return best, d, nil
 }
 
 // TrainSimilarity fits the §4.4.1 Similarity-based model (Model_Sim):
-// pick the most similar training vehicle and train on its first cycle
-// only. It returns the model and the chosen donor's ID.
-func TrainSimilarity(test *timeseries.VehicleSeries, train []*timeseries.VehicleSeries, alg Algorithm, cfg ColdStartConfig) (ml.Regressor, string, error) {
+// pick the training vehicle most similar under dist and train on its
+// first cycle only. It returns the model and the chosen donor's ID.
+func TrainSimilarity(test *timeseries.VehicleSeries, train []*timeseries.VehicleSeries, alg Algorithm, cfg ColdStartConfig, dist Distance) (ml.Regressor, string, error) {
 	if alg == BL {
 		return nil, "", fmt.Errorf("core: the baseline has no similarity variant")
 	}
-	donor, _, err := MostSimilarVehicle(test, train)
+	donor, _, err := MostSimilarVehicle(test, train, dist)
 	if err != nil {
 		return nil, "", err
 	}
-	recs, err := FirstCycleRecords(donor, cfg.featureConfig())
+	model, err := fitSimilarity(donor, alg, cfg)
 	if err != nil {
-		return nil, "", err
-	}
-	if len(recs) == 0 {
-		return nil, "", fmt.Errorf("core: donor %s produced no first-cycle records", donor.ID)
-	}
-	params := cfg.Params
-	if params == nil {
-		params = DefaultParams(alg)
-	}
-	model, err := Build(alg, ApplyBins(params, cfg.Bins), cfg.Seed)
-	if err != nil {
-		return nil, "", err
-	}
-	x, y := RecordsToXY(recs)
-	if err := model.Fit(x, y); err != nil {
 		return nil, "", fmt.Errorf("core: fitting similarity %s on donor %s: %w", alg, donor.ID, err)
 	}
 	return model, donor.ID, nil

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"math"
 	"testing"
 	"time"
@@ -66,15 +67,84 @@ func TestFirstCycleRecordsRequiresCompleteCycle(t *testing.T) {
 
 func TestMostSimilarVehiclePicksMatchingRate(t *testing.T) {
 	donors, test := coldStartFleet(t)
-	best, dist, err := MostSimilarVehicle(test, donors)
+	best, dist, err := MostSimilarVehicle(test, donors, timeseries.AvgDistance)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if best.ID != "d0" {
 		t.Fatalf("picked %s (dist %v), want d0 (closest rate)", best.ID, dist)
 	}
-	if _, _, err := MostSimilarVehicle(test, nil); err == nil {
+	if _, _, err := MostSimilarVehicle(test, nil, timeseries.AvgDistance); err == nil {
 		t.Fatal("empty candidate set accepted")
+	}
+}
+
+// TestNearestDonor pins the one donor scan through both entry points:
+// the live pickDonor (probe = all history) and the offline
+// MostSimilarVehicle (probe = first half-cycle).
+func TestNearestDonor(t *testing.T) {
+	donors, test := coldStartFleet(t)
+	twin := syntheticVehicle(t, "twin", 300, 12000, 60)   // same series as d0
+	young := syntheticVehicle(t, "young", 30, 20000, 300) // no complete first cycle
+	ids := func(vs []*timeseries.VehicleSeries) (out []string) {
+		for _, v := range vs {
+			out = append(out, v.ID)
+		}
+		return out
+	}
+	id := func(vs *timeseries.VehicleSeries) string {
+		if vs == nil {
+			return ""
+		}
+		return vs.ID
+	}
+	// A nil dist is the deployed measure, which pickDonor hard-wires.
+	live := func(cands []*timeseries.VehicleSeries, dist Distance) string {
+		if dist == nil {
+			return id(pickDonor(test, cands))
+		}
+		best, _ := nearestDonor(test.U, cands, dist)
+		return id(best)
+	}
+	offline := func(cands []*timeseries.VehicleSeries, dist Distance) string {
+		if dist == nil {
+			dist = timeseries.AvgDistance
+		}
+		best, _, err := MostSimilarVehicle(test, cands, dist)
+		if (err == nil) != (best != nil) {
+			t.Fatalf("MostSimilarVehicle gave %v with error %v", id(best), err)
+		}
+		return id(best)
+	}
+	// failOn is the paper's distance, except that it fails (claiming a
+	// perfect match) against bad's half-cycle.
+	failOn := func(bad *timeseries.VehicleSeries) Distance {
+		return func(a, b timeseries.Series) (float64, error) {
+			if &b[0] == &bad.U[0] {
+				return 0, errors.New("unusable")
+			}
+			return timeseries.AvgDistance(a, b)
+		}
+	}
+
+	for _, tc := range []struct {
+		name  string
+		cands []*timeseries.VehicleSeries
+		dist  Distance // nil = timeseries.AvgDistance
+		want  string   // "" = no usable candidate
+	}{
+		{"tie goes to the first", []*timeseries.VehicleSeries{donors[1], donors[0], twin}, nil, "d0"},
+		{"tie in the other order", []*timeseries.VehicleSeries{twin, donors[0], donors[1]}, nil, "twin"},
+		{"no half-cycle is skipped", []*timeseries.VehicleSeries{young, donors[2], donors[1]}, nil, "d1"},
+		{"failed distance is skipped", []*timeseries.VehicleSeries{donors[0], donors[1]}, failOn(donors[0]), "d1"},
+		{"nothing usable", []*timeseries.VehicleSeries{young}, nil, ""},
+		{"no candidates", nil, nil, ""},
+	} {
+		for path, got := range map[string]string{"live": live(tc.cands, tc.dist), "offline": offline(tc.cands, tc.dist)} {
+			if got != tc.want {
+				t.Errorf("%s, %s path over %v: got %q, want %q", tc.name, path, ids(tc.cands), got, tc.want)
+			}
+		}
 	}
 }
 
@@ -122,7 +192,7 @@ func TestTrainSimilarityAndEvaluate(t *testing.T) {
 	donors, test := coldStartFleet(t)
 	cfg := NewColdStartConfig()
 	cfg.Window = 2
-	model, donor, err := TrainSimilarity(test, donors, XGB, cfg)
+	model, donor, err := TrainSimilarity(test, donors, XGB, cfg, timeseries.AvgDistance)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,7 +206,7 @@ func TestTrainSimilarityAndEvaluate(t *testing.T) {
 	if mre := rep.MRE(DefaultDTilde()); math.IsNaN(mre) || mre > 15 {
 		t.Fatalf("implausible similarity MRE %v", mre)
 	}
-	if _, _, err := TrainSimilarity(test, donors, BL, cfg); err == nil {
+	if _, _, err := TrainSimilarity(test, donors, BL, cfg, timeseries.AvgDistance); err == nil {
 		t.Fatal("baseline similarity accepted")
 	}
 }

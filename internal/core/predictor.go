@@ -483,23 +483,8 @@ func trainNew(shared *TrainShared) (VehicleStatus, ml.Regressor, error) {
 // for every plan to run, which is what lets a semi-new model be keyed
 // on its donor (modelKey).
 func pickDonor(test *timeseries.VehicleSeries, olds []*timeseries.VehicleSeries) *timeseries.VehicleSeries {
-	var best *timeseries.VehicleSeries
-	bestDist := math.Inf(1)
-	for _, cand := range olds {
-		candHalf, err := halfCycleDay(cand)
-		if err != nil {
-			continue
-		}
-		d, err := timeseries.AvgDistance(test.U, cand.U[:candHalf])
-		if err != nil {
-			continue
-		}
-		if d < bestDist {
-			bestDist = d
-			best = cand
-		}
-	}
-	return best
+	donor, _ := nearestDonor(test.U, olds, timeseries.AvgDistance)
+	return donor
 }
 
 // fitSimilarity fits the Model_Sim of a live semi-new vehicle: alg on

@@ -93,22 +93,11 @@ func (e *Env) Table3(window int) ([]Table3Row, error) {
 
 	// Similarity-based models: semi-new only (need per-vehicle history).
 	for _, alg := range core.TrainedAlgorithms() {
-		var reports []*core.ErrorReport
-		for _, test := range split.Test {
-			model, donor, err := core.TrainSimilarity(test, split.Train, alg, cfg)
-			if err != nil {
-				return nil, fmt.Errorf("experiments: similarity %s for %s: %w", alg, test.ID, err)
-			}
-			rep, err := core.EvaluateSemiNew(model, fmt.Sprintf("%s_Sim(%s)", alg, donor), test, cfg)
-			if err != nil {
-				continue
-			}
-			reports = append(reports, rep)
+		row, err := simRow(split, alg, cfg, timeseries.AvgDistance, string(alg)+"_Sim")
+		if err != nil {
+			return nil, err
 		}
-		if len(reports) == 0 {
-			return nil, fmt.Errorf("experiments: %s_Sim evaluable on no test vehicle", alg)
-		}
-		rows = append(rows, Table3Row{Model: string(alg) + "_Sim", SemiNewEMRE: core.MeanMRE(reports, d), NewEGlobal: math.NaN()})
+		rows = append(rows, row)
 	}
 
 	// Unified models: semi-new E_MRE (restricted training) and new
@@ -143,10 +132,10 @@ func (e *Env) Table3(window int) ([]Table3Row, error) {
 	return rows, nil
 }
 
-// Table3Similarity is the DESIGN.md ablation 4: Table 3's Sim rows with
-// the DTW similarity measure instead of the paper's point-wise average
+// Table3DTW is the DESIGN.md ablation 4: Table 3's Sim rows with donors
+// picked by banded DTW instead of the paper's point-wise average
 // distance.
-func (e *Env) Table3Similarity(window int, measure SimilarityMeasure) ([]Table3Row, error) {
+func (e *Env) Table3DTW(window int) ([]Table3Row, error) {
 	split, err := e.SplitColdStart()
 	if err != nil {
 		return nil, err
@@ -154,26 +143,35 @@ func (e *Env) Table3Similarity(window int, measure SimilarityMeasure) ([]Table3R
 	cfg := core.NewColdStartConfig()
 	cfg.Window = window
 	cfg.Seed = e.Scale.Seed
-	d := core.DefaultDTilde()
 
 	var rows []Table3Row
 	for _, alg := range core.TrainedAlgorithms() {
-		var reports []*core.ErrorReport
-		for _, test := range split.Test {
-			model, donor, err := trainSimilarityWith(test, split.Train, alg, cfg, measure)
-			if err != nil {
-				return nil, err
-			}
-			rep, err := core.EvaluateSemiNew(model, fmt.Sprintf("%s_Sim[%s](%s)", alg, measure, donor), test, cfg)
-			if err != nil {
-				continue
-			}
-			reports = append(reports, rep)
+		row, err := simRow(split, alg, cfg, bandedDTW, string(alg)+"_Sim[dtw]")
+		if err != nil {
+			return nil, err
 		}
-		if len(reports) == 0 {
-			return nil, fmt.Errorf("experiments: %s_Sim[%s] evaluable on no test vehicle", alg, measure)
-		}
-		rows = append(rows, Table3Row{Model: fmt.Sprintf("%s_Sim[%s]", alg, measure), SemiNewEMRE: core.MeanMRE(reports, d), NewEGlobal: math.NaN()})
+		rows = append(rows, row)
 	}
 	return rows, nil
+}
+
+// simRow scores alg's Model_Sim, donors picked under dist, on the
+// semi-new phase of every test vehicle.
+func simRow(split *ColdStartSplit, alg core.Algorithm, cfg core.ColdStartConfig, dist core.Distance, label string) (Table3Row, error) {
+	var reports []*core.ErrorReport
+	for _, test := range split.Test {
+		model, donor, err := core.TrainSimilarity(test, split.Train, alg, cfg, dist)
+		if err != nil {
+			return Table3Row{}, fmt.Errorf("experiments: %s for %s: %w", label, test.ID, err)
+		}
+		rep, err := core.EvaluateSemiNew(model, fmt.Sprintf("%s(%s)", label, donor), test, cfg)
+		if err != nil {
+			continue
+		}
+		reports = append(reports, rep)
+	}
+	if len(reports) == 0 {
+		return Table3Row{}, fmt.Errorf("experiments: %s evaluable on no test vehicle", label)
+	}
+	return Table3Row{Model: label, SemiNewEMRE: core.MeanMRE(reports, core.DefaultDTilde()), NewEGlobal: math.NaN()}, nil
 }

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -314,7 +315,7 @@ func TestTable3Shape(t *testing.T) {
 }
 
 func TestTable3SimilarityMeasureAblation(t *testing.T) {
-	rows, err := env(t).Table3Similarity(3, MeasureDTW)
+	rows, err := env(t).Table3DTW(3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -322,12 +323,9 @@ func TestTable3SimilarityMeasureAblation(t *testing.T) {
 		t.Fatalf("got %d rows", len(rows))
 	}
 	for _, r := range rows {
-		if math.IsNaN(r.SemiNewEMRE) {
-			t.Fatalf("%s: NaN", r.Model)
+		if math.IsNaN(r.SemiNewEMRE) || !strings.HasSuffix(r.Model, "_Sim[dtw]") {
+			t.Fatalf("%s: EMRE %v", r.Model, r.SemiNewEMRE)
 		}
-	}
-	if _, err := env(t).Table3Similarity(3, SimilarityMeasure("nope")); err == nil {
-		t.Fatal("unknown measure accepted")
 	}
 }
 

@@ -11,7 +11,6 @@ package linreg
 import (
 	"fmt"
 
-	"repro/internal/mat"
 	"repro/internal/ml"
 )
 
@@ -59,22 +58,22 @@ func (m *Model) Fit(x [][]float64, y []float64) error {
 	}
 	yMean /= float64(n)
 
-	xc := mat.NewDense(n, p)
+	xc := newDense(n, p)
 	yc := make([]float64, n)
 	for i := 0; i < n; i++ {
-		row := xc.Row(i)
+		row := xc.row(i)
 		for j, v := range x[i] {
 			row[j] = v - xMean[j]
 		}
 		yc[i] = y[i] - yMean
 	}
 
-	w, err := mat.LeastSquares(xc, yc, m.Ridge)
+	w, err := leastSquares(xc, yc, m.Ridge)
 	if err != nil {
 		return fmt.Errorf("linreg: solving normal equations: %w", err)
 	}
 	m.weights = w
-	m.intercept = yMean - mat.Dot(w, xMean)
+	m.intercept = yMean - dot(w, xMean)
 	m.fitted = true
 	return nil
 }
@@ -88,7 +87,7 @@ func (m *Model) Predict(x []float64) float64 {
 	if len(x) != len(m.weights) {
 		panic(fmt.Sprintf("linreg: feature width %d, model width %d", len(x), len(m.weights)))
 	}
-	return mat.Dot(m.weights, x) + m.intercept
+	return dot(m.weights, x) + m.intercept
 }
 
 // Coefficients returns a copy of the fitted weights and the intercept.

@@ -7,7 +7,7 @@ import (
 	"repro/internal/rng"
 )
 
-// naiveBuilder is the retained reference implementation of the exact
+// naiveBuilder is the test-only reference implementation of the exact
 // CART grower: it re-sorts every candidate feature at every node, which
 // makes node expansion O(F·n log n) but keeps the logic obviously
 // correct. The production exact engine (exactBuilder) sorts each

@@ -10,7 +10,7 @@
 //     per-feature orders are stably partitioned down the tree, so a
 //     node scan is O(F·n) with no per-node sorting or allocation. The
 //     grown tree is bit-identical to the retained naive reference
-//     (naive.go), which re-sorts at every node.
+//     (naive_test.go), which re-sorts at every node.
 //   - histogram (opt-in via Config.Bins): features are quantile-binned
 //     once per matrix into ≤256 uint8 buckets; node scans accumulate
 //     per-bin sums and sweep them cumulatively, costing O(F·(n+bins))
