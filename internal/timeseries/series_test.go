@@ -214,6 +214,16 @@ func TestAvgDistance(t *testing.T) {
 	}
 }
 
+func TestAvgDistanceMatchesDefinition(t *testing.T) {
+	d, err := AvgDistance(Series{1, 2, 3}, Series{3, 2, 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := (2.0 + 0 + 2) / 3; d != want {
+		t.Fatalf("avg distance = %v, want %v", d, want)
+	}
+}
+
 func TestMeanDailyUtilization(t *testing.T) {
 	vs, _ := Derive("v", craftedSeries(), 100)
 	if got := vs.MeanDailyUtilization(0, 2); got != 40 {
