@@ -183,8 +183,8 @@ func printIngestStats(st serve.IngestStatsJSON) {
 		w.Segments, w.Bytes, w.FirstIndex, w.LastIndex, w.CompactedSegments)
 	fmt.Printf("  appends     %d (%d rotations, %d fsyncs, last fsync %s)\n",
 		w.Appends, w.Rotations, w.Fsyncs, orNever(w.LastFsync))
-	fmt.Printf("  replay      %d records in %.3fs, %d truncated-tail events\n",
-		w.ReplayRecords, w.ReplaySeconds, w.TruncatedTailEvents)
+	fmt.Printf("  replay      %d records in %.3fs (open %.3fs), %d truncated-tail events\n",
+		w.ReplayRecords, w.ReplaySeconds, w.OpenSeconds, w.TruncatedTailEvents)
 	fmt.Printf("  checkpoint  wal index %d, seq %d, written %s\n",
 		w.CheckpointIndex, w.CheckpointSeq, orNever(w.LastCheckpoint))
 }

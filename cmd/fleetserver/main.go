@@ -210,27 +210,8 @@ func main() {
 	if *liveIngest {
 		store = openIngestStore(*walDir, *fsync)
 		if *data != "" {
-			fleet, err := readFleetCSV(*data)
-			if err != nil {
-				fatal("reading fleet CSV", "file", *data, "error", err)
-			}
-			if ring != nil {
-				// Partitioned shard: seed only the ring-owned vehicles;
-				// peers' telemetry never lands here (storage ~1/N).
-				owned := &telematics.Fleet{Config: fleet.Config}
-				for _, v := range fleet.Vehicles {
-					if ring.Owner(v.Profile.ID) == *join {
-						owned.Vehicles = append(owned.Vehicles, v)
-					}
-				}
-				fleet = owned
-			}
-			if len(fleet.Vehicles) > 0 {
-				res, err := store.SeedFromFleet(fleet)
-				if err != nil {
-					fatal("seeding ingest store", "file", *data, "error", err)
-				}
-				slog.Info("seeded ingest store", "file", *data, "vehicles", len(res.Vehicles), "reports", res.Accepted)
+			if err := seedStore(store, *data, ring, *join); err != nil {
+				fatal("seeding ingest store", "file", *data, "error", err)
 			}
 		}
 		base = store.Fleet
@@ -618,10 +599,45 @@ func openIngestStore(walDir, fsyncPolicy string) *ingest.Store {
 	}
 	if st := store.Stats(); st.WAL != nil {
 		slog.Info("wal recovered", "dir", walDir, "vehicles", st.Vehicles, "seq", st.Seq,
-			"replayed", st.WAL.ReplayRecords, "replay_seconds", st.WAL.ReplaySeconds,
+			"replayed", st.WAL.ReplayRecords, "replay_seconds", st.WAL.ReplaySeconds, "open_seconds", st.WAL.OpenSeconds,
 			"truncated_tail_events", st.WAL.TruncatedTailEvents, "fsync", fsyncPolicy)
 	}
 	return store
+}
+
+// seedStore loads the -data CSV into a live store that recovered
+// empty, and into no other: CSV is seed data, and live telemetry takes
+// over from there. Re-seeding a store recovered from its WAL would
+// overwrite every acknowledged report that corrected a CSV day, and
+// journal the reversion. A partitioned shard seeds only its ring-owned
+// vehicles; peers' telemetry never lands here (storage ~1/N).
+func seedStore(store *ingest.Store, data string, ring *cluster.Ring, shard string) error {
+	if n := len(store.Vehicles()); n > 0 {
+		slog.Info("-data not re-applied: the store recovered its telemetry", "file", data, "vehicles", n)
+		return nil
+	}
+	fleet, err := readFleetCSV(data)
+	if err != nil {
+		return fmt.Errorf("reading fleet CSV: %w", err)
+	}
+	if ring != nil {
+		owned := &telematics.Fleet{Config: fleet.Config}
+		for _, v := range fleet.Vehicles {
+			if ring.Owner(v.Profile.ID) == shard {
+				owned.Vehicles = append(owned.Vehicles, v)
+			}
+		}
+		fleet = owned
+	}
+	if len(fleet.Vehicles) == 0 {
+		return nil
+	}
+	res, err := store.SeedFromFleet(fleet)
+	if err != nil {
+		return err
+	}
+	slog.Info("seeded ingest store", "file", data, "vehicles", len(res.Vehicles), "reports", res.Accepted)
+	return nil
 }
 
 // snapshotSaver returns the OnSnapshot spill hook, or nil without a

@@ -10,7 +10,11 @@
 //     checkpoint (a full spill of the day maps, hashes and counters)
 //     and replaying every journal record past it, restoring Seq, the
 //     per-vehicle content hashes and the counters exactly as they were
-//     at the last acknowledged batch;
+//     at the last acknowledged batch. Replay costs O(WAL bytes) and
+//     allocates nothing per report: the log streams through one
+//     buffered reader, and each record is applied in place by one
+//     validating walk under a single store lock, with the hashes and
+//     day bounds recomputed once per changed vehicle at the end;
 //   - CheckpointAndCompact — called from the engine's snapshot
 //     persistence hook, i.e. once a model generation is safely on disk
 //     — atomically rewrites the checkpoint at the store's current
@@ -25,10 +29,15 @@
 // reuses every vehicle the snapshot already covers) folds in whatever
 // the WAL had beyond the snapshot. A crash therefore loses nothing and
 // never forces a cold train.
+//
+// A durable store is seeded (SeedFromFleet) only when it recovered
+// empty: re-seeding a recovered store would revert every acknowledged
+// correction of a seed day.
 package ingest
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/binary"
 	"encoding/gob"
 	"errors"
@@ -95,6 +104,7 @@ func OpenDurable(allowance float64, opts DurableOptions) (*Store, error) {
 	if opts.Dir == "" {
 		return nil, fmt.Errorf("ingest: OpenDurable with an empty directory")
 	}
+	t0 := time.Now()
 	log, err := wal.Open(opts.Dir, wal.Options{
 		SegmentBytes: opts.SegmentBytes,
 		Fsync:        opts.Fsync,
@@ -115,26 +125,33 @@ func OpenDurable(allowance float64, opts DurableOptions) (*Store, error) {
 		s.restoreCheckpoint(ck)
 	}
 
-	t0 := time.Now()
+	// Nothing else holds the store yet: one lock section covers the
+	// whole replay.
+	t1 := time.Now()
+	s.mu.Lock()
+	r := journalReplay{s: s, now: t1, seq0: s.seq}
+	ckptIndex := s.ckptIndex
 	records := 0
-	if err := log.Replay(func(idx uint64, payload []byte) error {
-		if idx <= s.ckptIndex {
+	err = log.Replay(func(idx uint64, payload []byte) error {
+		if idx <= ckptIndex {
 			return nil // already reflected in the checkpoint
 		}
-		rec, err := decodeJournalRecord(payload)
-		if err != nil {
+		if err := r.apply(payload); err != nil {
 			return fmt.Errorf("ingest: journal record %d: %w", idx, err)
 		}
-		s.applyJournal(rec)
 		s.lastIndex = idx
 		records++
 		return nil
-	}); err != nil {
+	})
+	r.finish()
+	s.mu.Unlock()
+	if err != nil {
 		log.Close()
 		return nil, err
 	}
 	s.replayRecords = records
-	s.replayDuration = time.Since(t0)
+	s.replayDuration = time.Since(t1)
+	s.openDuration = time.Since(t0)
 	if last := log.LastIndex(); last > s.lastIndex {
 		// Records the tail scan skipped (covered by the checkpoint)
 		// still advance the append cursor.
@@ -182,19 +199,102 @@ func (s *Store) restoreCheckpoint(ck *checkpointState) {
 	s.ckptMu.Unlock()
 }
 
-// applyJournal re-applies one journaled batch. The reports were
-// validated when first accepted and are replayed in journal (= seq)
-// order, so applying them verbatim reproduces the exact post-batch
-// state: same day maps, same hashes, same Seq.
-func (s *Store) applyJournal(rec journalRecord) {
-	now := time.Now()
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.accepted += uint64(rec.Accepted)
-	s.rejected += uint64(rec.Rejected)
-	for _, jr := range rec.Changed {
-		if _, ok := s.upsertLocked(jr.ID, jr.Day, jr.Seconds, now); ok {
-			s.changed++
+// journalReplay applies journal records to a store in place, as one
+// validating walk per record: no record is decoded into an intermediate
+// form, and nothing is allocated per report. The reports were validated
+// when first accepted and are replayed in journal (= seq) order, so
+// applying them verbatim reproduces the exact post-batch state: same
+// day maps, same hashes, same Seq. Callers hold s.mu for the whole
+// replay and call finish once at its end.
+type journalReplay struct {
+	s   *Store
+	now time.Time
+	// seq0 is the store sequence before the replay: finish rebuilds the
+	// derived fields of exactly the vehicles whose lastSeq passed it.
+	seq0 uint64
+	// lastID/last cache the latest resolved vehicle — a batch journals
+	// its reports grouped by vehicle. lastID is a copy: the payload
+	// buffer is reused by the next record.
+	lastID []byte
+	last   *vehicleRecord
+}
+
+// apply walks one journal record (see encodeJournalRecord) and applies
+// it. A malformed record returns an error after applying a prefix of
+// it; OpenDurable then discards the whole store, so the prefix is never
+// observed.
+func (r *journalReplay) apply(payload []byte) error {
+	if len(payload) < journalHead || payload[0] != journalVersion {
+		return fmt.Errorf("bad journal record header")
+	}
+	s := r.s
+	s.accepted += uint64(binary.LittleEndian.Uint32(payload[1:]))
+	s.rejected += uint64(binary.LittleEndian.Uint32(payload[5:]))
+	count := binary.LittleEndian.Uint32(payload[9:])
+	off := journalHead
+	for i := uint32(0); i < count; i++ {
+		if len(payload)-off < 2 {
+			return fmt.Errorf("truncated journal record")
+		}
+		idLen := int(binary.LittleEndian.Uint16(payload[off:]))
+		off += 2
+		if len(payload)-off < idLen+16 {
+			return fmt.Errorf("truncated journal record")
+		}
+		id := payload[off : off+idLen]
+		off += idLen
+		day := int64(binary.LittleEndian.Uint64(payload[off:]))
+		seconds := math.Float64frombits(binary.LittleEndian.Uint64(payload[off+8:]))
+		off += 16
+
+		rec := r.last
+		if rec == nil || !bytes.Equal(id, r.lastID) {
+			// string(id) as a map key does not allocate on lookup.
+			rec = s.vehicles[string(id)]
+			if rec == nil {
+				rec = &vehicleRecord{days: make(map[int64]float64)}
+				s.vehicles[string(id)] = rec
+			}
+			rec.lastReport = r.now
+			r.last = rec
+			r.lastID = append(r.lastID[:0], id...)
+		}
+		// upsertDayLocked minus the hash and day bounds, which finish
+		// recomputes once per vehicle.
+		rec.reports++
+		if old, ok := rec.days[day]; ok && old == seconds {
+			continue // idempotent re-delivery
+		}
+		rec.days[day] = seconds
+		s.seq++
+		rec.lastSeq = s.seq
+		s.changed++
+	}
+	if off != len(payload) {
+		return fmt.Errorf("journal record has %d trailing bytes", len(payload)-off)
+	}
+	return nil
+}
+
+// finish recomputes the content hash and day bounds of every vehicle
+// the replay changed. The hash is an XOR fold, so folding the final day
+// map equals the incremental per-upsert updates exactly.
+func (r *journalReplay) finish() {
+	for _, rec := range r.s.vehicles {
+		if rec.lastSeq <= r.seq0 {
+			continue
+		}
+		rec.hash = 0
+		first := true
+		for day, sec := range rec.days {
+			rec.hash ^= dayHash(day, sec)
+			if first || day < rec.minDay {
+				rec.minDay = day
+			}
+			if first || day > rec.maxDay {
+				rec.maxDay = day
+			}
+			first = false
 		}
 	}
 }
@@ -318,6 +418,7 @@ func (s *Store) walStats() *WALStats {
 	out.LastAppended = s.lastIndex
 	out.ReplayRecords = s.replayRecords
 	out.ReplaySeconds = s.replayDuration.Seconds()
+	out.OpenSeconds = s.openDuration.Seconds()
 	s.mu.RUnlock()
 	return out
 }
@@ -419,7 +520,12 @@ type journalRecord struct {
 	Changed  []journalReport
 }
 
-const journalVersion = 1
+const (
+	journalVersion = 1
+	// journalHead is the fixed record prefix: version, accepted,
+	// rejected and report count.
+	journalHead = 1 + 4 + 4 + 4
+)
 
 // encodeJournalRecord is a compact, deterministic little-endian
 // encoding (gob would spend most of the record on type metadata).
@@ -444,36 +550,4 @@ func encodeJournalRecord(rec journalRecord) []byte {
 		off += 16
 	}
 	return buf
-}
-
-func decodeJournalRecord(payload []byte) (journalRecord, error) {
-	var rec journalRecord
-	if len(payload) < 13 || payload[0] != journalVersion {
-		return rec, fmt.Errorf("bad journal record header")
-	}
-	rec.Accepted = binary.LittleEndian.Uint32(payload[1:])
-	rec.Rejected = binary.LittleEndian.Uint32(payload[5:])
-	count := binary.LittleEndian.Uint32(payload[9:])
-	off := 13
-	rec.Changed = make([]journalReport, 0, count)
-	for i := uint32(0); i < count; i++ {
-		if off+2 > len(payload) {
-			return rec, fmt.Errorf("truncated journal record")
-		}
-		idLen := int(binary.LittleEndian.Uint16(payload[off:]))
-		off += 2
-		if off+idLen+16 > len(payload) {
-			return rec, fmt.Errorf("truncated journal record")
-		}
-		jr := journalReport{ID: string(payload[off : off+idLen])}
-		off += idLen
-		jr.Day = int64(binary.LittleEndian.Uint64(payload[off:]))
-		jr.Seconds = math.Float64frombits(binary.LittleEndian.Uint64(payload[off+8:]))
-		off += 16
-		rec.Changed = append(rec.Changed, jr)
-	}
-	if off != len(payload) {
-		return rec, fmt.Errorf("journal record has %d trailing bytes", len(payload)-off)
-	}
-	return rec, nil
 }

@@ -2,9 +2,13 @@ package ingest
 
 import (
 	"context"
+	"encoding/binary"
+	"fmt"
+	"maps"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -25,8 +29,10 @@ func openDurable(t testing.TB, dir string) *Store {
 }
 
 // mustEqualStores asserts two stores hold identical content: vehicle
-// sets, per-vehicle content hashes, change sequence and counters.
-func mustEqualStores(t testing.TB, got, want *Store, label string) {
+// sets, per-vehicle day ranges, content hashes and report counts, the
+// dirty set, change sequence and counters. reports, when non-nil,
+// replaces want's per-vehicle report counts (see reportModel).
+func mustEqualStores(t testing.TB, got, want *Store, reports map[string]uint64, label string) {
 	t.Helper()
 	gv, wv := got.Vehicles(), want.Vehicles()
 	if len(gv) != len(wv) {
@@ -50,35 +56,119 @@ func mustEqualStores(t testing.TB, got, want *Store, label string) {
 		t.Fatalf("%s: counters accepted=%d/%d rejected=%d/%d changed=%d/%d",
 			label, gs.Accepted, ws.Accepted, gs.Rejected, ws.Rejected, gs.Changed, ws.Changed)
 	}
+	for i, g := range gs.PerVehicle {
+		w := ws.PerVehicle[i]
+		if reports != nil {
+			w.Reports = reports[w.ID]
+		}
+		// LastReport is the wall-clock receipt time: a replay stamps
+		// its own.
+		g.LastReport, w.LastReport = "", ""
+		if g != w {
+			t.Fatalf("%s: per-vehicle stats %+v, want %+v", label, g, w)
+		}
+	}
+	if gd, wd := got.DirtySince(0), want.DirtySince(0); !reflect.DeepEqual(gd, wd) {
+		t.Fatalf("%s: DirtySince(0) = %v, want %v", label, gd, wd)
+	}
+}
+
+// reportModel predicts a durable store's per-vehicle report counts. A
+// live store counts every accepted report, but the journal keeps only
+// the reports that changed content, so a recovery restores the count
+// the checkpoint spilled plus the changed reports journaled after it —
+// the re-deliveries since the checkpoint are not counted again.
+type reportModel struct {
+	live, ckpt, journaled map[string]uint64
+}
+
+func newReportModel() *reportModel {
+	return &reportModel{live: map[string]uint64{}, ckpt: map[string]uint64{}, journaled: map[string]uint64{}}
+}
+
+func (m *reportModel) batch(res BatchResult) {
+	for id, vr := range res.Vehicles {
+		m.live[id] += uint64(vr.Accepted)
+		m.journaled[id] += uint64(vr.Changed)
+	}
+}
+
+func (m *reportModel) checkpoint() {
+	m.ckpt = maps.Clone(m.live)
+	m.journaled = map[string]uint64{}
+}
+
+func (m *reportModel) recover() {
+	m.live = maps.Clone(m.ckpt)
+	for id, n := range m.journaled {
+		m.live[id] += n
+	}
 }
 
 // TestDurableKillAfterAckProperty: randomized batches (overwrites,
 // redeliveries, rejects) against a durable store, with a simulated
 // kill -9 (reopen without Close) between every round. Every
 // acknowledged batch must be fully visible after every recovery —
-// store content, hashes, Seq and counters all match an in-memory
-// reference that never crashed.
+// store content, hashes, day ranges, dirty set, Seq and counters all
+// match an in-memory reference that never crashed. The mix also covers
+// one (vehicle, day) twice with different values in one batch, batches
+// that only re-deliver stored values, and vehicles first seen after a
+// checkpoint.
 func TestDurableKillAfterAckProperty(t *testing.T) {
 	dir := t.TempDir()
 	rnd := rand.New(rand.NewSource(11))
 	ref := New(0)
+	model := newReportModel()
+	type key struct {
+		id  string
+		day int
+	}
+	stored := map[key]float64{} // the reference's content, for re-deliveries
+	var keys []key              // stored's keys in first-write order
+	var sameDayTwice, redeliveries, lateVehicles int
+	checkpointed := false
 
 	for gen := 0; gen < 6; gen++ {
 		s := openDurable(t, dir)
-		mustEqualStores(t, s, ref, "after recovery")
+		mustEqualStores(t, s, ref, model.live, "after recovery")
 
 		for b := 0; b < 3+rnd.Intn(4); b++ {
 			var batch []Report
-			for i := 0; i < 1+rnd.Intn(25); i++ {
-				r := report(
-					[]string{"v01", "v02", "v03", "v04"}[rnd.Intn(4)],
-					rnd.Intn(60),
-					float64(rnd.Intn(30000)),
-				)
-				if rnd.Intn(10) == 0 {
-					r.Seconds = -1 // rejected row
+			switch kind := rnd.Intn(4); {
+			case kind == 0 && len(keys) > 0:
+				// Re-deliver stored values only: accepted, nothing changes.
+				for i := 0; i < 1+rnd.Intn(10); i++ {
+					k := keys[rnd.Intn(len(keys))]
+					batch = append(batch, report(k.id, k.day, stored[k]))
 				}
-				batch = append(batch, r)
+				redeliveries++
+			default:
+				for i := 0; i < 1+rnd.Intn(25); i++ {
+					r := report(
+						[]string{"v01", "v02", "v03", "v04"}[rnd.Intn(4)],
+						rnd.Intn(60),
+						float64(rnd.Intn(30000)),
+					)
+					if rnd.Intn(10) == 0 {
+						r.Seconds = -1 // rejected row
+					}
+					batch = append(batch, r)
+				}
+				if kind == 1 {
+					// The same (vehicle, day) twice, different values.
+					first := batch[0]
+					first.Seconds = float64(30000 + rnd.Intn(1000))
+					second := first
+					second.Seconds++
+					batch = append(batch, first, second)
+					sameDayTwice++
+				}
+			}
+			if checkpointed {
+				// A vehicle the checkpoint has never seen.
+				lateVehicles++
+				batch = append(batch, report(fmt.Sprintf("late%02d", lateVehicles), rnd.Intn(60), float64(rnd.Intn(30000))))
+				checkpointed = false
 			}
 			res, err := s.UpsertBatch(batch)
 			if err != nil {
@@ -88,19 +178,37 @@ func TestDurableKillAfterAckProperty(t *testing.T) {
 			if res.Accepted != refRes.Accepted || res.Changed != refRes.Changed || res.Rejected != refRes.Rejected {
 				t.Fatalf("durable result %+v, reference %+v", res, refRes)
 			}
+			model.batch(res)
+			for _, r := range batch {
+				if r.Seconds < 0 {
+					continue
+				}
+				k := key{r.VehicleID, int(epochDay(r.Date) - epochDay(day0))}
+				if _, ok := stored[k]; !ok {
+					keys = append(keys, k)
+				}
+				stored[k] = r.Seconds
+			}
 			// Occasionally checkpoint+compact mid-stream: recovery must
 			// be seamless across the checkpoint boundary.
 			if rnd.Intn(4) == 0 {
 				if _, err := s.CheckpointAndCompact(); err != nil {
 					t.Fatal(err)
 				}
+				model.checkpoint()
+				checkpointed = true
 			}
 		}
 		// Kill: no Close. FsyncAlways means every acknowledged batch is
 		// already journaled on disk.
+		model.recover()
 	}
 	s := openDurable(t, dir)
-	mustEqualStores(t, s, ref, "final recovery")
+	mustEqualStores(t, s, ref, model.live, "final recovery")
+	if sameDayTwice == 0 || redeliveries == 0 || lateVehicles == 0 {
+		t.Fatalf("event mix missed a case: same day twice %d, re-delivery batches %d, post-checkpoint vehicles %d",
+			sameDayTwice, redeliveries, lateVehicles)
+	}
 }
 
 // TestDurableReplayRestoresDerivedFleet: the recovered store's derived
@@ -324,6 +432,49 @@ func TestDurableSeedRebootIsCheap(t *testing.T) {
 	}
 }
 
+// TestDurableCorrectionSurvivesReopen: an acknowledged report that
+// corrects a seeded day is part of the recovered store. Seeding the
+// same fleet again after the reopen reverts it — which is why
+// fleetserver seeds only a store that recovered empty.
+func TestDurableCorrectionSurvivesReopen(t *testing.T) {
+	cfg := telematics.DefaultFleetConfig()
+	cfg.Vehicles = 3
+	cfg.Days = 200
+	fleet, err := telematics.GenerateFleet(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	s := openDurable(t, dir)
+	if _, err := s.SeedFromFleet(fleet); err != nil {
+		t.Fatal(err)
+	}
+	v := fleet.Vehicles[0]
+	start, seeded, _ := s.RawSeries(v.Profile.ID)
+	corrected := seeded[0] + 1
+	res, err := s.UpsertBatch([]Report{{VehicleID: v.Profile.ID, Date: start, Seconds: corrected}})
+	if err != nil || res.Changed != 1 {
+		t.Fatalf("correction: res=%+v err=%v", res, err)
+	}
+	wantHash, _ := s.Hash(v.Profile.ID)
+	wantSeq := s.Seq()
+	s.Close()
+
+	s2 := openDurable(t, dir)
+	if h, _ := s2.Hash(v.Profile.ID); h != wantHash {
+		t.Fatalf("reopened hash %x, want %x", h, wantHash)
+	}
+	if _, u, _ := s2.RawSeries(v.Profile.ID); u[0] != corrected {
+		t.Fatalf("reopened day 0 = %v, want the correction %v", u[0], corrected)
+	}
+	if s2.Seq() != wantSeq {
+		t.Fatalf("reopened seq %d, want %d", s2.Seq(), wantSeq)
+	}
+	if res, err := s2.SeedFromFleet(fleet); err != nil || res.Changed != 1 {
+		t.Fatalf("re-seed after reopen: res=%+v err=%v, want exactly the correction reverted", res, err)
+	}
+}
+
 // TestDurableDirtyBaselineAfterReplay: WAL replay restores Seq and the
 // hashes, so DirtySince(bootSeq) is empty — a serve layer that
 // baselines its retrain threshold at boot sees no phantom dirtiness
@@ -439,7 +590,20 @@ func TestDurableRejectsLongVehicleID(t *testing.T) {
 	}
 }
 
-// TestJournalRecordCodecRoundtrip pins the journal encoding.
+// replayRecord applies one journal record to s the way OpenDurable's
+// replay does.
+func replayRecord(s *Store, payload []byte) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	r := journalReplay{s: s, now: time.Now(), seq0: s.seq}
+	err := r.apply(payload)
+	r.finish()
+	return err
+}
+
+// TestJournalRecordCodecRoundtrip pins the journal encoding against the
+// replay walk: an encoded record applies to exactly the reports and
+// counters it was built from, and every malformed shape errors.
 func TestJournalRecordCodecRoundtrip(t *testing.T) {
 	rec := journalRecord{
 		Accepted: 7,
@@ -447,21 +611,61 @@ func TestJournalRecordCodecRoundtrip(t *testing.T) {
 		Changed: []journalReport{
 			{ID: "v01", Day: 16436, Seconds: 18000.5},
 			{ID: "a-much-longer-vehicle-identifier", Day: -12, Seconds: 0},
+			{ID: "v01", Day: 16437, Seconds: 100},
+			{ID: "v01", Day: 16437, Seconds: 100}, // no change: counts a report, not a seq step
 		},
 	}
-	got, err := decodeJournalRecord(encodeJournalRecord(rec))
-	if err != nil {
+	payload := encodeJournalRecord(rec)
+	s := New(0)
+	if err := replayRecord(s, payload); err != nil {
 		t.Fatal(err)
 	}
-	if got.Accepted != rec.Accepted || got.Rejected != rec.Rejected || len(got.Changed) != len(rec.Changed) {
-		t.Fatalf("roundtrip = %+v", got)
-	}
-	for i := range rec.Changed {
-		if got.Changed[i] != rec.Changed[i] {
-			t.Fatalf("changed[%d] = %+v, want %+v", i, got.Changed[i], rec.Changed[i])
+	ref := New(0)
+	ref.mu.Lock()
+	for _, jr := range rec.Changed {
+		if _, ok := ref.upsertLocked(jr.ID, jr.Day, jr.Seconds, time.Now()); ok {
+			ref.changed++
 		}
 	}
-	if _, err := decodeJournalRecord([]byte{1, 2, 3}); err == nil {
-		t.Fatal("truncated record decoded")
+	ref.accepted, ref.rejected = uint64(rec.Accepted), uint64(rec.Rejected)
+	ref.mu.Unlock()
+	mustEqualStores(t, s, ref, nil, "replayed record")
+
+	for _, c := range journalCodecErrors(payload) {
+		if err := replayRecord(New(0), c.payload); err == nil {
+			t.Errorf("%s: replay accepted a malformed record", c.name)
+		}
+	}
+}
+
+// codecCase is one named journal record payload.
+type codecCase struct {
+	name    string
+	payload []byte
+}
+
+// journalCodecErrors derives every malformed record shape the replay
+// walk must reject from one valid record.
+func journalCodecErrors(valid []byte) []codecCase {
+	withCount := func(count uint32, b []byte) []byte {
+		out := append([]byte(nil), b...)
+		binary.LittleEndian.PutUint32(out[9:], count)
+		return out
+	}
+	count := binary.LittleEndian.Uint32(valid[9:]) // at least 2
+	badVersion := append([]byte(nil), valid...)
+	badVersion[0] = journalVersion + 1
+	return []codecCase{
+		{"empty", []byte{}},
+		{"short-header", valid[:journalHead-1]},
+		{"bad-version", badVersion},
+		{"cut-id-length", valid[:journalHead+1]},
+		{"cut-report", valid[:len(valid)-3]},
+		{"trailing-byte", append(append([]byte(nil), valid...), 0)},
+		{"count-too-large", withCount(count+1, valid)},
+		{"count-ffffffff-short", withCount(0xFFFFFFFF, valid[:journalHead+4])},
+		{"count-too-small", withCount(count-1, valid)},
+		{"count-one-no-report", withCount(1, valid[:journalHead])},
+		{"count-zero-excess", withCount(0, valid)},
 	}
 }

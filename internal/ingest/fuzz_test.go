@@ -1,6 +1,7 @@
 package ingest
 
 import (
+	"encoding/binary"
 	"testing"
 
 	"repro/internal/wal"
@@ -79,4 +80,65 @@ func fuzzSeeds() [][]byte {
 	lying[1], lying[2], lying[3], lying[4] = 0xff, 0xff, 0xff, 0xff
 	seeds = append(seeds, wal.AppendFrame(nil, lying))
 	return seeds
+}
+
+// FuzzJournalReplay hardens the boot-time replay walk: arbitrary bytes
+// as a journal record payload must either error or apply — no panic,
+// no over-read (the payload's capacity is cut to its length, so any
+// read past the end panics). An applied record leaves the store
+// consistent: its header counters, one sequence step per changed
+// report, and derived fields that agree with the day maps. Seeds are
+// the codec cases of TestJournalRecordCodecRoundtrip, checked in under
+// testdata/fuzz.
+func FuzzJournalReplay(f *testing.F) {
+	for _, seed := range journalSeeds() {
+		f.Add(seed.payload)
+	}
+	f.Fuzz(func(t *testing.T, payload []byte) {
+		s := New(0)
+		if err := replayRecord(s, payload[:len(payload):len(payload)]); err != nil {
+			return
+		}
+		st := s.Stats()
+		if st.Accepted != uint64(binary.LittleEndian.Uint32(payload[1:])) ||
+			st.Rejected != uint64(binary.LittleEndian.Uint32(payload[5:])) {
+			t.Fatalf("counters accepted=%d rejected=%d disagree with the record header", st.Accepted, st.Rejected)
+		}
+		if st.Seq != st.Changed {
+			t.Fatalf("seq %d after %d changed reports", st.Seq, st.Changed)
+		}
+		s.mu.RLock()
+		defer s.mu.RUnlock()
+		for id, rec := range s.vehicles {
+			var hash uint64
+			for day, sec := range rec.days {
+				hash ^= dayHash(day, sec)
+				if day < rec.minDay || day > rec.maxDay {
+					t.Fatalf("vehicle %q day %d outside [%d, %d]", id, day, rec.minDay, rec.maxDay)
+				}
+			}
+			if hash != rec.hash {
+				t.Fatalf("vehicle %q hash %x, day map folds to %x", id, rec.hash, hash)
+			}
+		}
+	})
+}
+
+// journalSeeds is one valid record, a report-less one (an all
+// re-delivery batch) and every malformed shape derived from the first.
+func journalSeeds() []codecCase {
+	valid := encodeJournalRecord(journalRecord{
+		Accepted: 4,
+		Rejected: 1,
+		Changed: []journalReport{
+			{ID: "v01", Day: 16436, Seconds: 18000.5},
+			{ID: "v01", Day: 16436, Seconds: 17000},
+			{ID: "v02", Day: 16437, Seconds: 0},
+			{ID: "v01", Day: 16440, Seconds: 100},
+		},
+	})
+	return append([]codecCase{
+		{"valid", valid},
+		{"no-reports", encodeJournalRecord(journalRecord{Accepted: 3})},
+	}, journalCodecErrors(valid)...)
 }

@@ -139,6 +139,7 @@ type Store struct {
 
 	replayRecords  int
 	replayDuration time.Duration
+	openDuration   time.Duration
 
 	// batchHist distributes UpsertBatch sizes (reports per batch) — the
 	// knob that decides whether ingest cost is dominated by per-batch or
@@ -637,9 +638,12 @@ type WALStats struct {
 	// TruncatedTailEvents counts corrupt tail frames (and dropped
 	// post-corruption segments) the last Open cut off.
 	TruncatedTailEvents int `json:"truncated_tail_events"`
-	// ReplayRecords/ReplaySeconds describe the boot-time recovery.
+	// ReplayRecords/ReplaySeconds describe the boot-time WAL replay;
+	// OpenSeconds is the whole OpenDurable (checkpoint load, segment
+	// scan and replay).
 	ReplayRecords     int     `json:"replay_records"`
 	ReplaySeconds     float64 `json:"replay_seconds"`
+	OpenSeconds       float64 `json:"open_seconds"`
 	CompactedSegments uint64  `json:"compacted_segments"`
 	// CheckpointIndex/CheckpointSeq identify the WAL position and store
 	// sequence the durable checkpoint covers (segments at or below the

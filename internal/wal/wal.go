@@ -23,7 +23,9 @@
 // the end of the log: the file is truncated at that frame's offset,
 // any later segments are dropped, and the event is counted in
 // Stats.TruncatedTailEvents. Everything before the bad frame — i.e.
-// every record whose Append returned — survives.
+// every record whose Append returned — survives. Open and Replay each
+// stream the segments through one reused buffered reader, so recovery
+// costs O(log bytes) and never holds a segment in memory.
 //
 // Compaction: CompactThrough(index) deletes sealed segments whose
 // records are all <= index. The caller is responsible for only passing
@@ -40,7 +42,9 @@
 package wal
 
 import (
+	"bufio"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
@@ -225,8 +229,9 @@ func Open(dir string, opts Options) (*Log, error) {
 	if err != nil {
 		return nil, err
 	}
+	fr := newFrameReader()
 	for i, path := range paths {
-		seg, intact, err := scanSegment(path)
+		seg, intact, err := scanSegment(path, fr)
 		if err != nil {
 			return nil, err
 		}
@@ -308,10 +313,101 @@ func segmentPaths(dir string) ([]string, error) {
 	return paths, nil
 }
 
+// readBufferBytes sizes the one read buffer Open and Replay each stream
+// every segment through: large enough that a frame costs no read
+// syscall of its own, small enough that recovery never holds a segment
+// (let alone the log) in memory.
+const readBufferBytes = 1 << 20
+
+// frameReader streams segment files frame by frame through one reused
+// buffered reader. A payload that fits the read buffer is returned in
+// place; a larger one is copied into a payload buffer that grows to the
+// largest such record once per Open or Replay, not once per frame.
+type frameReader struct {
+	br      *bufio.Reader
+	remain  int64 // bytes of the current file not yet consumed
+	head    [headerSize]byte
+	payload []byte
+}
+
+func newFrameReader() *frameReader {
+	return &frameReader{br: bufio.NewReaderSize(nil, readBufferBytes)}
+}
+
+// reset positions the reader at the first frame of f and returns the
+// segment's first index; ok is false when f has no intact header.
+func (fr *frameReader) reset(f *os.File) (first uint64, ok bool, err error) {
+	st, err := f.Stat()
+	if err != nil {
+		return 0, false, fmt.Errorf("wal: %w", err)
+	}
+	fr.br.Reset(f)
+	fr.remain = st.Size()
+	if _, err := io.ReadFull(fr.br, fr.head[:]); err != nil || string(fr.head[:len(segMagic)]) != segMagic {
+		return 0, false, nil
+	}
+	fr.remain -= int64(headerSize)
+	return binary.BigEndian.Uint64(fr.head[len(segMagic):]), true, nil
+}
+
+// next returns the next frame's CRC-verified payload, valid until the
+// following call. It returns io.EOF at a clean end of the file, and the
+// codec's ErrFrameTruncated, ErrFrameOversize or ErrFrameChecksum for a
+// torn, insane or corrupt frame. A length reaching past the end of the
+// file is torn, so a corrupt length field never sizes an allocation.
+func (fr *frameReader) next() ([]byte, error) {
+	switch {
+	case fr.remain <= 0:
+		return nil, io.EOF
+	case fr.remain < frameHead:
+		return nil, ErrFrameTruncated
+	}
+	if _, err := io.ReadFull(fr.br, fr.head[:frameHead]); err != nil {
+		return nil, readErr(err)
+	}
+	n := binary.LittleEndian.Uint32(fr.head[0:4])
+	sum := binary.LittleEndian.Uint32(fr.head[4:8])
+	switch {
+	case n > maxRecordBytes:
+		return nil, ErrFrameOversize
+	case int64(n) > fr.remain-frameHead:
+		return nil, ErrFrameTruncated
+	}
+	var payload []byte
+	var err error
+	if int(n) <= fr.br.Size() {
+		payload, err = fr.br.Peek(int(n))
+		fr.br.Discard(len(payload)) // already buffered: cannot fail
+	} else {
+		if cap(fr.payload) < int(n) {
+			fr.payload = make([]byte, n)
+		}
+		payload = fr.payload[:n]
+		_, err = io.ReadFull(fr.br, payload)
+	}
+	if err != nil {
+		return nil, readErr(err)
+	}
+	fr.remain -= int64(frameHead) + int64(n)
+	if crc32.ChecksumIEEE(payload) != sum {
+		return nil, ErrFrameChecksum
+	}
+	return payload, nil
+}
+
+// readErr maps a short read (the file shrank under the reader) to a
+// torn frame and passes any other I/O error through.
+func readErr(err error) error {
+	if err == io.EOF || err == io.ErrUnexpectedEOF {
+		return ErrFrameTruncated
+	}
+	return err
+}
+
 // scanSegment walks one segment file frame by frame. It returns the
 // segment's surviving extent and whether the file was fully intact; on
 // a bad frame the file is truncated at the frame's start first.
-func scanSegment(path string) (segment, bool, error) {
+func scanSegment(path string, fr *frameReader) (segment, bool, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return segment{}, false, fmt.Errorf("wal: %w", err)
@@ -327,42 +423,26 @@ func scanSegment(path string) (segment, bool, error) {
 		return seg, false, nil
 	}
 
-	head := make([]byte, headerSize)
-	if _, err := io.ReadFull(f, head); err != nil || string(head[:len(segMagic)]) != segMagic {
+	first, ok, err := fr.reset(f)
+	if err != nil {
+		return segment{}, false, err
+	}
+	if !ok {
 		// No intact header: nothing in this file is recoverable.
 		return truncateAt(0)
 	}
-	seg.firstIndex = binary.BigEndian.Uint64(head[len(segMagic):])
-	next := seg.firstIndex
-	off := int64(headerSize)
-	seg.bytes = off
-
-	frame := make([]byte, frameHead)
-	var payload []byte
+	seg.firstIndex = first
+	next := first
+	seg.bytes = int64(headerSize)
 	for {
-		if _, err := io.ReadFull(f, frame); err != nil {
-			if err == io.EOF {
-				return seg, true, nil // clean end
-			}
-			return truncateAt(off) // torn frame header
+		payload, err := fr.next()
+		if err == io.EOF {
+			return seg, true, nil // clean end
 		}
-		n := binary.LittleEndian.Uint32(frame[0:4])
-		sum := binary.LittleEndian.Uint32(frame[4:8])
-		if n > maxRecordBytes {
-			return truncateAt(off)
+		if err != nil {
+			return truncateAt(seg.bytes) // torn, insane or corrupt frame
 		}
-		if cap(payload) < int(n) {
-			payload = make([]byte, n)
-		}
-		payload = payload[:n]
-		if _, err := io.ReadFull(f, payload); err != nil {
-			return truncateAt(off) // torn payload
-		}
-		if crc32.ChecksumIEEE(payload) != sum {
-			return truncateAt(off)
-		}
-		off += int64(frameHead) + int64(n)
-		seg.bytes = off
+		seg.bytes += int64(FrameSize(len(payload)))
 		seg.lastIndex = next
 		next++
 	}
@@ -526,9 +606,10 @@ func (l *Log) Sync() error {
 	return l.syncLocked()
 }
 
-// Replay calls fn for every record in index order. A callback error
-// aborts the replay and is returned. Replay may run concurrently with
-// appends; it covers the records present when it reaches each segment.
+// Replay calls fn for every record in index order; payload is valid
+// only until fn returns. A callback error aborts the replay and is
+// returned. Replay may run concurrently with appends; it covers the
+// records present when it reaches each segment.
 func (l *Log) Replay(fn func(index uint64, payload []byte) error) error {
 	t0 := time.Now()
 	l.mu.Lock()
@@ -548,8 +629,9 @@ func (l *Log) Replay(fn func(index uint64, payload []byte) error) error {
 	l.mu.Unlock()
 
 	records := 0
+	fr := newFrameReader()
 	for _, path := range paths {
-		n, err := replaySegment(path, fn)
+		n, err := replaySegment(path, fr, fn)
 		records += n
 		if err != nil {
 			return err
@@ -563,47 +645,33 @@ func (l *Log) Replay(fn func(index uint64, payload []byte) error) error {
 }
 
 // replaySegment streams one segment's records through fn. Segments
-// were validated (and tail-truncated) at Open, so a bad frame here is
-// an I/O error, not expected corruption.
-func replaySegment(path string, fn func(uint64, []byte) error) (int, error) {
+// were validated (and tail-truncated) at Open, so a corrupt frame here
+// is an error, not expected corruption; a torn frame is an append still
+// in flight and ends the segment cleanly.
+func replaySegment(path string, fr *frameReader, fn func(uint64, []byte) error) (int, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return 0, fmt.Errorf("wal: %w", err)
 	}
 	defer f.Close()
 
-	head := make([]byte, headerSize)
-	if _, err := io.ReadFull(f, head); err != nil || string(head[:len(segMagic)]) != segMagic {
+	idx, ok, err := fr.reset(f)
+	if err != nil {
+		return 0, err
+	}
+	if !ok {
 		return 0, fmt.Errorf("wal: %s: bad segment header", path)
 	}
-	idx := binary.BigEndian.Uint64(head[len(segMagic):])
-
 	records := 0
-	frame := make([]byte, frameHead)
-	var payload []byte
 	for {
-		if _, err := io.ReadFull(f, frame); err != nil {
-			if err == io.EOF || err == io.ErrUnexpectedEOF {
-				// A frame appended (but not yet complete) after our Open
-				// snapshot ends this segment's replay cleanly.
-				return records, nil
-			}
-			return records, fmt.Errorf("wal: %s: %w", path, err)
-		}
-		n := binary.LittleEndian.Uint32(frame[0:4])
-		sum := binary.LittleEndian.Uint32(frame[4:8])
-		if n > maxRecordBytes {
-			return records, fmt.Errorf("wal: %s: corrupt frame length %d", path, n)
-		}
-		if cap(payload) < int(n) {
-			payload = make([]byte, n)
-		}
-		payload = payload[:n]
-		if _, err := io.ReadFull(f, payload); err != nil {
-			return records, nil // torn in-flight append
-		}
-		if crc32.ChecksumIEEE(payload) != sum {
+		payload, err := fr.next()
+		switch {
+		case err == io.EOF || errors.Is(err, ErrFrameTruncated):
+			return records, nil
+		case errors.Is(err, ErrFrameChecksum):
 			return records, fmt.Errorf("wal: %s: checksum mismatch at record %d", path, idx)
+		case err != nil:
+			return records, fmt.Errorf("wal: %s: record %d: %w", path, idx, err)
 		}
 		if err := fn(idx, payload); err != nil {
 			return records, err

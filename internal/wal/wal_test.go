@@ -328,6 +328,34 @@ func TestReopenEmptyTailSegmentKeepsIndexes(t *testing.T) {
 	}
 }
 
+// TestRecordLargerThanReadBuffer: a record the buffered reader cannot
+// hold whole is read through the payload buffer instead, on both the
+// Open scan and Replay, and the records around it stay intact.
+func TestRecordLargerThanReadBuffer(t *testing.T) {
+	dir := t.TempDir()
+	l := open(t, dir, Options{Fsync: FsyncNever})
+	big := bytes.Repeat([]byte("0123456789abcdef"), readBufferBytes/16+7)
+	want := [][]byte{[]byte("before"), big, []byte("after")}
+	for _, p := range want {
+		if _, err := l.Append(p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	l2 := open(t, dir, Options{})
+	if st := l2.Stats(); st.TruncatedTailEvents != 0 {
+		t.Fatalf("Open truncated an intact log: %+v", st)
+	}
+	got := collect(t, l2)
+	for i, p := range want {
+		if !bytes.Equal(got[uint64(i+1)], p) {
+			t.Fatalf("record %d differs after reopen", i+1)
+		}
+	}
+}
+
 // TestCrashReopenProperty: randomized appends with reopen-after-every-
 // batch (the "process restarted" loop). Every acknowledged record must
 // replay identically, in every generation.
