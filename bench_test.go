@@ -448,18 +448,6 @@ func BenchmarkForestFit(b *testing.B) {
 			}
 		})
 	}
-	// Binned-mode forest: the histogram engine at full feature width,
-	// where the parent−sibling subtraction path carries the fill work.
-	b.Run("n=20000/bins=256", func(b *testing.B) {
-		x, y := mlBenchData(20000, 6, 42)
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			m := forest.New(forest.Config{NEstimators: 20, MaxDepth: 12, MinSamplesLeaf: 2, Seed: 7, Bins: 256})
-			if err := m.Fit(x, y); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
 }
 
 // BenchmarkGBMFit measures a 50-round boosted fit: binning happens once,

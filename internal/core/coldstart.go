@@ -27,10 +27,6 @@ type ColdStartConfig struct {
 	Params ml.Params
 	// Seed drives model randomness.
 	Seed uint64
-	// Bins is the fleet-level histogram resolution (see
-	// PredictorConfig.Bins): when > 1 it is folded into the parameter
-	// set unless Params pins "bins" itself.
-	Bins int
 }
 
 // NewColdStartConfig returns paper-style defaults for serving semi-new
@@ -122,7 +118,7 @@ func TrainUnified(train []*timeseries.VehicleSeries, alg Algorithm, cfg ColdStar
 	if params == nil {
 		params = DefaultParams(alg)
 	}
-	model, err := Build(alg, ApplyBins(params, cfg.Bins), cfg.Seed)
+	model, err := Build(alg, params, cfg.Seed)
 	if err != nil {
 		return nil, err
 	}

@@ -57,7 +57,10 @@ func (c PredictorConfig) Hash() uint64 {
 	h = fnvString(h, string(c.ColdStartAlgorithm))
 	h = fnvUint64(h, math.Float64bits(c.ValidationFraction))
 	h = fnvUint64(h, c.Seed)
-	h = fnvUint64(h, uint64(c.Bins))
+	// A since-removed histogram-resolution field, 0 in every deployed
+	// config, was folded here; folding its 0 keeps persisted snapshots'
+	// ConfigHash valid.
+	h = fnvUint64(h, 0)
 	// Normalize the evaluation set the same way NewFleetPredictor does
 	// (nil means the default D̃), then fold it in sorted order so two
 	// equal sets hash equally.

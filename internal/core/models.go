@@ -67,11 +67,7 @@ func Build(alg Algorithm, p ml.Params, seed uint64) (ml.Regressor, error) {
 			NEstimators:    int(get("estimators", 100)),
 			MaxDepth:       int(get("depth", 0)),
 			MinSamplesLeaf: int(get("min_leaf", 1)),
-			// bins > 1 opts the member trees into the approximate
-			// histogram split engine; 0 keeps the exact presorted
-			// engine (the default, bit-identical to classic CART).
-			Bins: int(get("bins", 0)),
-			Seed: seed,
+			Seed:           seed,
 		}), nil
 	case XGB:
 		return gbm.New(gbm.Config{
@@ -80,33 +76,13 @@ func Build(alg Algorithm, p ml.Params, seed uint64) (ml.Regressor, error) {
 			MaxDepth:        int(get("depth", 6)),
 			MinChildSamples: int(get("min_child", 5)),
 			Lambda:          get("lambda", 1.0),
-			// bins caps the histogram resolution; 0 falls back to the
-			// package default (256).
-			MaxBins: int(get("bins", 0)),
-			Seed:    seed,
+			Seed:            seed,
 		}), nil
 	case BL:
 		return nil, fmt.Errorf("core: the baseline is built from the utilization series (BaselineFromSeries), not from parameters")
 	default:
 		return nil, fmt.Errorf("core: unknown algorithm %q", alg)
 	}
-}
-
-// ApplyBins folds a fleet-level histogram resolution into a parameter
-// set: when bins > 1 and the set does not already pin "bins", a copy
-// carrying it is returned (the input is never mutated — parameter sets
-// are shared across folds and configurations). Algorithms without a
-// binned engine ignore the key.
-func ApplyBins(p ml.Params, bins int) ml.Params {
-	if bins <= 1 {
-		return p
-	}
-	if _, ok := p["bins"]; ok {
-		return p
-	}
-	c := p.Clone()
-	c["bins"] = float64(bins)
-	return c
 }
 
 // DefaultParams returns fixed, well-performing parameters used when no

@@ -39,10 +39,6 @@ type OldConfig struct {
 	Normalize bool
 	// Seed drives augmentation sampling, CV shuffling and model seeds.
 	Seed uint64
-	// Bins is the fleet-level histogram resolution (see
-	// PredictorConfig.Bins): when > 1 it is folded into every parameter
-	// set built here that does not pin "bins" itself.
-	Bins int
 }
 
 // NewOldConfig returns the paper-default configuration: W = 0, 70/30
@@ -156,7 +152,7 @@ func EvaluateOld(vs *timeseries.VehicleSeries, alg Algorithm, cfg OldConfig) (*O
 				return nil, derr
 			}
 			res, serr := ml.GridSearchCV(func(p ml.Params) ml.Regressor {
-				m, berr := Build(alg, ApplyBins(p, cfg.Bins), cfg.Seed)
+				m, berr := Build(alg, p, cfg.Seed)
 				if berr != nil {
 					panic(berr) // unreachable: alg validated above
 				}
@@ -167,7 +163,7 @@ func EvaluateOld(vs *timeseries.VehicleSeries, alg Algorithm, cfg OldConfig) (*O
 			}
 			params = res.Best
 		}
-		model, err = Build(alg, ApplyBins(params, cfg.Bins), cfg.Seed)
+		model, err = Build(alg, params, cfg.Seed)
 		if err != nil {
 			return nil, err
 		}

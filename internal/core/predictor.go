@@ -30,13 +30,6 @@ type PredictorConfig struct {
 	Eval DTilde
 	// Seed drives model randomness.
 	Seed uint64
-	// Bins is the fleet-level histogram resolution for the tree
-	// ensembles (RF member trees, XGB stages): when > 1, every model
-	// built for this predictor trains on quantile-binned features at
-	// this resolution unless its parameter set pins "bins" itself. 0
-	// keeps the per-algorithm defaults (exact splits for RF, 256 bins
-	// for XGB). It changes the fitted models, so it is part of Hash().
-	Bins int
 }
 
 // DefaultPredictorConfig mirrors the paper's deployed setup: all trained
@@ -246,7 +239,7 @@ func (sh *TrainShared) Unified() (ml.Regressor, error) {
 			return
 		}
 		t0 := time.Now()
-		cs := ColdStartConfig{Window: sh.cfg.Window, Normalize: sh.cfg.Normalize, Seed: sh.seed, Bins: sh.cfg.Bins}
+		cs := ColdStartConfig{Window: sh.cfg.Window, Normalize: sh.cfg.Normalize, Seed: sh.seed}
 		sh.unified, sh.err = TrainUnified(sh.olds, sh.cfg.ColdStartAlgorithm, cs)
 		if sh.err == nil {
 			sh.Observe.observe("fit", sh.cfg.ColdStartAlgorithm, t0)
@@ -391,7 +384,6 @@ func trainOld(vs *timeseries.VehicleSeries, pcfg PredictorConfig, seed uint64, o
 	cfg.TrainFraction = 1 - pcfg.ValidationFraction
 	cfg.Eval = pcfg.Eval
 	cfg.Seed = seed
-	cfg.Bins = pcfg.Bins
 	// Table 1: restriction is strictly better — when there is a D̃ row to
 	// train on. A single long cycle (a vehicle just past its first
 	// maintenance) has all of them after the cut; compete unrestricted
@@ -440,7 +432,7 @@ func trainOld(vs *timeseries.VehicleSeries, pcfg PredictorConfig, seed uint64, o
 			return VehicleStatus{}, nil, err
 		}
 	}
-	model, err := Build(bestAlg, ApplyBins(DefaultParams(bestAlg), pcfg.Bins), seed)
+	model, err := Build(bestAlg, DefaultParams(bestAlg), seed)
 	if err != nil {
 		return VehicleStatus{}, nil, err
 	}
@@ -454,7 +446,7 @@ func trainOld(vs *timeseries.VehicleSeries, pcfg PredictorConfig, seed uint64, o
 
 func trainSemiNew(task TrainTask, shared *TrainShared) (VehicleStatus, ml.Regressor, error) {
 	pcfg := shared.cfg
-	cs := ColdStartConfig{Window: pcfg.Window, Normalize: pcfg.Normalize, Seed: task.Seed, Bins: pcfg.Bins}
+	cs := ColdStartConfig{Window: pcfg.Window, Normalize: pcfg.Normalize, Seed: task.Seed}
 	if task.Donor != nil {
 		t0 := time.Now()
 		model, err := fitSimilarity(task.Donor, pcfg.ColdStartAlgorithm, cs)
@@ -498,7 +490,7 @@ func fitSimilarity(donor *timeseries.VehicleSeries, alg Algorithm, cfg ColdStart
 	if params == nil {
 		params = DefaultParams(alg)
 	}
-	model, err := Build(alg, ApplyBins(params, cfg.Bins), cfg.Seed)
+	model, err := Build(alg, params, cfg.Seed)
 	if err != nil {
 		return nil, err
 	}

@@ -12,11 +12,11 @@ import (
 // derived representations:
 //
 //   - Order: per-feature row indices presorted by (value, row) — the
-//     exact split finder partitions copies of these down the tree, so
-//     no node ever sorts;
+//     exact CART split finder partitions copies of these down the
+//     tree, so no node ever sorts;
 //   - Bin: per-feature ≤256-bucket quantile binnings (uint8 codes plus
-//     raw-space upper edges) — the histogram split finder scans these
-//     in O(bins) per node.
+//     raw-space upper edges) — the boosting histogram split finder
+//     scans these in O(bins) per node.
 //
 // Both caches are safe for concurrent use, so one matrix can back many
 // trees (a forest's bootstraps, every GBM boosting round, every grid

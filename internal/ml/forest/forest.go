@@ -7,9 +7,8 @@
 // bootstrap resampling and per-split feature subsampling, and trained
 // concurrently with one deterministic RNG sub-stream per tree. All
 // trees share one column-major matrix (ml.ColMatrix): features are
-// presorted (or binned) exactly once per Fit, and each bootstrap is
-// expressed as per-row multiplicities instead of materialized duplicate
-// rows.
+// presorted exactly once per Fit, and each bootstrap is expressed as
+// per-row multiplicities instead of materialized duplicate rows.
 package forest
 
 import (
@@ -43,10 +42,6 @@ type Config struct {
 	// sample is scored by the trees whose bootstrap missed it, giving
 	// a generalization estimate without a holdout set.
 	ComputeOOB bool
-	// Bins opts every member tree into the approximate histogram split
-	// engine with at most Bins quantile buckets (2..256); 0 keeps the
-	// exact presorted engine.
-	Bins int
 }
 
 // DefaultConfig returns a balanced forest configuration.
@@ -70,16 +65,6 @@ type Model struct {
 var _ ml.Regressor = (*Model)(nil)
 var _ ml.MatrixFitter = (*Model)(nil)
 var _ ml.BatchPredictor = (*Model)(nil)
-var _ ml.BinsHinter = (*Model)(nil)
-
-// BinsHint reports the quantile-binning resolution this configuration's
-// trees train at (ml.BinsHinter); ≤ 1 means exact splits, no binning.
-func (m *Model) BinsHint() int {
-	if m.Bins > 256 {
-		return 256
-	}
-	return m.Bins
-}
 
 // New returns an unfitted forest with the given configuration.
 func New(cfg Config) *Model {
@@ -105,9 +90,9 @@ func (m *Model) Fit(x [][]float64, y []float64) error {
 }
 
 // FitMatrix trains the forest from a prebuilt column matrix, reusing
-// its cached presorted orders (or binnings) across every tree — and,
-// when the matrix is shared further (grid search folds), across every
-// configuration evaluated on it.
+// its cached presorted orders across every tree — and, when the matrix
+// is shared further (grid search folds), across every configuration
+// evaluated on it.
 func (m *Model) FitMatrix(cm *ml.ColMatrix, y []float64) error {
 	if cm.Len() != len(y) {
 		return fmt.Errorf("forest: %d rows but %d targets", cm.Len(), len(y))
@@ -121,13 +106,9 @@ func (m *Model) FitMatrix(cm *ml.ColMatrix, y []float64) error {
 		return fmt.Errorf("forest: MaxFeatures %d exceeds feature count %d", maxFeat, p)
 	}
 
-	// Force the shared derived representation once, before the workers
-	// race to read it.
-	if m.Bins > 1 {
-		cm.Bin(m.Bins)
-	} else {
-		cm.Order()
-	}
+	// Force the shared presorted orders once, before the workers race
+	// to read them.
+	cm.Order()
 
 	// One deterministic sub-stream per tree, derived sequentially.
 	root := rng.New(m.Seed ^ 0x6a09e667f3bcc908)
@@ -165,7 +146,6 @@ func (m *Model) FitMatrix(cm *ml.ColMatrix, y []float64) error {
 				MinSamplesLeaf: m.MinSamplesLeaf,
 				MaxFeatures:    maxFeat,
 				Seed:           rnd.Uint64(),
-				Bins:           m.Bins,
 			})
 			if err := tr.FitWeighted(cm, y, w); err != nil {
 				errs[t] = err

@@ -100,25 +100,3 @@ func TestPredictBatchMatchesPredict(t *testing.T) {
 		}
 	}
 }
-
-// TestHistogramForest: the opt-in binned strategy trains a usable
-// forest end to end.
-func TestHistogramForest(t *testing.T) {
-	x, y := pinDataset(150, 3, 9)
-	m := New(Config{NEstimators: 20, MaxDepth: 8, Bins: 32, Seed: 4})
-	if err := m.Fit(x, y); err != nil {
-		t.Fatal(err)
-	}
-	var mae float64
-	for i := range x {
-		d := m.Predict(x[i]) - y[i]
-		if d < 0 {
-			d = -d
-		}
-		mae += d
-	}
-	mae /= float64(len(x))
-	if mae > 1.5 {
-		t.Fatalf("histogram forest training MAE %v, want < 1.5", mae)
-	}
-}

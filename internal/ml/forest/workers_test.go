@@ -14,23 +14,21 @@ func TestWorkersBitIdentical(t *testing.T) {
 	}
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	x, y := pinDataset(3000, 4, 11)
-	for _, bins := range []int{0, 64} {
-		var ref []float64
-		for _, workers := range []int{1, 2, 4, 8} {
-			runtime.GOMAXPROCS(workers)
-			m := New(Config{NEstimators: 4, MaxDepth: 8, MinSamplesLeaf: 2, Seed: 7, Bins: bins})
-			if err := m.Fit(x, y); err != nil {
-				t.Fatalf("bins=%d workers=%d: %v", bins, workers, err)
-			}
-			pred := m.PredictBatch(x)
-			if ref == nil {
-				ref = pred
-				continue
-			}
-			for i := range pred {
-				if pred[i] != ref[i] {
-					t.Fatalf("bins=%d workers=%d: prediction %d: %v != serial %v", bins, workers, i, pred[i], ref[i])
-				}
+	var ref []float64
+	for _, workers := range []int{1, 2, 4, 8} {
+		runtime.GOMAXPROCS(workers)
+		m := New(Config{NEstimators: 4, MaxDepth: 8, MinSamplesLeaf: 2, Seed: 7})
+		if err := m.Fit(x, y); err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
+		}
+		pred := m.PredictBatch(x)
+		if ref == nil {
+			ref = pred
+			continue
+		}
+		for i := range pred {
+			if pred[i] != ref[i] {
+				t.Fatalf("workers=%d: prediction %d: %v != serial %v", workers, i, pred[i], ref[i])
 			}
 		}
 	}

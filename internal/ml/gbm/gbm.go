@@ -105,17 +105,6 @@ type bnode struct {
 var _ ml.Regressor = (*Model)(nil)
 var _ ml.MatrixFitter = (*Model)(nil)
 var _ ml.BatchPredictor = (*Model)(nil)
-var _ ml.BinsHinter = (*Model)(nil)
-
-// BinsHint reports the quantile-binning resolution this configuration
-// trains at (ml.BinsHinter), mirroring the clamp ColMatrix.Bin applies
-// at fit time — a boosted model always bins.
-func (m *Model) BinsHint() int {
-	if m.MaxBins <= 1 || m.MaxBins > 256 {
-		return 256
-	}
-	return m.MaxBins
-}
 
 // New returns an unfitted model, normalizing invalid config fields to
 // the defaults.

@@ -5,23 +5,22 @@ import (
 	"time"
 )
 
-// The boosting engine's parent−sibling subtraction path, mirroring the
-// tree engine's (internal/ml/tree/slab.go): a node's gradient histogram
-// over every feature is materialized once in a pooled flat slab; after
-// the node splits, only the smaller child is refilled from rows and the
-// larger child derives cell-by-cell as parent − sibling, in place in
-// the parent's slab. A boosting stage's fill work per level drops from
-// all rows × features to the smaller halves.
+// The boosting engine's parent−sibling subtraction path: a node's
+// gradient histogram over every feature is materialized once in a
+// pooled flat slab; after the node splits, only the smaller child is
+// refilled from rows and the larger child derives cell-by-cell as
+// parent − sibling, in place in the parent's slab. A boosting stage's
+// fill work per level drops from all rows × features to the smaller
+// halves.
 //
-// Exactness mirrors the tree engine too: per-bin row counts subtract
-// exactly (int32), directly-filled slabs accumulate and sweep in the
-// same sequences as scanFeature and therefore choose bit-identical
-// splits, and derived gradient sums can drift in the last ulps — which
-// is why every gate below is a pure function of segment sizes and
-// config, making the fitted ensemble deterministic. Child gradient
-// totals and leaf values are threaded down the recursion (never read
-// back from histograms), so they come out of the same arithmetic on
-// either path.
+// Exactness: per-bin row counts subtract exactly (int32),
+// directly-filled slabs accumulate and sweep in the same sequences as
+// scanFeature and therefore choose bit-identical splits, and derived
+// gradient sums can drift in the last ulps — which is why every gate
+// below is a pure function of segment sizes and config, making the
+// fitted ensemble deterministic. Child gradient totals and leaf values
+// are threaded down the recursion (never read back from histograms), so
+// they come out of the same arithmetic on either path.
 var (
 	// histSlabMinRows is the stage row count at which a round engages
 	// the slab engine; smaller rounds keep the per-candidate fill path
@@ -50,12 +49,12 @@ type gslab struct {
 	hi []int32
 }
 
-// slabRecycler keeps released slabs alive across fits (mirroring the
-// tree engine's), so repeated boosting fits over same-shaped data — the
-// steady state of a fleet retrain — reallocate slab memory only after a
-// GC cycle drains the pool. The release invariant (all cells in
-// [0, cap) zero, envelopes (1, 0)) holds inductively across reslicing,
-// so a recycled slab is indistinguishable from a fresh allocation.
+// slabRecycler keeps released slabs alive across fits, so repeated
+// boosting fits over same-shaped data — the steady state of a fleet
+// retrain — reallocate slab memory only after a GC cycle drains the
+// pool. The release invariant (all cells in [0, cap) zero, envelopes
+// (1, 0)) holds inductively across reslicing, so a recycled slab is
+// indistinguishable from a fresh allocation.
 var slabRecycler sync.Pool
 
 // recycledSlab pops a cross-fit pooled slab reshaped to this fit's

@@ -206,10 +206,9 @@ func TestUnivariateFastPathMatchesGeneralLarge(t *testing.T) {
 }
 
 // TestGBMSlabRecyclerInvariant pins the boosting engine's cross-fit
-// slab recycler (mirroring the tree engine's): pooled slabs are zeroed
-// to capacity with empty envelopes, the shape guard drops undersized
-// slabs, and a fit consuming recycled slabs is bit-identical to a
-// fresh-allocation fit.
+// slab recycler: pooled slabs are zeroed to capacity with empty
+// envelopes, the shape guard drops undersized slabs, and a fit
+// consuming recycled slabs is bit-identical to a fresh-allocation fit.
 func TestGBMSlabRecyclerInvariant(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops Puts at random under the race detector")

@@ -126,24 +126,6 @@ func GridSearchCV(b Builder, grid Grid, d *Dataset, k int, score Scorer, rnd *rn
 		shared[i] = foldEval{trainX: train.X, trainY: train.Y, cm: cm, valX: val.X, valY: val.Y}
 	}
 
-	// Prewarm the binned layouts: every configuration that hints a bin
-	// resolution (BinsHinter) gets its binning built once per fold here,
-	// serially, so the concurrent evaluations below all reuse one layout
-	// per (fold, resolution) instead of racing to build it.
-	hints := map[int]bool{}
-	for _, cfg := range configs {
-		if h, ok := b(cfg).(BinsHinter); ok {
-			if bins := h.BinsHint(); bins > 1 {
-				hints[bins] = true
-			}
-		}
-	}
-	for bins := range hints {
-		for i := range shared {
-			shared[i].cm.Bin(bins)
-		}
-	}
-
 	scores := make([]float64, len(configs))
 	errs := make([]error, len(configs))
 	var wg sync.WaitGroup

@@ -2,9 +2,9 @@ package ml
 
 import "sync/atomic"
 
-// Package-level work accounting for the histogram split engines. The
-// tree and GBM trainers tally their fill/subtract/sweep work into a
-// local HistStats and merge it here once per fit (a handful of atomic
+// Package-level work accounting for the histogram split engine. The
+// GBM trainer tallies its fill/subtract/sweep work into a local
+// HistStats and merges it here once per fit (a handful of atomic
 // adds), so the engine layer can expose where histogram time goes —
 // rows scanned into direct fills vs. cells derived by parent−sibling
 // subtraction — without any per-node synchronization.

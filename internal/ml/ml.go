@@ -49,17 +49,6 @@ type BatchPredictor interface {
 	PredictBatch(x [][]float64) []float64
 }
 
-// BinsHinter is implemented by regressors that train on a quantile
-// binning of the matrix at a known resolution. Grid search asks each
-// configuration for its hint and prewarms every fold's binning once,
-// serially, before the concurrent evaluations start — configurations
-// sharing a resolution then hit the matrix's bin cache instead of
-// racing to build it under its lock. A hint ≤ 1 means the model does
-// not bin (exact engines).
-type BinsHinter interface {
-	BinsHint() int
-}
-
 // ErrNoData is returned when fitting on an empty dataset.
 var ErrNoData = errors.New("ml: empty training set")
 

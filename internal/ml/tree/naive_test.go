@@ -30,7 +30,7 @@ type naiveBuilder struct {
 }
 
 // fitNaive grows a tree with the reference builder and installs it into
-// the model. It accepts the exact strategy only (cfg.Bins must be 0).
+// the model.
 func (m *Model) fitNaive(x [][]float64, y []float64) {
 	p := len(x[0])
 	b := &naiveBuilder{

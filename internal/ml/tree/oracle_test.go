@@ -199,111 +199,6 @@ func TestFitMatrixSharedAcrossTrees(t *testing.T) {
 	}
 }
 
-// TestHistogramEngineClose: the opt-in histogram strategy is
-// approximate, but with as many bins as unique values it must still
-// find high-quality splits — on cleanly separable data it recovers the
-// same predictions as the exact engine.
-func TestHistogramEngineClose(t *testing.T) {
-	x := make([][]float64, 60)
-	y := make([]float64, 60)
-	for i := range x {
-		x[i] = []float64{float64(i)}
-		if i < 30 {
-			y[i] = 10
-		} else {
-			y[i] = 20
-		}
-	}
-	m := New(Config{MaxDepth: 1, Bins: 64})
-	if err := m.Fit(x, y); err != nil {
-		t.Fatal(err)
-	}
-	if got := m.Predict([]float64{0}); got != 10 {
-		t.Fatalf("left leaf = %v, want 10", got)
-	}
-	if got := m.Predict([]float64{59}); got != 20 {
-		t.Fatalf("right leaf = %v, want 20", got)
-	}
-}
-
-// TestHistogramEngineAccuracy: on smooth data the histogram tree's MAE
-// must stay close to the exact tree's.
-func TestHistogramEngineAccuracy(t *testing.T) {
-	rnd := rng.New(123)
-	n := 400
-	x := make([][]float64, n)
-	y := make([]float64, n)
-	for i := range x {
-		v := rnd.Range(0, 2*math.Pi)
-		x[i] = []float64{v}
-		y[i] = math.Sin(v) * 5
-	}
-	mae := func(m *Model) float64 {
-		var s float64
-		for i := range x {
-			s += math.Abs(m.Predict(x[i]) - y[i])
-		}
-		return s / float64(n)
-	}
-	exact := New(Config{MaxDepth: 6})
-	if err := exact.Fit(x, y); err != nil {
-		t.Fatal(err)
-	}
-	hist := New(Config{MaxDepth: 6, Bins: 128})
-	if err := hist.Fit(x, y); err != nil {
-		t.Fatal(err)
-	}
-	me, mh := mae(exact), mae(hist)
-	if mh > me+0.25 {
-		t.Fatalf("histogram MAE %v far above exact MAE %v", mh, me)
-	}
-}
-
-// TestHistogramConstantColumns: constant features must never split
-// under the histogram engine.
-func TestHistogramConstantColumns(t *testing.T) {
-	x := [][]float64{{3}, {3}, {3}, {3}}
-	y := []float64{1, 2, 3, 4}
-	m := New(Config{Bins: 16})
-	if err := m.Fit(x, y); err != nil {
-		t.Fatal(err)
-	}
-	if m.NodeCount() != 1 {
-		t.Fatalf("grew %d nodes on a constant column", m.NodeCount())
-	}
-	if got := m.Predict([]float64{3}); got != 2.5 {
-		t.Fatalf("mean prediction = %v", got)
-	}
-}
-
-// TestHistogramDeterministic: same seed, same data — same tree,
-// including under feature subsampling.
-func TestHistogramDeterministic(t *testing.T) {
-	rnd := rng.New(5)
-	x, y := randomDataset(rnd, 150, 4)
-	cfg := Config{MaxDepth: 7, MaxFeatures: 2, Bins: 32, Seed: 11}
-	a := New(cfg)
-	if err := a.Fit(x, y); err != nil {
-		t.Fatal(err)
-	}
-	b := New(cfg)
-	if err := b.Fit(x, y); err != nil {
-		t.Fatal(err)
-	}
-	if !nodesEqual(a.nodes, b.nodes) {
-		t.Fatal("same seed produced different histogram trees")
-	}
-}
-
-// TestBinsClamped: resolutions above 256 are clamped, not rejected —
-// bin codes are uint8.
-func TestBinsClamped(t *testing.T) {
-	m := New(Config{Bins: 4096})
-	if m.Bins != 256 {
-		t.Fatalf("Bins = %d, want 256", m.Bins)
-	}
-}
-
 // TestTreePinnedPredictions pins the exact engine against values
 // captured from the seed implementation (pre-engine, per-node
 // re-sorting): the default strategy must reproduce them bit for bit.
@@ -348,9 +243,10 @@ func pinDataset(n, p int, seed uint64) ([][]float64, []float64) {
 	return x, y
 }
 
-// TestWeightValidation: weights are multiplicities — fractional or
-// otherwise invalid weights must be rejected, and a zero-value Model
-// (MinSamplesLeaf 0) must still fit without panicking.
+// TestWeightValidation: weights are multiplicities — fractional,
+// negative, all-zero or int32-overflowing weights must be rejected,
+// and a zero-value Model (MinSamplesLeaf 0) must still fit without
+// panicking.
 func TestWeightValidation(t *testing.T) {
 	x := [][]float64{{1}, {2}, {3}, {4}}
 	y := []float64{1, 2, 3, 4}
@@ -359,14 +255,19 @@ func TestWeightValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	m := New(Config{})
-	if err := m.FitWeighted(cm, y, []float64{0.5, 0.5, 0.5, 0.5}); err == nil {
-		t.Fatal("fractional weights accepted")
-	}
-	if err := m.FitWeighted(cm, y, []float64{1, -1, 1, 1}); err == nil {
-		t.Fatal("negative weight accepted")
-	}
-	if err := m.FitWeighted(cm, y, []float64{0, 0, 0, 0}); err == nil {
-		t.Fatal("all-zero weights accepted")
+	for _, tc := range []struct {
+		name string
+		w    []float64
+	}{
+		{"fractional", []float64{0.5, 0.5, 0.5, 0.5}},
+		{"negative", []float64{1, -1, 1, 1}},
+		{"all-zero", []float64{0, 0, 0, 0}},
+		{"2^31", []float64{1 << 31, 1, 1, 1}},
+		{"2^32", []float64{1 << 32, 1, 1, 1}},
+	} {
+		if err := m.FitWeighted(cm, y, tc.w); err == nil {
+			t.Fatalf("%s weights %v accepted", tc.name, tc.w)
+		}
 	}
 	var zero Model // not built via New: MinSamplesLeaf is 0
 	if err := zero.Fit(x, y); err != nil {

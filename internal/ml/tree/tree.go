@@ -1,23 +1,16 @@
 // Package tree implements CART regression trees: binary trees grown by
 // exhaustive variance-reduction splitting. Decision trees are the
-// non-linear mapping the paper's ensemble methods (random forest and
-// gradient boosting) are built from.
+// non-linear mapping the paper's random forest is built from.
 //
-// Split finding runs on one of two engines over a shared column-major
-// matrix (ml.ColMatrix):
+// Splits are exact: each feature of the shared column-major matrix
+// (ml.ColMatrix) is sorted once per matrix, and the per-feature orders
+// are stably partitioned down the tree, so a node scan is O(F·n) with
+// no per-node sorting or allocation. The grown tree is bit-identical to
+// the retained naive reference (naive_test.go), which re-sorts at every
+// node.
 //
-//   - exact (default): each feature is sorted once per matrix; the
-//     per-feature orders are stably partitioned down the tree, so a
-//     node scan is O(F·n) with no per-node sorting or allocation. The
-//     grown tree is bit-identical to the retained naive reference
-//     (naive_test.go), which re-sorts at every node.
-//   - histogram (opt-in via Config.Bins): features are quantile-binned
-//     once per matrix into ≤256 uint8 buckets; node scans accumulate
-//     per-bin sums and sweep them cumulatively, costing O(F·(n+bins))
-//     with much smaller constants on wide nodes.
-//
-// Both engines accept per-row multiplicities (weights), which lets a
-// random forest share one presorted matrix across all bootstraps.
+// Fits accept per-row multiplicities (weights), which lets a random
+// forest share one presorted matrix across all bootstraps.
 package tree
 
 import (
@@ -46,11 +39,6 @@ type Config struct {
 	MaxFeatures int
 	// Seed drives feature subsampling when MaxFeatures is active.
 	Seed uint64
-	// Bins selects the split-finding strategy: 0 (or 1) grows with the
-	// exact presorted engine; 2..256 opts into the approximate
-	// histogram engine with at most Bins quantile buckets per feature.
-	// Values above 256 are clamped to 256 (bin codes are uint8).
-	Bins int
 }
 
 // Model is a fitted CART regression tree.
@@ -74,16 +62,6 @@ type node struct {
 
 var _ ml.Regressor = (*Model)(nil)
 var _ ml.MatrixFitter = (*Model)(nil)
-var _ ml.BinsHinter = (*Model)(nil)
-
-// BinsHint reports the quantile-binning resolution this configuration
-// trains at (ml.BinsHinter); ≤ 1 means the exact engine, no binning.
-func (m *Model) BinsHint() int {
-	if m.Bins > 256 {
-		return 256
-	}
-	return m.Bins
-}
 
 // New returns a tree with the given config, applying defaults for unset
 // minimums.
@@ -93,9 +71,6 @@ func New(cfg Config) *Model {
 	}
 	if cfg.MinSamplesLeaf < 1 {
 		cfg.MinSamplesLeaf = 1
-	}
-	if cfg.Bins > 256 {
-		cfg.Bins = 256
 	}
 	return &Model{Config: cfg}
 }
@@ -113,8 +88,8 @@ func (m *Model) Fit(x [][]float64, y []float64) error {
 }
 
 // FitMatrix grows the tree from a prebuilt column matrix, reusing its
-// cached presorted orders (exact engine) or binnings (histogram
-// engine). The matrix is not mutated and may be shared concurrently.
+// cached presorted orders. The matrix is not mutated and may be shared
+// concurrently.
 func (m *Model) FitMatrix(cm *ml.ColMatrix, y []float64) error {
 	return m.FitWeighted(cm, y, nil)
 }
@@ -140,6 +115,9 @@ func (m *Model) FitWeighted(cm *ml.ColMatrix, y []float64, w []float64) error {
 			if wi != math.Trunc(wi) {
 				return fmt.Errorf("tree: weight %v at row %d is not an integer multiplicity", wi, i)
 			}
+			if wi > math.MaxInt32 {
+				return fmt.Errorf("tree: weight %v at row %d exceeds the largest multiplicity %d", wi, i, math.MaxInt32)
+			}
 			total += wi
 		}
 		if total == 0 {
@@ -149,16 +127,12 @@ func (m *Model) FitWeighted(cm *ml.ColMatrix, y []float64, w []float64) error {
 	return m.fit(cm, y, w)
 }
 
-// fit dispatches to the configured split-finding engine.
+// fit checks the configuration and grows the tree.
 func (m *Model) fit(cm *ml.ColMatrix, y []float64, w []float64) error {
 	if m.MaxFeatures < 0 {
 		return fmt.Errorf("tree: negative MaxFeatures %d", m.MaxFeatures)
 	}
-	if m.Bins > 1 {
-		m.fitHist(cm, y, w)
-	} else {
-		m.fitExact(cm, y, w)
-	}
+	m.fitExact(cm, y, w)
 	return nil
 }
 
