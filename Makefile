@@ -25,8 +25,8 @@ bench-ml:
 bench-serve:
 	BENCHTIME=$(BENCHTIME) ./scripts/bench_serve.sh BENCH_serve.json
 
-# bench-ingest measures the telemetry ingest doors (JSON HTTP, binary
-# HTTP, UDP apply path) at the canonical 100-report batch. The binary
+# bench-ingest measures the two telemetry ingest doors (JSON HTTP and
+# binary HTTP) at the canonical 100-report batch. The binary
 # row must hold ≥5x the JSON row's reports/s and ≤1 alloc/report. It
 # writes a fresh run record to bench-ingest-run.json; the committed
 # BENCH_ingest.json is a curated [before, after] array of such records

@@ -5,35 +5,19 @@
 // (DESIGN.md, substitution S1).
 //
 // With -post URL the generated days are sliced into chronological
-// batches and POSTed to URL/telemetry, so the full live loop —
+// batches and POSTed to URL/telemetry as binary wire frames (see
+// internal/ingest's wire format), so the full live loop —
 // collector batches → ingest store → incremental retrain → forecasts —
 // is demoable end-to-end:
 //
 //	fleetgen -o fleet.csv                                # CSV dataset
 //	fleetgen -vehicles 24 -post http://localhost:8080    # live replay
 //
-// The soak subcommand (see soak.go) is the ingest load harness: it
-// sustains synthetic telemetry against /telemetry over the JSON,
-// binary-HTTP or UDP door and reports accept/ack/loss:
-//
-//	fleetgen soak -target http://localhost:8080 -transport binary \
-//	    -vehicles 1000000 -duration 30s -concurrency 8
-//
-// With soak -read it instead sustains a mixed GET workload against the
-// read path (per-vehicle forecast / fleet forecast / plan, ratio via
-// -read-mix) and reports req/s, the 304 share under -conditional
-// replay, and the server-side latency quantiles (see readsoak.go):
-//
-//	fleetgen soak -read -target http://localhost:8080 \
-//	    -read-mix 80/15/5 -conditional -duration 30s
-//
 // Usage:
 //
 //	fleetgen [-vehicles 24] [-days 1735] [-seed 42] [-corrupt]
 //	         [-o fleet.csv | -post http://host:8080 [-batch-days 90]
 //	          [-auth-token SECRET]]
-//	fleetgen soak -target URL [-transport json|binary|udp] ...
-//	fleetgen soak -read -target URL [-read-mix 80/15/5] [-conditional] ...
 package main
 
 import (
@@ -48,6 +32,7 @@ import (
 	"os"
 	"time"
 
+	"repro/internal/ingest"
 	"repro/internal/serve"
 	"repro/internal/telematics"
 )
@@ -55,11 +40,6 @@ import (
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("fleetgen: ")
-
-	if len(os.Args) > 1 && os.Args[1] == "soak" {
-		soakMain(os.Args[2:])
-		return
-	}
 
 	var (
 		vehicles  = flag.Int("vehicles", 24, "fleet size")
@@ -136,16 +116,16 @@ func replay(fleet *telematics.Fleet, baseURL string, batchDays int, authToken st
 		if to > horizon {
 			to = horizon
 		}
-		var reports []serve.ReportJSON
+		var reports []ingest.Report
 		for _, v := range fleet.Vehicles {
 			for t := from; t < to && t < len(v.RawU); t++ {
 				if math.IsNaN(v.RawU[t]) {
 					continue
 				}
-				reports = append(reports, serve.ReportJSON{
-					Vehicle: v.Profile.ID,
-					Date:    v.Start.AddDate(0, 0, t).Format("2006-01-02"),
-					Seconds: v.RawU[t],
+				reports = append(reports, ingest.Report{
+					VehicleID: v.Profile.ID,
+					Date:      v.Start.AddDate(0, 0, t),
+					Seconds:   v.RawU[t],
 				})
 			}
 		}
@@ -180,8 +160,10 @@ func replay(fleet *telematics.Fleet, baseURL string, batchDays int, authToken st
 	return nil
 }
 
-func postBatch(client *http.Client, url, authToken string, reports []serve.ReportJSON) (serve.TelemetryResponse, error) {
-	body, err := json.Marshal(serve.TelemetryRequest{Reports: reports})
+// postBatch sends reports as one binary wire frame and decodes the
+// server's acknowledgement.
+func postBatch(client *http.Client, url, authToken string, reports []ingest.Report) (serve.TelemetryResponse, error) {
+	body, err := ingest.EncodeWireFrame(reports)
 	if err != nil {
 		return serve.TelemetryResponse{}, err
 	}
@@ -189,7 +171,7 @@ func postBatch(client *http.Client, url, authToken string, reports []serve.Repor
 	if err != nil {
 		return serve.TelemetryResponse{}, err
 	}
-	req.Header.Set("Content-Type", "application/json")
+	req.Header.Set("Content-Type", ingest.ContentTypeBinary)
 	if authToken != "" {
 		req.Header.Set("Authorization", "Bearer "+authToken)
 	}

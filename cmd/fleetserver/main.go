@@ -106,7 +106,6 @@ func main() {
 		interval    = flag.Duration("retrain-interval", 0, "periodic retrain interval (0 disables)")
 		liveIngest  = flag.Bool("ingest", false, "enable live telemetry ingestion (POST /telemetry); -data becomes seed data")
 		retrainDirt = flag.Int("retrain-dirty", 0, "with -ingest: auto-retrain once this many vehicles changed (0 disables)")
-		udpListen   = flag.String("udp-listen", "", "with -ingest: also accept binary telemetry datagrams on this UDP address (ack-less; e.g. :9081)")
 
 		shards  = flag.Int("shards", 1, "in-process engine shards behind a consistent-hash ring")
 		join    = flag.String("join", "", "multi-process mode: this process's shard name (must appear in -peers)")
@@ -152,9 +151,6 @@ func main() {
 	}
 	if *walDir != "" && !*liveIngest {
 		fatal("-wal-dir needs -ingest")
-	}
-	if *udpListen != "" && !*liveIngest {
-		fatal("-udp-listen needs -ingest")
 	}
 	if *shards > 1 && *join != "" {
 		fatal("-shards and -join are mutually exclusive")
@@ -231,7 +227,7 @@ func main() {
 	ecfg := engine.Config{Predictor: cfg, Workers: *workers, Logger: logger}
 
 	if *shards > 1 {
-		runSharded(*addr, *shards, ecfg, base, store, snaps, *retrainDirt, *interval, waitForTelemetry, guard, logger, *pprofFlag, *udpListen)
+		runSharded(*addr, *shards, ecfg, base, store, snaps, *retrainDirt, *interval, waitForTelemetry, guard, logger, *pprofFlag)
 		return
 	}
 
@@ -318,29 +314,14 @@ func main() {
 		slog.Info("dirty-vehicle retraining enabled", "threshold", *retrainDirt)
 	}
 
-	openUDPDoor(srv, *udpListen)
 	slog.Info("listening", "addr", *addr, "shard", shardName, "pprof", *pprofFlag)
 	fatal("http server exited", "error", http.ListenAndServe(*addr, srv))
-}
-
-// openUDPDoor starts the ack-less binary telemetry listener when
-// -udp-listen is set. It must run before the HTTP listener binds (the
-// door's registration on /metrics is not synchronized with requests).
-func openUDPDoor(srv *serve.Server, addr string) {
-	if addr == "" {
-		return
-	}
-	udp, err := srv.ServeUDP(serve.UDPOptions{Addr: addr})
-	if err != nil {
-		fatal("opening UDP telemetry door", "addr", addr, "error", err)
-	}
-	slog.Info("UDP telemetry door open (ack-less binary frames)", "addr", udp.Addr().String())
 }
 
 // runSharded boots the in-process cluster: N partitioned engines, one
 // serve.Server each over the shared store, and the fan-out router in
 // front.
-func runSharded(addr string, shards int, ecfg engine.Config, base engine.Source, store *ingest.Store, snaps *snapstore.Store, retrainDirty int, interval time.Duration, waitForTelemetry bool, guard serve.GuardOptions, logger *slog.Logger, pprofFlag bool, udpListen string) {
+func runSharded(addr string, shards int, ecfg engine.Config, base engine.Source, store *ingest.Store, snaps *snapstore.Store, retrainDirty int, interval time.Duration, waitForTelemetry bool, guard serve.GuardOptions, logger *slog.Logger, pprofFlag bool) {
 	// Shard engines register their training metrics here so the spill
 	// hook can attribute snapshot-encode time; a spill that fires before
 	// registration (a restore racing boot) just skips the observation.
@@ -381,7 +362,6 @@ func runSharded(addr string, shards int, ecfg engine.Config, base engine.Source,
 
 	backends := make([]serve.ShardBackend, 0, shards)
 	var engines []*engine.Engine
-	var udpSrv *serve.Server // first shard server hosts the UDP door (shared store)
 	for _, sh := range sharded.Shards() {
 		// Shards are trusted-internal behind the router: the guard is
 		// enforced once, at the router below.
@@ -398,9 +378,6 @@ func runSharded(addr string, shards int, ecfg engine.Config, base engine.Source,
 		metricsMu.Unlock()
 		backends = append(backends, serve.ShardBackend{Name: sh.Name, Handler: srv})
 		engines = append(engines, sh.Engine)
-		if udpSrv == nil {
-			udpSrv = srv
-		}
 
 		if restoreSnapshot(sh.Engine, snaps, sh.Name) {
 			slog.Info("serving restored generation", "shard", sh.Name, "generation", sh.Engine.Snapshot().Generation)
@@ -445,14 +422,6 @@ func runSharded(addr string, shards int, ecfg engine.Config, base engine.Source,
 	if interval > 0 {
 		go retrainLoop(engines, interval)
 		slog.Info("periodic retraining enabled", "interval", interval.String())
-	}
-	if udpListen != "" {
-		if store == nil {
-			fatal("-udp-listen needs -ingest")
-		}
-		// Datagrams land in the shared store through the first shard's
-		// server; every shard sees them (one store behind all of them).
-		openUDPDoor(udpSrv, udpListen)
 	}
 	slog.Info("listening", "addr", addr, "shards", shards, "pprof", pprofFlag)
 	fatal("http server exited", "error", http.ListenAndServe(addr, router))

@@ -34,16 +34,6 @@ func Algorithms() []Algorithm { return []Algorithm{BL, LR, LSVR, RF, XGB} }
 // (everything except BL).
 func TrainedAlgorithms() []Algorithm { return []Algorithm{LR, LSVR, RF, XGB} }
 
-// ParseAlgorithm converts a string to an Algorithm.
-func ParseAlgorithm(s string) (Algorithm, error) {
-	for _, a := range Algorithms() {
-		if string(a) == s {
-			return a, nil
-		}
-	}
-	return "", fmt.Errorf("core: unknown algorithm %q (want one of BL, LR, LSVR, RF, XGB)", s)
-}
-
 // Build constructs a fresh regressor for the algorithm with the given
 // hyper-parameters; missing parameters fall back to DefaultParams. BL
 // cannot be built here because it needs the utilization series, not a

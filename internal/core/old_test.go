@@ -172,18 +172,6 @@ func TestBuildRegistry(t *testing.T) {
 	}
 }
 
-func TestParseAlgorithm(t *testing.T) {
-	for _, alg := range Algorithms() {
-		got, err := ParseAlgorithm(string(alg))
-		if err != nil || got != alg {
-			t.Fatalf("%s: %v", alg, err)
-		}
-	}
-	if _, err := ParseAlgorithm("GBT"); err == nil {
-		t.Fatal("unknown name accepted")
-	}
-}
-
 func TestGridsCoverPaperRanges(t *testing.T) {
 	full := FullGrid(RF)
 	depths := full["depth"]

@@ -41,41 +41,3 @@ func AggregateDaily(obs []Observation) (start time.Time, u timeseries.Series, er
 	}
 	return first, u, nil
 }
-
-// AggregateWeekly rolls a daily series up to ISO-week sums. It is used by
-// exploration tooling, not by the core prediction path (the paper works
-// at daily granularity).
-func AggregateWeekly(u timeseries.Series) timeseries.Series {
-	if len(u) == 0 {
-		return timeseries.Series{}
-	}
-	weeks := (len(u) + 6) / 7
-	out := make(timeseries.Series, weeks)
-	for t, v := range u {
-		out[t/7] += v
-	}
-	return out
-}
-
-// RollingMean returns the trailing mean over the previous `window` days
-// (inclusive of day t). The first window-1 entries average over the
-// shorter available prefix.
-func RollingMean(u timeseries.Series, window int) (timeseries.Series, error) {
-	if window <= 0 {
-		return nil, fmt.Errorf("dataprep: RollingMean window %d must be positive", window)
-	}
-	out := make(timeseries.Series, len(u))
-	var sum float64
-	for t, v := range u {
-		sum += v
-		if t >= window {
-			sum -= u[t-window]
-		}
-		n := window
-		if t+1 < window {
-			n = t + 1
-		}
-		out[t] = sum / float64(n)
-	}
-	return out, nil
-}

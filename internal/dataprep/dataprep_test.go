@@ -190,16 +190,6 @@ func TestScalerRoundTripProperty(t *testing.T) {
 	}
 }
 
-func TestNormalizeSeries(t *testing.T) {
-	out, err := NormalizeSeries(timeseries.Series{0, 5, 10}, &MinMaxScaler{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out[0] != 0 || out[1] != 0.5 || out[2] != 1 {
-		t.Fatalf("normalized = %v", out)
-	}
-}
-
 func TestAggregateDaily(t *testing.T) {
 	day := time.Date(2019, 6, 3, 0, 0, 0, 0, time.UTC)
 	obs := []Observation{
@@ -223,37 +213,6 @@ func TestAggregateDaily(t *testing.T) {
 	}
 	if _, _, err := AggregateDaily(nil); err == nil {
 		t.Fatal("empty input accepted")
-	}
-}
-
-func TestAggregateWeekly(t *testing.T) {
-	u := make(timeseries.Series, 10)
-	for i := range u {
-		u[i] = 1
-	}
-	w := AggregateWeekly(u)
-	if len(w) != 2 || w[0] != 7 || w[1] != 3 {
-		t.Fatalf("weekly = %v", w)
-	}
-	if len(AggregateWeekly(nil)) != 0 {
-		t.Fatal("empty weekly aggregation wrong")
-	}
-}
-
-func TestRollingMean(t *testing.T) {
-	u := timeseries.Series{2, 4, 6, 8}
-	out, err := RollingMean(u, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := timeseries.Series{2, 3, 5, 7}
-	for i := range want {
-		if out[i] != want[i] {
-			t.Fatalf("rolling = %v, want %v", out, want)
-		}
-	}
-	if _, err := RollingMean(u, 0); err == nil {
-		t.Fatal("zero window accepted")
 	}
 }
 

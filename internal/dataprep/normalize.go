@@ -4,8 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-
-	"repro/internal/timeseries"
 )
 
 // ErrNotFitted is returned when a scaler is used before Fit.
@@ -128,18 +126,4 @@ func (s *StandardScaler) Inverse(v float64) float64 {
 		panic(ErrNotFitted)
 	}
 	return s.mean + v*s.std
-}
-
-// NormalizeSeries fits the scaler on the series and returns the
-// transformed copy. It is the series-level convenience used by the
-// pipeline.
-func NormalizeSeries(u timeseries.Series, s Scaler) (timeseries.Series, error) {
-	if err := s.Fit(u); err != nil {
-		return nil, err
-	}
-	out := make(timeseries.Series, len(u))
-	for i, v := range u {
-		out[i] = s.Transform(v)
-	}
-	return out, nil
 }

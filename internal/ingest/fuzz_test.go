@@ -7,7 +7,7 @@ import (
 	"repro/internal/wal"
 )
 
-// FuzzBinaryFrame is the parser-hardening target the binary doors rely
+// FuzzBinaryFrame is the parser-hardening target the binary door relies
 // on: arbitrary bytes go through the exact transport path — frame
 // parse, structure walk, store application — and must reject cleanly.
 // No panic, no over-read (checked-in seeds under testdata/fuzz cover

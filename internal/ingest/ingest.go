@@ -220,7 +220,7 @@ const maxVehicleIDBytes = 256
 
 // minReportDay is minReportDate as an epoch day: the wire format
 // carries epoch days, so the date rules are defined on days and every
-// door (JSON, binary-HTTP, UDP) enforces the identical bound.
+// door (JSON, binary-HTTP) enforces the identical bound.
 var minReportDay = epochDay(minReportDate)
 
 // Shared rejection reasons. The helpers below are the one set of

@@ -107,7 +107,7 @@ func AppendWireBatch(dst []byte, reports []Report) ([]byte, error) {
 }
 
 // EncodeWireFrame encodes reports as one framed wire batch — the exact
-// bytes an HTTP binary body or a UDP datagram carries.
+// bytes an HTTP binary body carries.
 func EncodeWireFrame(reports []Report) ([]byte, error) {
 	payload, err := AppendWireBatch(make([]byte, 0, wireBatchSize(reports)), reports)
 	if err != nil {
@@ -209,7 +209,7 @@ func WalkWireGroups(payload []byte, fn func(id, group, recs []byte) error) (int,
 
 // UpsertBinary applies one binary wire batch (the CRC-verified payload
 // of a wal frame — transports run wal.ParseFrame first). It is
-// UpsertBatch for the binary doors: the same per-report validation,
+// UpsertBatch for the binary door: the same per-report validation,
 // accounting, journaling and durability acknowledgement, minus the
 // per-report decode allocations — IDs stay byte slices except when a
 // new vehicle or a journaled change needs the string, so re-delivered

@@ -53,28 +53,3 @@ func KFold(n, k int, shuffle bool, rnd *rng.Source) ([]Fold, error) {
 
 // Scorer maps (true, predicted) to a loss; lower is better.
 type Scorer func(yTrue, yPred []float64) (float64, error)
-
-// CrossValidate scores a model family over k folds and returns the mean
-// validation loss. The factory is invoked once per fold so folds never
-// share fitted state.
-func CrossValidate(f Factory, d *Dataset, k int, score Scorer, rnd *rng.Source) (float64, error) {
-	folds, err := KFold(d.Len(), k, true, rnd)
-	if err != nil {
-		return 0, err
-	}
-	var total float64
-	for i, fold := range folds {
-		train := d.Subset(fold.Train)
-		val := d.Subset(fold.Val)
-		model := f()
-		if err := model.Fit(train.X, train.Y); err != nil {
-			return 0, fmt.Errorf("ml: fold %d fit: %w", i, err)
-		}
-		s, err := score(val.Y, PredictBatch(model, val.X))
-		if err != nil {
-			return 0, fmt.Errorf("ml: fold %d score: %w", i, err)
-		}
-		total += s
-	}
-	return total / float64(len(folds)), nil
-}

@@ -28,10 +28,6 @@ type Regressor interface {
 	Predict(x []float64) float64
 }
 
-// Factory builds a fresh, unfitted regressor. Cross-validation and grid
-// search clone models through factories so folds never share state.
-type Factory func() Regressor
-
 // MatrixFitter is implemented by regressors that can train directly
 // from a shared ColMatrix, reusing its cached presorted orders and
 // binnings instead of re-deriving them from row-major data. Grid search
@@ -115,30 +111,6 @@ func (d *Dataset) Subset(idx []int) *Dataset {
 		y[i] = d.Y[j]
 	}
 	return &Dataset{Names: d.Names, X: x, Y: y}
-}
-
-// SplitHoldout splits the dataset chronologically: the first
-// trainFraction of rows become the training set, the remainder the test
-// set. The paper uses "the first 70 % of their samples as training set,
-// and the remaining part as test set" — order-preserving, no shuffling,
-// as is proper for time series.
-func (d *Dataset) SplitHoldout(trainFraction float64) (train, test *Dataset, err error) {
-	if trainFraction <= 0 || trainFraction >= 1 {
-		return nil, nil, fmt.Errorf("ml: train fraction %.3f outside (0,1)", trainFraction)
-	}
-	cut := int(float64(d.Len()) * trainFraction)
-	if cut == 0 || cut == d.Len() {
-		return nil, nil, fmt.Errorf("ml: split of %d samples at fraction %.3f leaves an empty side", d.Len(), trainFraction)
-	}
-	idxTrain := make([]int, cut)
-	idxTest := make([]int, d.Len()-cut)
-	for i := range idxTrain {
-		idxTrain[i] = i
-	}
-	for i := range idxTest {
-		idxTest[i] = cut + i
-	}
-	return d.Subset(idxTrain), d.Subset(idxTest), nil
 }
 
 // PredictBatch evaluates a fitted regressor over all rows, using the

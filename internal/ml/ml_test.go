@@ -46,33 +46,6 @@ func TestDataset(t *testing.T) {
 	}
 }
 
-func TestSplitHoldoutChronological(t *testing.T) {
-	x := make([][]float64, 10)
-	y := make([]float64, 10)
-	for i := range x {
-		x[i] = []float64{float64(i)}
-		y[i] = float64(i)
-	}
-	d, _ := NewDataset(nil, x, y)
-	train, test, err := d.SplitHoldout(0.7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if train.Len() != 7 || test.Len() != 3 {
-		t.Fatalf("split sizes %d/%d", train.Len(), test.Len())
-	}
-	// Order preserved: train gets the chronological head.
-	if train.Y[6] != 6 || test.Y[0] != 7 {
-		t.Fatal("split not chronological")
-	}
-	if _, _, err := d.SplitHoldout(0); err == nil {
-		t.Fatal("fraction 0 accepted")
-	}
-	if _, _, err := d.SplitHoldout(1); err == nil {
-		t.Fatal("fraction 1 accepted")
-	}
-}
-
 func TestMetricsKnownValues(t *testing.T) {
 	yt := []float64{1, 2, 3}
 	yp := []float64{2, 2, 1}
@@ -185,23 +158,6 @@ func (m *meanModel) Fit(x [][]float64, y []float64) error {
 	return nil
 }
 func (m *meanModel) Predict([]float64) float64 { return m.mean }
-
-func TestCrossValidate(t *testing.T) {
-	x := make([][]float64, 20)
-	y := make([]float64, 20)
-	for i := range x {
-		x[i] = []float64{0}
-		y[i] = 10 // constant target: CV loss of the mean model is 0
-	}
-	d, _ := NewDataset(nil, x, y)
-	score, err := CrossValidate(func() Regressor { return &meanModel{} }, d, 5, MAE, rng.New(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if score != 0 {
-		t.Fatalf("CV score = %v, want 0", score)
-	}
-}
 
 // paramModel predicts its parameter; grid search must pick the parameter
 // matching the constant target.

@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"repro/internal/ingest"
-	"repro/internal/wal"
 )
 
 // The ingest benchmarks measure the telemetry doors end to end — mux
@@ -72,8 +71,8 @@ func postBench(srv *Server, req *http.Request, body *benchBody, raw []byte, w *d
 }
 
 // BenchmarkTelemetryIngest measures reports/sec and allocs/report for
-// each ingest door at the canonical batch size. The JSON row is the
-// baseline every other transport is judged against in BENCH_ingest.json.
+// both ingest doors at the canonical batch size. The JSON row is the
+// baseline the binary row is judged against in BENCH_ingest.json.
 func BenchmarkTelemetryIngest(b *testing.B) {
 	jsonBody := encodeJSON(TelemetryRequest{Reports: benchReportsJSON()})
 
@@ -114,37 +113,6 @@ func BenchmarkTelemetryIngest(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			if status := postBench(srv, req, body, frame, w); status != http.StatusOK {
 				b.Fatalf("status %d", status)
-			}
-		}
-		b.ReportMetric(float64(benchBatchSize)*float64(b.N)/b.Elapsed().Seconds(), "reports/s")
-	})
-
-	// The udp row measures the per-datagram apply path — frame parse +
-	// binary upsert, exactly what a UDP worker does after ReadFromUDP —
-	// excluding socket I/O, so the three rows compare decode+apply cost
-	// on equal footing.
-	b.Run("udp/batch=100", func(b *testing.B) {
-		_, _, store := ingestServer(b, 0)
-		frame, err := ingest.EncodeWireFrame(benchReportsWire())
-		if err != nil {
-			b.Fatal(err)
-		}
-		payload, _, err := wal.ParseFrame(frame)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, err := store.UpsertBinary(payload, maxTelemetryReports); err != nil {
-			b.Fatal(err)
-		}
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			payload, _, err := wal.ParseFrame(frame)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if _, err := store.UpsertBinary(payload, maxTelemetryReports); err != nil {
-				b.Fatal(err)
 			}
 		}
 		b.ReportMetric(float64(benchBatchSize)*float64(b.N)/b.Elapsed().Seconds(), "reports/s")

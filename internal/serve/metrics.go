@@ -92,15 +92,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 				m.Sample("fleet_ingest_door_allocs_per_report", labels, apr)
 			}
 		}
-
-		if s.udp != nil {
-			ust := s.udp.Stats()
-			m.GaugeInt("fleet_udp_workers", "UDP telemetry door worker goroutines.", int64(ust.Workers))
-			m.CounterUint("fleet_udp_datagrams", "UDP telemetry datagrams read.", ust.Datagrams)
-			m.CounterUint("fleet_udp_frame_errors", "UDP datagrams dropped for framing or wire-structure faults.", ust.FrameErrors)
-			m.CounterUint("fleet_udp_apply_errors", "UDP batches applied but not durably journaled.", ust.ApplyErrors)
-			m.CounterUint("fleet_udp_read_errors", "Transient UDP socket read failures.", ust.ReadErrors)
-		}
 	}
 
 	obs.WriteRuntimeMetrics(&m)

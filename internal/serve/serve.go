@@ -106,10 +106,8 @@ type Server struct {
 	retrainDirty int
 	telemetry    *guard
 	// doors counts telemetry traffic per ingest door (JSON, binary
-	// HTTP, UDP) with a sampled allocs-per-report estimate each; udp is
-	// the optional datagram door (nil unless ServeUDP was started).
+	// HTTP) with a sampled allocs-per-report estimate each.
 	doors [numDoors]doorStats
-	udp   *UDPDoor
 	// kickMu guards the dirty-threshold retrain policy: lastKickSeq is
 	// the store sequence the latest auto-retrain kick (started, or
 	// refused and remembered by the engine) was made at; prevKickSeq is
@@ -590,10 +588,8 @@ type IngestStatsJSON struct {
 	// threshold-triggered retrain kick.
 	DirtySinceLastRetrain []string `json:"dirty_since_last_retrain,omitempty"`
 	// Doors breaks telemetry traffic down per ingest door (JSON,
-	// binary HTTP, UDP), each with its sampled allocs-per-report.
+	// binary HTTP), each with its sampled allocs-per-report.
 	Doors []DoorStatsJSON `json:"doors"`
-	// UDP describes the datagram door (nil unless one is listening).
-	UDP *UDPStatsJSON `json:"udp,omitempty"`
 }
 
 // handleDonors serves the donor-series exchange (shard-to-shard; the
@@ -638,17 +634,12 @@ func (s *Server) handleIngestStats(w http.ResponseWriter, _ *http.Request) {
 	s.kickMu.Lock()
 	lastKick := s.lastKickSeq
 	s.kickMu.Unlock()
-	out := IngestStatsJSON{
+	writeJSON(w, http.StatusOK, IngestStatsJSON{
 		Stats:                 s.ingest.Stats(),
 		RetrainDirtyThreshold: s.retrainDirty,
 		DirtySinceLastRetrain: s.ingest.DirtySince(lastKick),
 		Doors:                 s.doorStatsJSON(),
-	}
-	if s.udp != nil {
-		st := s.udp.Stats()
-		out.UDP = &st
-	}
-	writeJSON(w, http.StatusOK, out)
+	})
 }
 
 func boolQuery(r *http.Request, key string) (bool, error) {

@@ -1,10 +1,10 @@
 // The telemetry doors: POST /telemetry speaks JSON (the original wire
 // form) or, switched by Content-Type, the binary frame format from
-// internal/ingest — and udp.go adds the ack-less datagram door on the
-// same store. This file holds the shared door accounting (batches,
-// reports, rejected, and a sampled allocations-per-report estimate per
-// door, so the JSON-vs-binary gap is measured in production, not
-// guessed from benchmarks) plus the two HTTP door handlers.
+// internal/ingest; both apply to the same store and answer with a
+// durable acknowledgement. This file holds the shared door accounting
+// (batches, reports, rejected, and a sampled allocations-per-report
+// estimate per door, so the JSON-vs-binary gap is measured in
+// production, not guessed from benchmarks) plus the two door handlers.
 package serve
 
 import (
@@ -27,12 +27,11 @@ import (
 const (
 	doorJSON = iota
 	doorBinary
-	doorUDP
 	numDoors
 )
 
 // doorNames spells the door label on /metrics and /admin/ingest.
-var doorNames = [numDoors]string{"json", "binary", "udp"}
+var doorNames = [numDoors]string{"json", "binary"}
 
 // allocSampleEvery: one batch in this many pays two runtime/metrics
 // reads (a few microseconds) to estimate the door's decode+apply

@@ -3,7 +3,6 @@ package serve
 import (
 	"encoding/json"
 	"fmt"
-	"net"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
@@ -121,94 +120,6 @@ func TestBinaryTelemetryBitIdenticalToJSON(t *testing.T) {
 
 	if gotJ, gotB := storeFingerprint(t, storeJSON), storeFingerprint(t, storeBin); gotJ != gotB {
 		t.Fatalf("store content diverges:\njson door\n%s\nbinary door\n%s", gotJ, gotB)
-	}
-}
-
-// TestUDPDoorMatchesHTTPDoors drives the same fixture through a real
-// UDP socket and checks the store converges to the same state as the
-// HTTP doors — UDP's ack-less contract changes delivery semantics,
-// never validation or application semantics.
-func TestUDPDoorMatchesHTTPDoors(t *testing.T) {
-	srvHTTP, _, storeHTTP := ingestServer(t, 0)
-	srvUDP, _, storeUDP := ingestServer(t, 0)
-	door, err := srvUDP.ServeUDP(UDPOptions{Addr: "127.0.0.1:0", Workers: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer door.Close()
-
-	reports := parityReports()
-	if rec, body := postBinary(t, srvHTTP, reports); rec.Code != http.StatusOK {
-		t.Fatalf("binary door = %d: %s", rec.Code, body)
-	}
-
-	conn, err := net.Dial("udp", door.Addr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	frame, err := ingest.EncodeWireFrame(reports)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := conn.Write(frame); err != nil {
-		t.Fatal(err)
-	}
-	// Ack-less door: poll until the datagram lands (loopback does not
-	// drop, but application is asynchronous).
-	deadline := time.Now().Add(5 * time.Second)
-	for storeUDP.Stats().Accepted+storeUDP.Stats().Rejected < storeHTTP.Stats().Accepted+storeHTTP.Stats().Rejected {
-		if time.Now().After(deadline) {
-			t.Fatalf("UDP datagram never applied: udp stats %+v, want totals of %+v", storeUDP.Stats(), storeHTTP.Stats())
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-
-	if gotHTTP, gotUDP := storeFingerprint(t, storeHTTP), storeFingerprint(t, storeUDP); gotHTTP != gotUDP {
-		t.Fatalf("store content diverges:\nbinary-http door\n%s\nudp door\n%s", gotHTTP, gotUDP)
-	}
-	if st := door.Stats(); st.Datagrams != 1 || st.FrameErrors != 0 || st.ApplyErrors != 0 {
-		t.Fatalf("door stats %+v, want 1 clean datagram", st)
-	}
-}
-
-// TestUDPDoorDropsCorruptDatagrams: a corrupted frame must be a counted
-// drop, never applied and never a crash.
-func TestUDPDoorDropsCorruptDatagrams(t *testing.T) {
-	srv, _, store := ingestServer(t, 0)
-	door, err := srv.ServeUDP(UDPOptions{Addr: "127.0.0.1:0", Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer door.Close()
-	before := store.Stats()
-
-	conn, err := net.Dial("udp", door.Addr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	frame, err := ingest.EncodeWireFrame(parityReports()[:2])
-	if err != nil {
-		t.Fatal(err)
-	}
-	frame[len(frame)-1] ^= 0xff // corrupt the payload: CRC mismatch
-	if _, err := conn.Write(frame); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := conn.Write([]byte{1, 2, 3}); err != nil { // truncated head
-		t.Fatal(err)
-	}
-
-	deadline := time.Now().Add(5 * time.Second)
-	for door.Stats().FrameErrors < 2 {
-		if time.Now().After(deadline) {
-			t.Fatalf("corrupt datagrams not counted: %+v", door.Stats())
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-	if after := store.Stats(); after.Accepted != before.Accepted || after.Rejected != before.Rejected {
-		t.Fatalf("corrupt datagram changed the store: %+v -> %+v", before, after)
 	}
 }
 
@@ -475,9 +386,6 @@ func TestDoorStatsExposed(t *testing.T) {
 	}
 	if byDoor["binary"].Batches != 1 || byDoor["binary"].Reports != 1 {
 		t.Fatalf("binary door stats %+v, want 1 batch / 1 report", byDoor["binary"])
-	}
-	if byDoor["udp"].Batches != 0 {
-		t.Fatalf("udp door stats %+v, want untouched", byDoor["udp"])
 	}
 
 	rec, body = doGet(t, srv, "/metrics")

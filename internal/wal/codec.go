@@ -1,10 +1,10 @@
 // The frame codec, exported: one length+CRC framing serves both the
-// on-disk segment records and the binary telemetry wire (HTTP bodies
-// and UDP datagrams carry exactly one frame — see internal/ingest's
-// wire format and the "Ingest wire protocols" section of
-// ARCHITECTURE.md). Sharing the codec means a frame acknowledged off
-// the network is byte-for-byte the thing the journal can persist, and
-// both sides reject the same corruptions the same way.
+// on-disk segment records and the binary telemetry wire (an HTTP body
+// carries exactly one frame — see internal/ingest's wire format and
+// the "Ingest wire protocols" section of ARCHITECTURE.md). Sharing the
+// codec means a frame acknowledged off the network is byte-for-byte
+// the thing the journal can persist, and both sides reject the same
+// corruptions the same way.
 package wal
 
 import (

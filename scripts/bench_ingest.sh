@@ -1,6 +1,6 @@
 #!/bin/sh
-# Runs the telemetry-ingest benchmarks (the JSON, binary-HTTP and UDP
-# doors at the canonical 100-report batch) and emits the results as
+# Runs the telemetry-ingest benchmarks (the JSON and binary-HTTP doors
+# at the canonical 100-report batch) and emits the results as
 # JSON — the ingest counterpart of scripts/bench_serve.sh.
 #
 # Usage:  scripts/bench_ingest.sh [output.json]

@@ -5,13 +5,17 @@
 # Spins up a 3-shard multi-process cluster (one fleetserver per shard,
 # each with its own WAL and snapshot spill, plus a router that routes
 # telemetry to ring owners only), replays fleetgen telemetry through
-# the router — SIGKILLing a shard mid-replay — and asserts:
+# the router as binary wire frames (the router splits each frame's raw
+# vehicle groups to their ring owners) — SIGKILLing a shard while the
+# replay is still streaming, which must make that replay fail — and
+# asserts:
 #   1. the recovered cluster's merged /fleet/forecast is byte-identical
 #      to a single unsharded fleetserver over the same data — and stays
-#      byte-identical on a warm (merge-cached) second read, answers a
-#      conditional GET holding the merged ETag with an empty 304, and
-#      survives a mixed conditional read soak with the router's
-#      merge-cache hit counter moving and the bytes unchanged after;
+#      byte-identical on a warm (merge-cached) second read, and across
+#      20 rounds of GET + conditional GET over the fleet forecast, a
+#      vehicle forecast and a plan, where every conditional GET holding
+#      the tag just returned is an empty 304 and the router's
+#      merge-cache hit counter moves;
 #   2. raw telemetry genuinely partitions ~1/N: per-shard stores are
 #      disjoint, sum to the fleet, and none holds everything;
 #   3. a shard SIGKILLed *after* the replay (everything acknowledged)
@@ -26,13 +30,7 @@
 #      route-latency/training-stage/WAL-fsync histograms;
 #   8. a single request through the router emits one trace ID, echoed
 #      in X-Fleet-Trace and present in the router's and every shard's
-#      structured log;
-#   9. a binary-wire soak burst through the router (raw-group splitting
-#      to ring owners, no re-encode) finishes with zero acknowledged
-#      loss — every report a door acked was applied;
-#  10. a UDP datagram burst at a shard's -udp-listen door moves the
-#      datagram counter with zero frame/apply errors (fired last: UDP
-#      bypasses the ring, so it would pollute the byte-compares above).
+#      structured log.
 #
 # Usage: scripts/cluster_smoke.sh [workdir]
 set -euo pipefail
@@ -96,7 +94,6 @@ start_shard() { # index
     -join "shard$i" -peers "$PEERS" \
     -snapshot-dir "$WORK/snapshots" \
     -wal-dir "$WORK/wal/shard$i" -fsync always \
-    -udp-listen "127.0.0.1:1908$((i + 1))" \
     -addr "127.0.0.1:1808$((i + 1))" >>"$WORK/shard$i.log" 2>&1 &
   PIDS+=($!)
   SHARD_PID[$i]=$!
@@ -127,16 +124,34 @@ PIDS+=($!)
 wait_ready http://127.0.0.1:18084 300
 
 # Replay the same fleet through the router as live telemetry — each
-# vehicle's reports go only to its ring owner — and SIGKILL shard0
-# mid-replay: batches owned by shard0 start failing at the router, the
-# other shards keep ingesting.
+# vehicle's reports go only to its ring owner — one day per batch (900
+# batches), and SIGKILL shard0 once 20 batches are acknowledged: the
+# next batch holding a shard0 vehicle fails at the router, so the
+# replay must exit non-zero. A replay that succeeds means the kill
+# landed after the stream ended and the redelivery below proves nothing.
 "$WORK/fleetgen" -vehicles 24 -days 900 -post http://127.0.0.1:18084 \
-  -auth-token "$TOKEN" -batch-days 30 >"$WORK/replay.log" 2>&1 &
+  -auth-token "$TOKEN" -batch-days 1 >"$WORK/replay.log" 2>&1 &
 REPLAY_PID=$!
-sleep 1.5
+ACKED=0
+for _ in $(seq 600); do
+  ACKED=$(grep -c '^fleetgen: days \[' "$WORK/replay.log" || true)
+  if [ "$ACKED" -ge 20 ] || ! kill -0 "$REPLAY_PID" 2>/dev/null; then
+    break
+  fi
+  sleep 0.05
+done
 kill -9 "${SHARD_PID[0]}" 2>/dev/null || true
-echo "cluster-smoke: SIGKILLed shard0 mid-replay"
-wait "$REPLAY_PID" 2>/dev/null || true # replay may abort on 503s — expected
+if wait "$REPLAY_PID"; then
+  echo "cluster-smoke: FAIL — the replay finished cleanly, so shard0's SIGKILL did not land mid-replay" >&2
+  tail -3 "$WORK/replay.log" >&2
+  exit 1
+fi
+if [ "$ACKED" -lt 20 ]; then
+  echo "cluster-smoke: FAIL — the replay stopped after $ACKED acknowledged batches, before the SIGKILL" >&2
+  tail -3 "$WORK/replay.log" >&2
+  exit 1
+fi
+echo "cluster-smoke: SIGKILLed shard0 mid-replay after $(grep -c '^fleetgen: days \[' "$WORK/replay.log") acknowledged batches"
 
 # Restart shard0 from its WAL + snapshot spill: every batch it
 # acknowledged before the kill must already be back before we redeliver.
@@ -168,48 +183,44 @@ fi
 echo "cluster-smoke: merged forecasts are byte-identical to single-process (through a mid-replay SIGKILL)"
 
 # 1b. The generation-keyed read path: a second (merge-cached) read
-# serves the same bytes, a conditional GET holding the merged ETag gets
-# an empty 304, and a mixed conditional read soak leaves the bytes
-# untouched while the router's merge cache takes hits.
+# serves the same bytes, every conditional GET holding the tag the
+# previous GET returned gets an empty 304, and the bytes stay untouched
+# while the router's merge cache takes hits.
 curl -fsS http://127.0.0.1:18084/fleet/forecast >"$WORK/cluster-warm.json"
 if ! cmp -s "$WORK/cluster.json" "$WORK/cluster-warm.json"; then
   echo "cluster-smoke: FAIL — warm merge-cached /fleet/forecast differs from the cold read" >&2
   exit 1
 fi
-ETAG=$(curl -fsS -D - -o /dev/null http://127.0.0.1:18084/fleet/forecast |
-  tr -d '\r' | awk -F': ' 'tolower($1)=="etag"{print $2}')
-if [ -z "$ETAG" ]; then
-  echo "cluster-smoke: FAIL — merged /fleet/forecast carries no ETag" >&2
-  exit 1
-fi
-COND=$(curl -s -o "$WORK/cond-body" -w '%{http_code}' \
-  -H "If-None-Match: $ETAG" http://127.0.0.1:18084/fleet/forecast)
-if [ "$COND" != "304" ] || [ -s "$WORK/cond-body" ]; then
-  echo "cluster-smoke: FAIL — conditional GET with current ETag got $COND (body $(wc -c <"$WORK/cond-body") bytes), want empty 304" >&2
-  exit 1
-fi
-"$WORK/fleetgen" soak -read -target http://127.0.0.1:18084 \
-  -read-mix 60/30/10 -conditional -concurrency 2 -duration 2s \
-  >"$WORK/soak-read.log" 2>&1
-grep 'soak read' "$WORK/soak-read.log" | sed 's/^/cluster-smoke: /'
-N304=$(sed -n 's/.* \([0-9][0-9]*\) x 304.*/\1/p' "$WORK/soak-read.log" | head -1)
-if [ -z "$N304" ] || [ "$N304" -lt 1 ]; then
-  echo "cluster-smoke: FAIL — conditional read soak produced no 304s" >&2
-  cat "$WORK/soak-read.log" >&2
-  exit 1
-fi
+N304=0
+for _ in $(seq 20); do
+  for path in /fleet/forecast /vehicles/v01/forecast '/fleet/plan?capacity=2'; do
+    TAG=$(curl -fsS -D - -o /dev/null "http://127.0.0.1:18084$path" |
+      tr -d '\r' | awk -F': ' 'tolower($1)=="etag"{print $2}')
+    if [ -z "$TAG" ]; then
+      echo "cluster-smoke: FAIL — $path carries no ETag" >&2
+      exit 1
+    fi
+    COND=$(curl -s -o "$WORK/cond-body" -w '%{http_code}' \
+      -H "If-None-Match: $TAG" "http://127.0.0.1:18084$path")
+    if [ "$COND" != "304" ] || [ -s "$WORK/cond-body" ]; then
+      echo "cluster-smoke: FAIL — conditional GET of $path with current ETag $TAG got $COND (body $(wc -c <"$WORK/cond-body") bytes), want empty 304" >&2
+      exit 1
+    fi
+    N304=$((N304 + 1))
+  done
+done
 MERGE_HITS=$(curl -fsS http://127.0.0.1:18084/metrics |
   awk '$1 == "fleet_router_merge_cache_hits" {print $2}')
 if [ -z "$MERGE_HITS" ] || [ "${MERGE_HITS%.*}" -lt 1 ]; then
-  echo "cluster-smoke: FAIL — router merge cache took no hits under the read soak (fleet_router_merge_cache_hits=$MERGE_HITS)" >&2
+  echo "cluster-smoke: FAIL — router merge cache took no hits under the conditional reads (fleet_router_merge_cache_hits=$MERGE_HITS)" >&2
   exit 1
 fi
-curl -fsS http://127.0.0.1:18084/fleet/forecast >"$WORK/cluster-postsoak.json"
-if ! cmp -s "$WORK/cluster.json" "$WORK/cluster-postsoak.json"; then
-  echo "cluster-smoke: FAIL — /fleet/forecast bytes drifted across the read soak" >&2
+curl -fsS http://127.0.0.1:18084/fleet/forecast >"$WORK/cluster-postreads.json"
+if ! cmp -s "$WORK/cluster.json" "$WORK/cluster-postreads.json"; then
+  echo "cluster-smoke: FAIL — /fleet/forecast bytes drifted across the conditional reads" >&2
   exit 1
 fi
-echo "cluster-smoke: read path — warm bytes identical, 304 on current ETag, $N304 soak 304s, merge-cache hits $MERGE_HITS"
+echo "cluster-smoke: read path — warm bytes identical, $N304 of $N304 conditional GETs 304, merge-cache hits $MERGE_HITS"
 
 # 2. Raw telemetry partitions ~1/N: per-shard stores are disjoint
 # slices summing to the fleet, and no shard holds everything.
@@ -351,46 +362,5 @@ for log in router.log shard0.log shard1.log shard2.log; do
   fi
 done
 echo "cluster-smoke: trace $TRACE visible in router and all shard logs"
-
-# 9. Binary-wire soak burst through the router: framed batches hit the
-# guarded /telemetry, the router splits raw groups to ring owners
-# without re-encoding, and every report the doors acknowledged must be
-# applied — zero acknowledged loss on the durable HTTP path. This runs
-# AFTER the byte-compare assertions: soak vehicles are new store
-# content the single-process reference never saw.
-"$WORK/fleetgen" soak -target http://127.0.0.1:18084 -transport binary \
-  -auth-token "$TOKEN" -vehicles 50 -batch 100 -concurrency 2 \
-  -duration 2s >"$WORK/soak-binary.log" 2>&1
-if ! grep -q 'acknowledged loss 0 (must be 0)' "$WORK/soak-binary.log"; then
-  echo "cluster-smoke: FAIL — binary soak burst lost acknowledged reports" >&2
-  cat "$WORK/soak-binary.log" >&2
-  exit 1
-fi
-grep 'soak binary:' "$WORK/soak-binary.log" | sed 's/^/cluster-smoke: /'
-echo "cluster-smoke: binary soak through the router — zero acknowledged loss"
-
-# 10. UDP burst, LAST: datagrams bypass the ring entirely (they apply
-# straight into the receiving shard's store), so nothing below may
-# compare stores against the reference. Fire at shard0's UDP door and
-# require the datagram counter to move with zero frame/apply errors on
-# a clean localhost path.
-"$WORK/fleetgen" soak -target http://127.0.0.1:18081 -transport udp \
-  -udp-addr 127.0.0.1:19081 -vehicles 50 -batch 100 -concurrency 1 \
-  -duration 2s >"$WORK/soak-udp.log" 2>&1
-grep 'soak udp:' "$WORK/soak-udp.log" | sed 's/^/cluster-smoke: /'
-curl -fsS http://127.0.0.1:18081/metrics >"$WORK/metrics-udp.txt"
-UDP_SEEN=$(awk '$1 == "fleet_udp_datagrams" {print $2}' "$WORK/metrics-udp.txt")
-if [ -z "$UDP_SEEN" ] || [ "${UDP_SEEN%.*}" -lt 1 ]; then
-  echo "cluster-smoke: FAIL — shard0's UDP door saw no datagrams (fleet_udp_datagrams=$UDP_SEEN)" >&2
-  exit 1
-fi
-for m in fleet_udp_frame_errors fleet_udp_apply_errors; do
-  V=$(awk -v m="$m" '$1 == m {print $2}' "$WORK/metrics-udp.txt")
-  if [ -n "$V" ] && [ "${V%.*}" -gt 0 ]; then
-    echo "cluster-smoke: FAIL — $m = $V after a clean localhost UDP burst" >&2
-    exit 1
-  fi
-done
-echo "cluster-smoke: UDP door ingested $UDP_SEEN datagrams with zero frame/apply errors"
 
 echo "cluster-smoke: PASS"
