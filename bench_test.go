@@ -8,8 +8,12 @@ package repro
 import (
 	"context"
 	"fmt"
+	"os"
+	"path/filepath"
+	"runtime"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/engine"
@@ -19,6 +23,7 @@ import (
 	"repro/internal/ml/gbm"
 	"repro/internal/ml/tree"
 	"repro/internal/rng"
+	"repro/internal/snapstore"
 	"repro/internal/telematics"
 	"repro/internal/timeseries"
 )
@@ -65,11 +70,17 @@ func fleet24(tb testing.TB) *experiments.Env {
 }
 
 // mixedFleet24 is fleet24 as a deployment actually has it — 18 old, 3
-// semi-new and 3 new vehicles: every 8th vehicle cut to 0.75·T_v,
-// every 8th+1 to 0.25·T_v, as fleetbench cuts its seed fleet.
+// semi-new and 3 new vehicles (see mixedFleet).
 func mixedFleet24(tb testing.TB) []engine.Vehicle {
 	tb.Helper()
-	base := fleet24(tb).FleetVehicles()
+	return mixedFleet(tb, fleet24(tb).FleetVehicles())
+}
+
+// mixedFleet cuts every 8th vehicle to 0.75·T_v and every 8th+1 to
+// 0.25·T_v, as fleetbench cuts its seed fleet: each 24 vehicles become
+// 18 old, 3 semi-new and 3 new.
+func mixedFleet(tb testing.TB, base []engine.Vehicle) []engine.Vehicle {
+	tb.Helper()
 	for i, v := range base {
 		var share float64
 		switch i % 8 {
@@ -95,8 +106,10 @@ func mixedFleet24(tb testing.TB) []engine.Vehicle {
 	for _, v := range base {
 		counts[core.Categorize(v.Series)]++
 	}
-	if counts[core.Old] != 18 || counts[core.SemiNew] != 3 || counts[core.New] != 3 {
-		tb.Fatalf("fleet is %d old / %d semi-new / %d new, want 18/3/3", counts[core.Old], counts[core.SemiNew], counts[core.New])
+	n := len(base) / 8
+	if counts[core.Old] != len(base)-2*n || counts[core.SemiNew] != n || counts[core.New] != n {
+		tb.Fatalf("fleet is %d old / %d semi-new / %d new, want %d/%d/%d",
+			counts[core.Old], counts[core.SemiNew], counts[core.New], len(base)-2*n, n, n)
 	}
 	return base
 }
@@ -218,6 +231,56 @@ func BenchmarkCycleCompletingReport(b *testing.B) {
 	report := append([]engine.Vehicle(nil), base...)
 	base[2], report[2] = upTo(end-1), upTo(end)
 	benchReport(b, fleet24(b).Scale.Seed, base, report, 1)
+}
+
+// BenchmarkSnapshotSaveLoad spills and restores one trained generation
+// of the 48-vehicle fleetgen fleet (seed 42, cut 36/6/6 as fleetbench's
+// boot workload runs it) through snapstore, the path a restart's
+// recover_ready_s waits on. It reports the file's bytes per vehicle and
+// the save and load time per iteration.
+func BenchmarkSnapshotSaveLoad(b *testing.B) {
+	env, err := experiments.NewEnv(experiments.Scale{Vehicles: 48, Days: 1735, Seed: 42})
+	if err != nil {
+		b.Fatal(err)
+	}
+	eng, err := engine.New(engine.Config{Predictor: core.DefaultPredictorConfig(), Workers: runtime.GOMAXPROCS(0)})
+	if err != nil {
+		b.Fatal(err)
+	}
+	snap, err := eng.Retrain(context.Background(), mixedFleet(b, env.FleetVehicles()))
+	if err != nil {
+		b.Fatal(err)
+	}
+	store, err := snapstore.New(b.TempDir())
+	if err != nil {
+		b.Fatal(err)
+	}
+	var save, load time.Duration
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		t0 := time.Now()
+		if err := store.Save("shard00", snap); err != nil {
+			b.Fatal(err)
+		}
+		t1 := time.Now()
+		got, err := store.Load("shard00")
+		if err != nil {
+			b.Fatal(err)
+		}
+		load += time.Since(t1)
+		save += t1.Sub(t0)
+		if len(got.Models) != len(snap.Models) {
+			b.Fatalf("restored %d models, want %d", len(got.Models), len(snap.Models))
+		}
+	}
+	b.StopTimer()
+	st, err := os.Stat(filepath.Join(store.Dir(), "shard00.snap"))
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportMetric(float64(st.Size())/float64(len(snap.Statuses)), "bytes/vehicle")
+	b.ReportMetric(float64(save.Nanoseconds())/float64(b.N), "save-ns/op")
+	b.ReportMetric(float64(load.Nanoseconds())/float64(b.N), "load-ns/op")
 }
 
 // BenchmarkFig1DataGeneration measures the full data path behind

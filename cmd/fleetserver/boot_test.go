@@ -1,11 +1,17 @@
 package main
 
 import (
+	"bytes"
+	"encoding/gob"
 	"os"
 	"path/filepath"
 	"testing"
+	"time"
 
+	"repro/internal/core"
+	"repro/internal/engine"
 	"repro/internal/ingest"
+	"repro/internal/snapstore"
 	"repro/internal/telematics"
 	"repro/internal/timeseries"
 )
@@ -132,5 +138,37 @@ func TestSeedStoreOnlyWhenEmpty(t *testing.T) {
 				t.Fatalf("restart journaled %d records before any telemetry arrived", st.WAL.Appends)
 			}
 		})
+	}
+}
+
+// TestRestoreSnapshotRefusesVersion1 pins the snapshot version policy
+// at boot: a spill in the gob-based version 1 format (the magic, then a
+// gob-encoded header) is not restored, so the shard cold-trains from
+// its ingest checkpoint and WAL instead.
+func TestRestoreSnapshotRefusesVersion1(t *testing.T) {
+	dir := t.TempDir()
+	var v1 bytes.Buffer
+	v1.WriteString("reprosnap\n")
+	header := struct {
+		Version int
+		Shard   string
+		SavedAt time.Time
+	}{1, "shard00", time.Now()}
+	if err := gob.NewEncoder(&v1).Encode(header); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, "shard00.snap"), v1.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	snaps, err := snapstore.New(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng, err := engine.New(engine.Config{Predictor: core.DefaultPredictorConfig(), Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if restoreSnapshot(eng, snaps, "shard00") || eng.Snapshot() != nil {
+		t.Fatal("a version 1 spill was restored; the boot must cold-train instead")
 	}
 }

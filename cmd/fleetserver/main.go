@@ -253,12 +253,14 @@ func main() {
 	// The encode-timing getter is late-bound: OnSnapshot only fires
 	// after a retrain, by which time eng is set.
 	var eng *engine.Engine
-	ecfg.OnSnapshot = snapshotSaver(snaps, shardName, store, func() *engine.TrainMetrics {
+	if save := snapshotSaver(snaps, store, func(string) *engine.TrainMetrics {
 		if eng == nil {
 			return nil
 		}
 		return eng.Metrics()
-	})
+	}); save != nil {
+		ecfg.OnSnapshot = func(snap *engine.Snapshot) { save(shardName, snap) }
+	}
 	eng, err = engine.New(ecfg)
 	if err != nil {
 		fatal("building engine", "error", err)
@@ -333,28 +335,13 @@ func runSharded(addr string, shards int, ecfg engine.Config, base engine.Source,
 		return metricsByShard[shard]
 	}
 
-	var onSnap func(string, *engine.Snapshot)
-	if snaps != nil {
-		onSnap = func(shard string, snap *engine.Snapshot) {
-			t0 := time.Now()
-			err := snaps.Save(shard, snap)
-			if m := shardMetrics(shard); m != nil {
-				m.ObserveStage("encode", t0)
-			}
-			if err != nil {
-				slog.Error("snapshot spill failed", "shard", shard, "generation", snap.Generation, "error", err)
-				return
-			}
-			// All in-process shards share one store; each persisted
-			// generation advances the shared checkpoint.
-			checkpointAfterSpill(store, shard, snap.Generation)
-		}
-	}
 	sharded, err := cluster.NewSharded(cluster.ShardedConfig{
-		Engine:     ecfg,
-		Base:       base,
-		Shards:     shards,
-		OnSnapshot: onSnap,
+		Engine: ecfg,
+		Base:   base,
+		Shards: shards,
+		// All in-process shards share one store; each persisted
+		// generation advances the shared checkpoint.
+		OnSnapshot: snapshotSaver(snaps, store, shardMetrics),
 	})
 	if err != nil {
 		fatal("building sharded cluster", "error", err)
@@ -609,21 +596,21 @@ func seedStore(store *ingest.Store, data string, ring *cluster.Ring, shard strin
 	return nil
 }
 
-// snapshotSaver returns the OnSnapshot spill hook, or nil without a
-// snapshot store. After a generation is persisted, a durable ingest
-// store checkpoints and compacts its WAL — the compaction gate: a
-// journal segment is only dropped once its content is covered by a
-// checkpoint written under a persisted generation.
-func snapshotSaver(snaps *snapstore.Store, shard string, store *ingest.Store, metrics func() *engine.TrainMetrics) func(*engine.Snapshot) {
+// snapshotSaver returns the spill hook, called with the shard name, or
+// nil without a snapshot store. After a generation is persisted, a
+// durable ingest store checkpoints and compacts its WAL — the
+// compaction gate: a journal segment is only dropped once its content
+// is covered by a checkpoint written under a persisted generation. The
+// save is timed into the shard's encode stage when metrics returns the
+// shard's training metrics (nil skips the observation).
+func snapshotSaver(snaps *snapstore.Store, store *ingest.Store, metrics func(shard string) *engine.TrainMetrics) func(string, *engine.Snapshot) {
 	if snaps == nil {
 		return nil
 	}
-	return func(snap *engine.Snapshot) {
+	return func(shard string, snap *engine.Snapshot) {
 		t0 := time.Now()
 		err := snaps.Save(shard, snap)
-		if m := metrics(); m != nil {
-			// Attribute the gob encode + atomic rename to the encode
-			// stage of the training pipeline.
+		if m := metrics(shard); m != nil {
 			m.ObserveStage("encode", t0)
 		}
 		if err != nil {

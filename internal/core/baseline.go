@@ -1,8 +1,6 @@
 package core
 
 import (
-	"bytes"
-	"encoding/gob"
 	"fmt"
 
 	"repro/internal/ml"
@@ -67,27 +65,17 @@ func (b *Baseline) Predict(x []float64) float64 {
 // Average exposes AVG_v (useful for the similarity measure of §4.4.1).
 func (b *Baseline) Average() float64 { return b.avg }
 
-// baselineWire is the exported mirror of Baseline for gob round-trips:
-// internal/snapstore persists snapshot model maps, and a fleet
-// configured with BL among its candidates stores Baselines there.
-type baselineWire struct {
-	Avg    float64
-	LScale float64
+// AppendBinary appends the baseline's encoding to b: AVG_v and the L
+// scale, as float bits.
+func (b *Baseline) AppendBinary(buf []byte) ([]byte, error) {
+	buf = ml.AppendF64(buf, b.avg)
+	return ml.AppendF64(buf, b.lScale), nil
 }
 
-// GobEncode implements gob.GobEncoder.
-func (b *Baseline) GobEncode() ([]byte, error) {
-	var buf bytes.Buffer
-	err := gob.NewEncoder(&buf).Encode(baselineWire{Avg: b.avg, LScale: b.lScale})
-	return buf.Bytes(), err
-}
-
-// GobDecode implements gob.GobDecoder.
-func (b *Baseline) GobDecode(data []byte) error {
-	var w baselineWire
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&w); err != nil {
-		return err
-	}
-	b.avg, b.lScale = w.Avg, w.LScale
-	return nil
+// UnmarshalBinary restores a baseline written by AppendBinary.
+func (b *Baseline) UnmarshalBinary(data []byte) error {
+	d := ml.NewDecoder(data)
+	b.avg = d.F64()
+	b.lScale = d.F64()
+	return d.Finish()
 }

@@ -167,8 +167,8 @@ type PriorGeneration struct {
 }
 
 // unified returns the generation's §4.4.1 unified model, or nil when no
-// vehicle was served by it. Every such vehicle holds the same model —
-// after a snapshot restore, equal decoded copies — so any holder will do.
+// vehicle was served by it. Every such vehicle holds the same pointer —
+// a snapshot restore keeps that sharing — so any holder will do.
 func (p *PriorGeneration) unified() ml.Regressor {
 	for id, st := range p.Statuses {
 		if st.Strategy == "unified" && p.Models[id] != nil {

@@ -16,8 +16,8 @@ import (
 type TrainMetrics struct {
 	// stages times the build pipeline: prep (source fetch), plan
 	// (registration + reuse planning), fit (worker-pool training),
-	// snapshot (freeze + forecast precompute), encode (persistence gob,
-	// observed by the snapshot saver).
+	// snapshot (freeze + forecast precompute), encode (snapshot file
+	// write, observed by the snapshot saver).
 	stages *obs.Family
 	// models times the core training stages per algorithm family:
 	// stage="search" is one candidate's validation evaluation, "fit" a

@@ -60,13 +60,15 @@ type Snapshot struct {
 	// retraining them. Reused models are shared pointers across
 	// generations, so the steady-state memory cost is one live model
 	// set — a swapped-out generation's exclusive models are released as
-	// soon as its readers drain.
+	// soon as its readers drain. Every vehicle the §4.4.1 unified model
+	// serves holds the same pointer, and internal/snapstore keeps that
+	// sharing across a spill and restore.
 	Models map[string]ml.Regressor
 	// ModelKeys are the per-vehicle model keys of this build: a hash of
 	// exactly what each vehicle's model reads (core.TrainPlan). The next
 	// build retrains a vehicle only when its key moves, so a report that
-	// adds no label carries the model forward. A spill from before the
-	// keys decodes without them, and each vehicle retrains once.
+	// adds no label carries the model forward. A vehicle with no key
+	// here retrains on the next build.
 	ModelKeys map[string]uint64
 	// PoolHash is this build's donor-pool key (a hash of the old
 	// vehicles' first cycles); PoolChanged and UnifiedReused echo its
@@ -94,15 +96,15 @@ type Snapshot struct {
 	// (vehicle ID → []byte). Living on the snapshot, every entry is
 	// implicitly keyed by (generation, vehicle): the atomic snapshot
 	// swap that publishes a retrain replaces the whole cache at once, so
-	// stale bytes can never outlive their generation. The field is
-	// unexported on purpose — gob-based persistence (internal/snapstore)
-	// skips it, so a restored snapshot simply starts with a cold cache.
+	// stale bytes can never outlive their generation. Persistence
+	// (internal/snapstore) writes only the exported fields, so a
+	// restored snapshot simply starts with a cold cache.
 	respCache sync.Map
 
 	// etag is the lazily formatted generation identifier (see ETag).
 	// Lazy because Generation is stamped by the engine after the build,
-	// and because gob restores skip unexported fields — a zero-value
-	// Once simply reformats on first use.
+	// and because a restored snapshot starts with these fields zero — a
+	// zero-value Once simply reformats on first use.
 	etagOnce sync.Once
 	etag     string
 	genID    string

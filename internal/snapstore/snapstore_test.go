@@ -4,18 +4,23 @@ import (
 	"bytes"
 	"context"
 	"encoding/binary"
-	"encoding/gob"
 	"errors"
+	"fmt"
 	"hash"
 	"hash/fnv"
 	"math"
 	"os"
+	"path/filepath"
+	"reflect"
+	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/ml"
+	"repro/internal/ml/forest"
+	"repro/internal/ml/gbm"
 	"repro/internal/timeseries"
 )
 
@@ -34,65 +39,77 @@ func synthXY(n, p int) ([][]float64, []float64) {
 	return x, y
 }
 
-// TestModelGobRoundTrip: every algorithm the fleet can deploy must
-// survive a gob round-trip as an ml.Regressor interface value with
-// bit-identical predictions — the contract snapshot persistence rests
-// on.
-func TestModelGobRoundTrip(t *testing.T) {
+// TestModelCodecRoundTrip: every algorithm the fleet can deploy, and
+// BL, must survive the model table's codec with bit-identical
+// predictions — the contract snapshot persistence rests on — and
+// re-encode to the same bytes, so no fitted state is dropped. The
+// forest case keeps its out-of-bag estimate; the early-stopped booster
+// has fewer stages than NEstimators.
+func TestModelCodecRoundTrip(t *testing.T) {
 	x, y := synthXY(80, 4)
-	probes, _ := synthXY(17, 4)
-	for _, alg := range core.TrainedAlgorithms() {
-		t.Run(string(alg), func(t *testing.T) {
-			model, err := core.Build(alg, core.DefaultParams(alg), 42)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := model.Fit(x, y); err != nil {
-				t.Fatal(err)
-			}
-
-			var buf bytes.Buffer
-			// Encode through the interface, as the snapshot's model map
-			// does.
-			holder := struct{ M ml.Regressor }{M: model}
-			if err := gob.NewEncoder(&buf).Encode(&holder); err != nil {
-				t.Fatal(err)
-			}
-			var back struct{ M ml.Regressor }
-			if err := gob.NewDecoder(&buf).Decode(&back); err != nil {
-				t.Fatal(err)
-			}
-
-			for i, probe := range probes {
-				want := model.Predict(probe)
-				got := back.M.Predict(probe)
-				if math.Float64bits(want) != math.Float64bits(got) {
-					t.Fatalf("probe %d: decoded %s predicts %v, want %v", i, alg, got, want)
-				}
-			}
-		})
+	probes, _ := synthXY(300, 4)
+	type codecCase struct {
+		name  string
+		model ml.Regressor
 	}
-}
-
-// TestBaselineGobRoundTrip: the untrained BL predictor also lives in
-// model maps when a fleet keeps it among its candidates.
-func TestBaselineGobRoundTrip(t *testing.T) {
+	var cases []codecCase
+	for _, alg := range core.TrainedAlgorithms() {
+		model, err := core.Build(alg, core.DefaultParams(alg), 42)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cases = append(cases, codecCase{string(alg), model})
+	}
 	bl, err := core.NewBaseline(18000, 600_000)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	holder := struct{ M ml.Regressor }{M: bl}
-	if err := gob.NewEncoder(&buf).Encode(&holder); err != nil {
-		t.Fatal(err)
-	}
-	var back struct{ M ml.Regressor }
-	if err := gob.NewDecoder(&buf).Decode(&back); err != nil {
-		t.Fatal(err)
-	}
-	probe := []float64{0.42, 1, 2}
-	if got, want := back.M.Predict(probe), bl.Predict(probe); math.Float64bits(got) != math.Float64bits(want) {
-		t.Fatalf("decoded baseline predicts %v, want %v", got, want)
+	early := gbm.DefaultConfig()
+	early.NEstimators, early.ValidationFraction, early.EarlyStoppingRounds = 500, 0.25, 3
+	cases = append(cases,
+		codecCase{"BL", bl},
+		codecCase{"RF-OOB", forest.New(forest.Config{NEstimators: 12, MinSamplesLeaf: 2, Seed: 7, ComputeOOB: true})},
+		codecCase{"XGB-early-stopped", gbm.New(early)},
+	)
+
+	for _, tc := range cases {
+		name, model := tc.name, tc.model
+		t.Run(name, func(t *testing.T) {
+			if err := model.Fit(x, y); err != nil {
+				t.Fatal(err)
+			}
+			enc, err := model.(codecModel).AppendBinary(nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			back := newModel(familyOf(model))
+			if err := back.UnmarshalBinary(enc); err != nil {
+				t.Fatal(err)
+			}
+			if reenc, err := back.AppendBinary(nil); err != nil || !bytes.Equal(reenc, enc) {
+				t.Fatalf("decoded %s re-encodes differently (err %v)", name, err)
+			}
+			for i, probe := range probes {
+				if want, got := model.Predict(probe), back.Predict(probe); math.Float64bits(want) != math.Float64bits(got) {
+					t.Fatalf("probe %d: decoded %s predicts %v, want %v", i, name, got, want)
+				}
+			}
+			switch m := model.(type) {
+			case *forest.Model:
+				want, _, wantErr := m.OOBMAE()
+				got, _, gotErr := back.(*forest.Model).OOBMAE()
+				if name == "RF-OOB" && (wantErr != nil || gotErr != nil || math.Float64bits(got) != math.Float64bits(want)) {
+					t.Fatalf("out-of-bag MAE %v (%v), want %v (%v)", got, gotErr, want, wantErr)
+				}
+			case *gbm.Model:
+				if name == "XGB-early-stopped" && m.TreeCount() >= early.NEstimators {
+					t.Fatalf("booster ran all %d rounds; the case needs early stopping", m.TreeCount())
+				}
+				if got := back.(*gbm.Model).TreeCount(); got != m.TreeCount() {
+					t.Fatalf("decoded booster has %d stages, want %d", got, m.TreeCount())
+				}
+			}
+		})
 	}
 }
 
@@ -162,6 +179,20 @@ func TestSnapshotRoundTrip(t *testing.T) {
 
 	if got.Generation != snap.Generation || got.PoolHash != snap.PoolHash {
 		t.Fatalf("generation/poolhash %d/%x, want %d/%x", got.Generation, got.PoolHash, snap.Generation, snap.PoolHash)
+	}
+	if got.ConfigHash != snap.ConfigHash || got.PoolChanged != snap.PoolChanged || got.UnifiedReused != snap.UnifiedReused ||
+		got.Reused != snap.Reused || got.Retrained != snap.Retrained || !got.BuiltAt.Equal(snap.BuiltAt) || got.TrainDuration != snap.TrainDuration {
+		t.Errorf("restored build fields differ:\ngot  %+v\nwant %+v",
+			[]any{got.ConfigHash, got.PoolChanged, got.UnifiedReused, got.Reused, got.Retrained, got.BuiltAt, got.TrainDuration},
+			[]any{snap.ConfigHash, snap.PoolChanged, snap.UnifiedReused, snap.Reused, snap.Retrained, snap.BuiltAt, snap.TrainDuration})
+	}
+	// Sprint, not DeepEqual: cold-start statuses carry a NaN validation
+	// score.
+	if fmt.Sprint(got.Statuses) != fmt.Sprint(snap.Statuses) || fmt.Sprint(got.StatusByID) != fmt.Sprint(snap.StatusByID) {
+		t.Errorf("statuses differ:\ngot  %v\nwant %v", got.Statuses, snap.Statuses)
+	}
+	if !reflect.DeepEqual(got.ForecastErrors, snap.ForecastErrors) || !reflect.DeepEqual(got.FailedVehicles, snap.FailedVehicles) {
+		t.Errorf("forecast errors %v / failed %v, want %v / %v", got.ForecastErrors, got.FailedVehicles, snap.ForecastErrors, snap.FailedVehicles)
 	}
 	if len(got.Statuses) != len(snap.Statuses) || len(got.Forecasts) != len(snap.Forecasts) {
 		t.Fatalf("restored %d statuses / %d forecasts, want %d / %d",
@@ -408,9 +439,9 @@ func legacyPoolHash(fleet []engine.Vehicle) uint64 {
 	return h.Sum64()
 }
 
-// TestRestoreSnapshotWithLegacyPoolHash: a snapshot spilled by an
-// older binary carries the whole-series pool hash, which no build
-// computes any more. Restoring it is safe: the key mismatches, so the
+// TestRestoreSnapshotWithLegacyPoolHash: a restored snapshot whose
+// pool key does not match the one this build computes for the same
+// fleet — here the whole-series hash older builds used — is safe: the
 // cold-start vehicles retrain once on the reconcile retrain — the old
 // vehicles still reuse — the result equals a full rebuild, and the next
 // clean retrain reuses everything against the new key.
@@ -441,26 +472,12 @@ func TestRestoreSnapshotWithLegacyPoolHash(t *testing.T) {
 	}
 }
 
-// TestRestoreSnapshotWithoutModelKeys: a snapshot spilled before the
-// model keys existed decodes — gob drops its per-vehicle fingerprints —
-// with no ModelKeys. Restoring it is safe: no key matches, so every
-// vehicle retrains once on the reconcile retrain (the intact pool key
-// still hands the unified model over), the result equals a full
-// rebuild, and the next clean retrain fits nothing.
+// TestRestoreSnapshotWithoutModelKeys: a restored snapshot that
+// carries no model keys is safe: no key matches, so every vehicle
+// retrains once on the reconcile retrain (the intact pool key still
+// hands the unified model over), the result equals a full rebuild, and
+// the next clean retrain fits nothing.
 func TestRestoreSnapshotWithoutModelKeys(t *testing.T) {
-	var buf bytes.Buffer
-	legacy := struct {
-		Generation   uint64
-		Fingerprints map[string]uint64
-	}{7, map[string]uint64{"v01": 1}}
-	if err := gob.NewEncoder(&buf).Encode(legacy); err != nil {
-		t.Fatal(err)
-	}
-	var decoded engine.Snapshot
-	if err := gob.NewDecoder(&buf).Decode(&decoded); err != nil || decoded.Generation != 7 || decoded.ModelKeys != nil {
-		t.Fatalf("legacy spill decoded to generation %d, model keys %v (err %v); want 7, none", decoded.Generation, decoded.ModelKeys, err)
-	}
-
 	fleet := testFleet(t)
 	eng := spillAndRestore(t, fleet, func(snap *engine.Snapshot) { snap.ModelKeys = nil })
 	reconcile, err := eng.Retrain(context.Background(), fleet)
@@ -483,13 +500,31 @@ func TestRestoreSnapshotWithoutModelKeys(t *testing.T) {
 
 // TestRestoredUnifiedModelIsCarriedForward: a snapshot spilled by this
 // binary restores to a clean reconcile (nothing retrains), and the
-// per-vehicle decoded copies of the unified model it holds are accepted
-// as the carried-forward unified: a new vehicle's report after the
+// vehicles the unified model serves share one decoded model, which is
+// carried forward as the unified: a new vehicle's report after the
 // restore carries its model as is, and a new vehicle joining trains
 // without a fit — both land on the full rebuild's forecasts.
 func TestRestoredUnifiedModelIsCarriedForward(t *testing.T) {
-	fleet := testFleet(t)
+	newVehicle := func(id string, days int) engine.Vehicle {
+		u := make(timeseries.Series, days)
+		for i := range u {
+			u[i] = 15000
+		}
+		vs, err := timeseries.Derive(id, u, 600_000)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return engine.Vehicle{Series: vs, Start: time.Date(2015, 1, 1, 0, 0, 0, 0, time.UTC)}
+	}
+	fleet := append(testFleet(t), newVehicle("v06", 9)) // v05 and v06 are new
 	eng := spillAndRestore(t, fleet, nil)
+	restored := eng.Snapshot()
+	if restored.StatusByID["v05"].Strategy != "unified" || restored.StatusByID["v06"].Strategy != "unified" {
+		t.Fatalf("v05/v06 strategies %q/%q, want both unified", restored.StatusByID["v05"].Strategy, restored.StatusByID["v06"].Strategy)
+	}
+	if restored.Models["v05"] == nil || restored.Models["v05"] != restored.Models["v06"] {
+		t.Fatal("the new vehicles do not share one unified model after Load")
+	}
 	reconcile, err := eng.Retrain(context.Background(), fleet)
 	if err != nil {
 		t.Fatal(err)
@@ -507,15 +542,7 @@ func TestRestoredUnifiedModelIsCarriedForward(t *testing.T) {
 	}
 	assertEqualsFullRebuild(t, "new vehicle's report after restore", snap, changed)
 
-	u := make(timeseries.Series, 8)
-	for i := range u {
-		u[i] = 15000
-	}
-	vs, err := timeseries.Derive("v06", u, 600_000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	joined := append(changed, engine.Vehicle{Series: vs, Start: fleet[0].Start})
+	joined := append(changed, newVehicle("v07", 8))
 	snap, err = eng.Retrain(context.Background(), joined)
 	if err != nil {
 		t.Fatal(err)
@@ -523,7 +550,7 @@ func TestRestoredUnifiedModelIsCarriedForward(t *testing.T) {
 	if snap.Retrained != 1 || !snap.UnifiedReused {
 		t.Errorf("new vehicle joining after restore: retrained=%d unified_reused=%v, want 1/true", snap.Retrained, snap.UnifiedReused)
 	}
-	if snap.Models["v06"] != reconcile.Models["v05"] {
+	if snap.Models["v07"] != reconcile.Models["v05"] {
 		t.Error("the restored unified model was refitted instead of carried forward")
 	}
 	assertEqualsFullRebuild(t, "new vehicle joining after restore", snap, joined)
@@ -624,5 +651,69 @@ func TestLoadErrors(t *testing.T) {
 	}
 	if _, err := store.Load("c"); err == nil {
 		t.Error("corrupt file accepted")
+	}
+}
+
+// spill trains the test fleet and saves it under the shard name,
+// returning the store.
+func spill(t testing.TB, shard string) *Store {
+	t.Helper()
+	eng, err := engine.New(engine.Config{Predictor: testConfig(), Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap, err := eng.Retrain(context.Background(), testFleet(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	store, err := New(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := store.Save(shard, snap); err != nil {
+		t.Fatal(err)
+	}
+	return store
+}
+
+// TestLoadRefusesFlippedBit: one flipped bit anywhere past the version
+// — in a row, a model or the checksum itself — fails the CRC-32C.
+func TestLoadRefusesFlippedBit(t *testing.T) {
+	store := spill(t, "s")
+	path := filepath.Join(store.Dir(), "s.snap")
+	good, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, at := range []int{headSize + 3, len(good) / 2, len(good) - crcSize - 1, len(good) - 1} {
+		bad := append([]byte(nil), good...)
+		bad[at] ^= 0x10
+		if err := os.WriteFile(path, bad, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := store.Load("s"); err == nil || !strings.Contains(err.Error(), "checksum mismatch") {
+			t.Errorf("bit flipped at byte %d of %d: err = %v, want a checksum mismatch", at, len(good), err)
+		}
+	}
+}
+
+// TestLoadRefusesVersion1: a spill of the gob-based version 1 format
+// (testdata/version1.snap, written by that format's encoder) is refused
+// with the version error, which the fleetserver answers with a cold
+// train.
+func TestLoadRefusesVersion1(t *testing.T) {
+	data, err := os.ReadFile(filepath.Join("testdata", "version1.snap"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	store, err := New(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(store.Dir(), "shard00.snap"), data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := store.Load("shard00"); !errors.Is(err, errVersion) {
+		t.Fatalf("version 1 spill: err = %v, want the unsupported-version error", err)
 	}
 }
