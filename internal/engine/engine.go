@@ -167,7 +167,27 @@ func (e *Engine) RetrainFull(ctx context.Context, fleet []Vehicle) (*Snapshot, e
 func (e *Engine) retrain(ctx context.Context, fleet []Vehicle, full bool) (*Snapshot, error) {
 	e.buildMu.Lock()
 	defer e.release()
-	return e.retrainLocked(ctx, func(context.Context) ([]Vehicle, error) { return fleet, nil }, full)
+	return e.retrainLocked(ctx, func(context.Context) ([]Vehicle, error) { return fleet, nil }, modeOf(full))
+}
+
+// buildMode says what a build may reuse and when it publishes.
+type buildMode int
+
+const (
+	// incremental carries clean vehicles forward and always publishes.
+	incremental buildMode = iota
+	// fromScratch reuses nothing (RetrainFull) and always publishes.
+	fromScratch
+	// kicked is incremental, but a result equal to the live snapshot is
+	// not published (see KickRetrainFromSource).
+	kicked
+)
+
+func modeOf(full bool) buildMode {
+	if full {
+		return fromScratch
+	}
+	return incremental
 }
 
 // RetrainFromSource pulls the fleet from the configured Source and
@@ -178,7 +198,7 @@ func (e *Engine) retrain(ctx context.Context, fleet []Vehicle, full bool) (*Snap
 func (e *Engine) RetrainFromSource(ctx context.Context) (*Snapshot, error) {
 	e.buildMu.Lock()
 	defer e.release()
-	return e.retrainLocked(ctx, e.sourceFetch, false)
+	return e.retrainLocked(ctx, e.sourceFetch, incremental)
 }
 
 // TryRetrainFromSource is RetrainFromSource, except that when any
@@ -190,7 +210,7 @@ func (e *Engine) TryRetrainFromSource(ctx context.Context, full bool) (*Snapshot
 		return nil, ErrRetrainInFlight
 	}
 	defer e.release()
-	return e.retrainLocked(ctx, e.sourceFetch, full)
+	return e.retrainLocked(ctx, e.sourceFetch, modeOf(full))
 }
 
 // BeginRetrainFromSource starts a detached background rebuild and
@@ -201,7 +221,7 @@ func (e *Engine) TryRetrainFromSource(ctx context.Context, full bool) (*Snapshot
 // values — in particular the trace ID, so the retrain's log lines name
 // the request that caused it.
 func (e *Engine) BeginRetrainFromSource(ctx context.Context, full bool) bool {
-	return e.begin(ctx, full, false)
+	return e.begin(ctx, modeOf(full))
 }
 
 // KickRetrainFromSource is BeginRetrainFromSource(ctx, false) for a
@@ -210,11 +230,19 @@ func (e *Engine) BeginRetrainFromSource(ctx context.Context, full bool) bool {
 // the engine, exactly one follow-up incremental build runs for all the
 // kicks refused meanwhile (it re-reads the source, so it covers them
 // all), and Status reports retraining until that follow-up is done.
+//
+// A kicked build (the follow-up included) that comes out equal to the
+// live snapshot — same statuses, forecasts, errors, model keys, pool and
+// config hashes, and the same model pointers — is not published: the
+// generation, the snapshot and its caches stay, OnSnapshot is not
+// called, and the build still counts as a success. On a shard whose
+// vehicles the reports did not touch, that saves a publish, a spill and
+// a checkpoint per report; explicit builds always publish.
 func (e *Engine) KickRetrainFromSource(ctx context.Context) bool {
-	return e.begin(ctx, false, true)
+	return e.begin(ctx, kicked)
 }
 
-func (e *Engine) begin(ctx context.Context, full, remember bool) bool {
+func (e *Engine) begin(ctx context.Context, mode buildMode) bool {
 	ctx = context.WithoutCancel(ctx)
 	// TryLock under stateMu, where release unlocks: a refusal noted here
 	// is always seen by the holder's release, never lost between its
@@ -222,7 +250,7 @@ func (e *Engine) begin(ctx context.Context, full, remember bool) bool {
 	e.stateMu.Lock()
 	defer e.stateMu.Unlock()
 	if !e.buildMu.TryLock() {
-		if remember {
+		if mode == kicked {
 			e.pending = ctx
 		}
 		return false
@@ -231,16 +259,16 @@ func (e *Engine) begin(ctx context.Context, full, remember bool) bool {
 	// goroutine: a caller that was just told "started" must never read
 	// retraining=false while the goroutine awaits scheduling.
 	e.retraining = true
-	e.goBuild(ctx, full)
+	e.goBuild(ctx, mode)
 	return true
 }
 
 // goBuild runs one detached build from the source; the caller holds
 // buildMu and hands it over.
-func (e *Engine) goBuild(ctx context.Context, full bool) {
+func (e *Engine) goBuild(ctx context.Context, mode buildMode) {
 	go func() {
 		defer e.release()
-		_, _ = e.retrainLocked(ctx, e.sourceFetch, full)
+		_, _ = e.retrainLocked(ctx, e.sourceFetch, mode)
 	}()
 }
 
@@ -257,7 +285,7 @@ func (e *Engine) release() {
 	}
 	e.stateMu.Unlock()
 	if ctx != nil {
-		e.goBuild(ctx, false)
+		e.goBuild(ctx, kicked)
 	}
 }
 
@@ -272,9 +300,10 @@ func (e *Engine) sourceFetch(ctx context.Context) ([]Vehicle, error) {
 	return fleet, nil
 }
 
-// retrainLocked fetches, builds and publishes one generation. Callers
-// hold buildMu and end the build with release.
-func (e *Engine) retrainLocked(ctx context.Context, fetch func(context.Context) ([]Vehicle, error), full bool) (*Snapshot, error) {
+// retrainLocked fetches, builds and publishes one generation — or, for a
+// kicked build equal to the live snapshot, returns the live snapshot
+// unpublished. Callers hold buildMu and end the build with release.
+func (e *Engine) retrainLocked(ctx context.Context, fetch func(context.Context) ([]Vehicle, error), mode buildMode) (*Snapshot, error) {
 	e.stateMu.Lock()
 	e.retraining = true
 	e.stateMu.Unlock()
@@ -287,21 +316,28 @@ func (e *Engine) retrainLocked(ctx context.Context, fetch func(context.Context) 
 		return nil, err
 	}
 	e.metrics.ObserveStage("prep", tPrep)
-	snap, err := e.build(ctx, fleet, full)
+	snap, err := e.build(ctx, fleet, mode == fromScratch)
 	if err != nil {
 		e.recordError(err)
 		e.logRetrainError(ctx, "build", err)
 		return nil, err
+	}
+	if live := e.snap.Load(); mode == kicked && live != nil && snap.sameAs(live) {
+		e.recordError(nil)
+		e.metrics.unchanged.Inc()
+		e.log.LogAttrs(ctx, slog.LevelInfo, "retrain unchanged; not published",
+			slog.String("trace", obs.TraceID(ctx)),
+			slog.Uint64("generation", live.Generation),
+			slog.Int("vehicles", len(snap.Statuses)),
+			slog.Float64("seconds", snap.TrainDuration.Seconds()))
+		return live, nil
 	}
 	e.generation++
 	snap.Generation = e.generation
 	// A successful build supersedes any earlier failure; clear it
 	// *before* publishing so Status never pairs the new generation with
 	// a stale error.
-	e.stateMu.Lock()
-	e.lastErr = nil
-	e.lastErrAt = time.Time{}
-	e.stateMu.Unlock()
+	e.recordError(nil)
 	e.snap.Store(snap)
 	if e.cfg.OnSnapshot != nil {
 		e.cfg.OnSnapshot(snap)
@@ -312,7 +348,7 @@ func (e *Engine) retrainLocked(ctx context.Context, fetch func(context.Context) 
 		slog.Int("vehicles", len(snap.Statuses)),
 		slog.Int("reused", snap.Reused),
 		slog.Int("retrained", snap.Retrained),
-		slog.Bool("full", full),
+		slog.Bool("full", mode == fromScratch),
 		slog.Bool("pool_changed", snap.PoolChanged),
 		slog.Bool("unified_reused", snap.UnifiedReused),
 		slog.Float64("seconds", snap.TrainDuration.Seconds()))
@@ -487,10 +523,14 @@ func (e *Engine) runPool(ctx context.Context, tasks []core.TrainTask, shared *co
 	return statuses, models, nil
 }
 
+// recordError sets the last build error; nil clears it.
 func (e *Engine) recordError(err error) {
 	e.stateMu.Lock()
 	e.lastErr = err
-	e.lastErrAt = time.Now()
+	e.lastErrAt = time.Time{}
+	if err != nil {
+		e.lastErrAt = time.Now()
+	}
 	e.stateMu.Unlock()
 }
 

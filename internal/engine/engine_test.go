@@ -1,15 +1,22 @@
 package engine
 
 import (
+	"bytes"
 	"context"
+	"errors"
+	"log/slog"
 	"math"
+	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/core"
 	"repro/internal/dataprep"
+	"repro/internal/obs"
 	"repro/internal/telematics"
+	"repro/internal/timeseries"
 )
 
 // genFleet synthesizes a fleet with the telematics generator and runs
@@ -245,9 +252,12 @@ func TestSingleFlight(t *testing.T) {
 // engine are not lost — when that build releases, exactly one follow-up
 // build runs for all of them, re-reading the source, and the engine
 // reports retraining until it is done. A refused Begin (whose caller was
-// told and retries on its own) leaves nothing behind.
+// told and retries on its own) leaves nothing behind. The first fetch
+// misses v01's last day, so the follow-up has a changed fleet to publish.
 func TestRefusedKicksRunOneFollowUp(t *testing.T) {
 	fleet := genFleet(t, 4, 900)
+	stale := append([]Vehicle(nil), fleet...)
+	stale[0] = rederive(t, fleet[0], fleet[0].Series.Allowance, func(u timeseries.Series) timeseries.Series { return u[:len(u)-1] })
 	release := make(chan struct{})
 	entered := make(chan struct{}, 1)
 	var fetches atomic.Int32
@@ -255,6 +265,7 @@ func TestRefusedKicksRunOneFollowUp(t *testing.T) {
 		if fetches.Add(1) == 1 {
 			entered <- struct{}{}
 			<-release
+			return stale, nil
 		}
 		return fleet, nil
 	}}
@@ -293,6 +304,132 @@ func TestRefusedKicksRunOneFollowUp(t *testing.T) {
 	}
 	if st := eng.Status(); st.Retraining || st.Generation != 3 {
 		t.Fatalf("after a clean build: retraining=%v generation=%d, want idle at 3", st.Retraining, st.Generation)
+	}
+}
+
+// waitIdle polls until the engine has no build in flight.
+func waitIdle(t *testing.T, eng *Engine) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for eng.Status().Retraining {
+		if time.Now().After(deadline) {
+			t.Fatal("engine never went idle")
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// syncBuffer is a bytes.Buffer safe for a logger on another goroutine.
+type syncBuffer struct {
+	mu sync.Mutex
+	b  bytes.Buffer
+}
+
+func (b *syncBuffer) Write(p []byte) (int, error) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.b.Write(p)
+}
+
+func (b *syncBuffer) String() string {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.b.String()
+}
+
+// TestUnchangedKickPublishesNothing: a kicked build on unchanged data is
+// a success that publishes nothing — same generation and snapshot, no
+// OnSnapshot call, the earlier failure cleared, one count on
+// fleet_retrain_unchanged_total and an Info line with the kick's trace
+// ID. A kick on changed data publishes, and so does every explicit
+// build on unchanged data: Retrain, RetrainFromSource, Try and Begin.
+func TestUnchangedKickPublishesNothing(t *testing.T) {
+	fleet := mixedFleet(t)
+	current := fleet
+	var failNext atomic.Bool
+	var spills atomic.Int32
+	logs := &syncBuffer{}
+	eng, err := New(Config{
+		Predictor: fastPredictorConfig(),
+		Workers:   2,
+		Source: func(context.Context) ([]Vehicle, error) {
+			if failNext.Swap(false) {
+				return nil, errors.New("store offline")
+			}
+			return current, nil
+		},
+		OnSnapshot: func(*Snapshot) { spills.Add(1) },
+		Logger:     slog.New(slog.NewTextHandler(logs, nil)),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	first, err := eng.Retrain(context.Background(), fleet)
+	if err != nil {
+		t.Fatal(err)
+	}
+	failNext.Store(true)
+	if _, err := eng.TryRetrainFromSource(context.Background(), false); err == nil {
+		t.Fatal("failing source built")
+	}
+	if eng.Status().LastError == "" {
+		t.Fatal("failed build left no error")
+	}
+
+	ctx := obs.WithTrace(context.Background(), "kick-trace-1")
+	if !eng.KickRetrainFromSource(ctx) {
+		t.Fatal("kick on an idle engine refused")
+	}
+	waitIdle(t, eng)
+	st := eng.Status()
+	if st.Generation != 1 || eng.Snapshot() != first || spills.Load() != 1 {
+		t.Fatalf("unchanged kick: generation %d, same snapshot %v, %d spills; want 1, true, 1", st.Generation, eng.Snapshot() == first, spills.Load())
+	}
+	if st.LastError != "" || st.LastErrorTime != "" {
+		t.Fatalf("unchanged kick left the earlier error: %q at %q", st.LastError, st.LastErrorTime)
+	}
+	if got := eng.Metrics().unchanged.Value(); got != 1 {
+		t.Fatalf("unchanged counter %d, want 1", got)
+	}
+	if out := logs.String(); !strings.Contains(out, "retrain unchanged") || !strings.Contains(out, "trace=kick-trace-1") {
+		t.Fatalf("no unchanged-build log line with the kick's trace ID:\n%s", out)
+	}
+
+	explicit := []struct {
+		name  string
+		build func() error
+	}{
+		{"Retrain", func() error { _, err := eng.Retrain(context.Background(), fleet); return err }},
+		{"RetrainFromSource", func() error { _, err := eng.RetrainFromSource(context.Background()); return err }},
+		{"TryRetrainFromSource", func() error { _, err := eng.TryRetrainFromSource(context.Background(), false); return err }},
+		{"BeginRetrainFromSource", func() error {
+			if !eng.BeginRetrainFromSource(context.Background(), false) {
+				return errors.New("refused on an idle engine")
+			}
+			waitIdle(t, eng)
+			return nil
+		}},
+	}
+	for i, b := range explicit {
+		if err := b.build(); err != nil {
+			t.Fatalf("%s: %v", b.name, err)
+		}
+		if got, want := eng.Status().Generation, uint64(i+2); got != want || spills.Load() != int32(want) {
+			t.Fatalf("%s on unchanged data: generation %d after %d spills, want %d/%d", b.name, got, spills.Load(), want, want)
+		}
+	}
+
+	current = append([]Vehicle(nil), fleet...)
+	current[0] = perturb(t, fleet[0])
+	if !eng.KickRetrainFromSource(context.Background()) {
+		t.Fatal("kick on an idle engine refused")
+	}
+	waitIdle(t, eng)
+	if st := eng.Status(); st.Generation != 6 || spills.Load() != 6 {
+		t.Fatalf("kick on changed data: generation %d after %d spills, want 6/6", st.Generation, spills.Load())
+	}
+	if got := eng.Metrics().unchanged.Value(); got != 1 {
+		t.Fatalf("unchanged counter %d after a changed kick, want still 1", got)
 	}
 }
 

@@ -53,18 +53,6 @@ func perturb(t testing.TB, v Vehicle) Vehicle {
 	return rederive(t, v, v.Series.Allowance, func(u timeseries.Series) timeseries.Series { return append(u, 17500) })
 }
 
-func sameStatus(a, b core.VehicleStatus) bool {
-	return a.ID == b.ID && a.Category == b.Category && a.Strategy == b.Strategy &&
-		a.Algorithm == b.Algorithm && a.Donor == b.Donor && a.Err == b.Err &&
-		sameFloat(a.ValidationMRE, b.ValidationMRE)
-}
-
-func sameForecast(a, b core.Forecast) bool {
-	return a.VehicleID == b.VehicleID && a.AsOfDay == b.AsOfDay &&
-		sameFloat(a.DaysLeft, b.DaysLeft) && a.DueDate.Equal(b.DueDate) &&
-		a.Category == b.Category && a.Strategy == b.Strategy
-}
-
 // assertSameResults checks the bit-identical contract between two
 // snapshots: same statuses, same forecasts, same forecast errors.
 func assertSameResults(t *testing.T, label string, a, b *Snapshot) {

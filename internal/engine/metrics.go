@@ -26,6 +26,9 @@ type TrainMetrics struct {
 	// retrains counts trained vehicles by why they trained: own_data,
 	// pool_changed or full (core.TrainTask.Reason).
 	retrains *obs.Family
+	// unchanged counts kicked builds that equalled the live snapshot and
+	// so published nothing.
+	unchanged obs.Counter
 }
 
 func newTrainMetrics() *TrainMetrics {
@@ -63,6 +66,8 @@ func (m *TrainMetrics) Write(w *obs.TextWriter) {
 	m.stages.Write(w)
 	m.models.Write(w)
 	m.retrains.Write(w)
+	w.CounterUint("fleet_retrain_unchanged_total",
+		"Telemetry-kicked builds that equalled the live snapshot and published nothing.", m.unchanged.Value())
 	writeHistStats(w)
 }
 

@@ -1,6 +1,9 @@
 package engine
 
 import (
+	"maps"
+	"math"
+	"slices"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -85,7 +88,9 @@ type Snapshot struct {
 	// generation; Retrained counts the vehicles trained (or failed)
 	// this build. Reused+Retrained == len(Statuses).
 	Reused, Retrained int
-	// Generation counts successful builds, starting at 1.
+	// Generation counts published builds, starting at 1; a kicked build
+	// equal to the live snapshot publishes nothing (see
+	// Engine.KickRetrainFromSource).
 	Generation uint64
 	// BuiltAt is when the build finished; TrainDuration how long it
 	// took.
@@ -211,6 +216,35 @@ func (s *Snapshot) prior() *core.PriorGeneration {
 		Statuses:  s.StatusByID,
 		Models:    s.Models,
 	}
+}
+
+// sameAs reports whether s equals o in everything a reader or the next
+// plan can see: statuses and forecasts field by field (floats by their
+// bits, due dates by instant and location), forecast and training
+// errors, model keys, pool and config hashes, and every vehicle's model
+// by pointer identity. Generation, BuiltAt and the build's counters are
+// not compared.
+func (s *Snapshot) sameAs(o *Snapshot) bool {
+	return s.PoolHash == o.PoolHash && s.ConfigHash == o.ConfigHash &&
+		slices.EqualFunc(s.Statuses, o.Statuses, sameStatus) &&
+		slices.EqualFunc(s.Forecasts, o.Forecasts, sameForecast) &&
+		maps.Equal(s.ForecastErrors, o.ForecastErrors) &&
+		maps.Equal(s.FailedVehicles, o.FailedVehicles) &&
+		maps.Equal(s.ModelKeys, o.ModelKeys) &&
+		maps.EqualFunc(s.Models, o.Models, func(a, b ml.Regressor) bool { return a == b })
+}
+
+func sameStatus(a, b core.VehicleStatus) bool {
+	return a.ID == b.ID && a.Category == b.Category && a.Strategy == b.Strategy &&
+		a.Algorithm == b.Algorithm && a.Donor == b.Donor && a.Err == b.Err &&
+		math.Float64bits(a.ValidationMRE) == math.Float64bits(b.ValidationMRE)
+}
+
+func sameForecast(a, b core.Forecast) bool {
+	return a.VehicleID == b.VehicleID && a.AsOfDay == b.AsOfDay &&
+		math.Float64bits(a.DaysLeft) == math.Float64bits(b.DaysLeft) &&
+		a.DueDate.Equal(b.DueDate) && a.DueDate.Location() == b.DueDate.Location() &&
+		a.Category == b.Category && a.Strategy == b.Strategy
 }
 
 // newSnapshot freezes a trained predictor: it precomputes every

@@ -113,6 +113,10 @@ func OpenDurable(allowance float64, opts DurableOptions) (*Store, error) {
 	if err != nil {
 		return nil, fmt.Errorf("ingest: %w", err)
 	}
+	if err := removeStaleCheckpointTemps(opts.Dir); err != nil {
+		log.Close()
+		return nil, err
+	}
 	s := New(allowance)
 	s.journal = log
 
@@ -327,6 +331,17 @@ func (s *Store) CheckpointAndCompact() (CheckpointResult, error) {
 	s.ckptMu.Lock()
 	defer s.ckptMu.Unlock()
 
+	// Nothing journaled since the last checkpoint: it already covers the
+	// store, so skip the rewrite and its fsyncs. Every shard over a
+	// shared store checkpoints after its own spill, so a generation that
+	// publishes on all of them lands here once per shard.
+	s.mu.RLock()
+	index, seq := s.lastIndex, s.seq
+	s.mu.RUnlock()
+	if !s.ckptAt.IsZero() && index == s.ckptIndex && seq == s.ckptSeq {
+		return CheckpointResult{WALIndex: index, Seq: seq}, nil
+	}
+
 	// Make sure every journaled record the checkpoint will cover is on
 	// disk before the checkpoint claims to cover it.
 	if err := s.journal.Sync(); err != nil {
@@ -469,6 +484,23 @@ func saveCheckpoint(path string, ck *checkpointState) error {
 	}
 	if err != nil {
 		return fmt.Errorf("ingest: syncing checkpoint rename: %w", err)
+	}
+	return nil
+}
+
+// removeStaleCheckpointTemps deletes the temp files of checkpoints whose
+// writer was killed before its deferred remove ran.
+func removeStaleCheckpointTemps(dir string) error {
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		return fmt.Errorf("ingest: %w", err)
+	}
+	for _, e := range entries {
+		if ok, _ := filepath.Match(checkpointFile+".tmp*", e.Name()); ok {
+			if err := os.Remove(filepath.Join(dir, e.Name())); err != nil {
+				return fmt.Errorf("ingest: removing a stale checkpoint temp file: %w", err)
+			}
+		}
 	}
 	return nil
 }

@@ -373,6 +373,104 @@ func TestDurableCompactionSafety(t *testing.T) {
 	}
 }
 
+// TestDurableCheckpointWithNothingNewIsNoOp: a checkpoint call with no
+// batch journaled since the last one leaves the checkpoint file — bytes
+// and SavedAt — as it was; the next journaled batch makes it write
+// again.
+func TestDurableCheckpointWithNothingNewIsNoOp(t *testing.T) {
+	dir := t.TempDir()
+	s := openDurable(t, dir)
+	path := filepath.Join(dir, checkpointFile)
+	if _, err := s.UpsertBatch([]Report{report("v01", 0, 1000)}); err != nil {
+		t.Fatal(err)
+	}
+	first, err := s.CheckpointAndCompact()
+	if err != nil {
+		t.Fatal(err)
+	}
+	bytes1, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ck1, err := loadCheckpoint(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	time.Sleep(2 * time.Millisecond) // a rewrite would stamp a later SavedAt
+
+	again, err := s.CheckpointAndCompact()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if again != first {
+		t.Fatalf("second checkpoint %+v, want %+v", again, first)
+	}
+	bytes2, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ck2, err := loadCheckpoint(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(bytes2) != string(bytes1) || !ck2.SavedAt.Equal(ck1.SavedAt) {
+		t.Fatalf("checkpoint rewritten with nothing new: SavedAt %v -> %v", ck1.SavedAt, ck2.SavedAt)
+	}
+	if got := s.Stats().WAL.LastCheckpoint; got != ck1.SavedAt.UTC().Format(time.RFC3339Nano) {
+		t.Fatalf("stats LastCheckpoint %s, want the first checkpoint's %v", got, ck1.SavedAt)
+	}
+
+	if _, err := s.UpsertBatch([]Report{report("v01", 1, 1100)}); err != nil {
+		t.Fatal(err)
+	}
+	third, err := s.CheckpointAndCompact()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ck3, err := loadCheckpoint(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if third.WALIndex <= first.WALIndex || ck3.WALIndex != third.WALIndex || !ck3.SavedAt.After(ck1.SavedAt) {
+		t.Fatalf("checkpoint after a journaled batch: %+v, file index %d saved %v", third, ck3.WALIndex, ck3.SavedAt)
+	}
+}
+
+// TestOpenDurableRemovesStaleCheckpointTemps: a checkpoint writer killed
+// before its deferred remove leaves a temp file; the next open deletes
+// it and keeps the checkpoint itself.
+func TestOpenDurableRemovesStaleCheckpointTemps(t *testing.T) {
+	dir := t.TempDir()
+	s := openDurable(t, dir)
+	if _, err := s.UpsertBatch([]Report{report("v01", 0, 1000)}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.CheckpointAndCompact(); err != nil {
+		t.Fatal(err)
+	}
+	s.Close()
+	path := filepath.Join(dir, checkpointFile)
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stale := filepath.Join(dir, checkpointFile+".tmp123456")
+	if err := os.WriteFile(stale, []byte("half a checkpoint"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	s2 := openDurable(t, dir)
+	if _, err := os.Stat(stale); !os.IsNotExist(err) {
+		t.Fatalf("stale temp file survived the open: %v", err)
+	}
+	if got, err := os.ReadFile(path); err != nil || string(got) != string(want) {
+		t.Fatalf("checkpoint changed by the open (err %v)", err)
+	}
+	if h, ok := s2.Hash("v01"); !ok || h == 0 {
+		t.Fatal("reopened store lost v01")
+	}
+}
+
 // TestDurableCheckpointOnInMemoryStore: the compaction hook degrades
 // loudly, not silently, without a journal.
 func TestDurableCheckpointOnInMemoryStore(t *testing.T) {

@@ -1,0 +1,229 @@
+package serve
+
+import (
+	"context"
+	"fmt"
+	"net/http"
+	"net/http/httptest"
+	"strings"
+	"testing"
+	"time"
+
+	"repro/internal/cluster"
+	"repro/internal/core"
+	"repro/internal/engine"
+	"repro/internal/ingest"
+)
+
+// kickDay0 is the first day of every vehicle in the shared-kick fleet.
+var kickDay0 = time.Date(2015, 1, 1, 0, 0, 0, 0, time.UTC)
+
+// kickUsage is a vehicle's deterministic daily usage: weekends idle,
+// weekdays around `daily` with per-vehicle jitter.
+func kickUsage(id string, day int, daily float64) float64 {
+	if day%7 >= 5 {
+		return 0
+	}
+	return daily + float64((day*37+len(id)*13+int(id[len(id)-1])*7)%1000)
+}
+
+func kickReports(id string, from, to int, daily float64) []ingest.Report {
+	var out []ingest.Report
+	for d := from; d < to; d++ {
+		out = append(out, ingest.Report{VehicleID: id, Date: kickDay0.AddDate(0, 0, d), Seconds: kickUsage(id, d, daily)})
+	}
+	return out
+}
+
+// categoryAfter is the category the store's pipeline gives a vehicle
+// whose telemetry is days [0, days) of kickUsage.
+func categoryAfter(t *testing.T, id string, days int, daily float64) core.Category {
+	t.Helper()
+	s := ingest.New(600_000)
+	if _, err := s.UpsertBatch(kickReports(id, 0, days, daily)); err != nil {
+		t.Fatal(err)
+	}
+	fleet, err := s.Fleet(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return core.Categorize(fleet[0].Series)
+}
+
+// TestSharedStoreKickMovesOnlyChangedShards drives `fleetserver -shards
+// 3 -ingest -retrain-dirty 1` in process: three shard servers over one
+// shared ingest store behind a router that upserts each report once and
+// kicks every shard. Every shard owns old and cold-start vehicles. A
+// report that moves only its own vehicle's forecast publishes on the
+// owner alone; the report that completes a semi-new vehicle's first
+// cycle changes the donor pool and publishes on every shard. After each
+// report — with no explicit retrain — the router's /fleet/forecast is
+// byte-identical to an unsharded engine's on the same store.
+func TestSharedStoreKickMovesOnlyChangedShards(t *testing.T) {
+	const (
+		oldDays     = 400
+		semiNewDays = 26
+		newDays     = 10
+		daily       = 18000
+	)
+	names := cluster.ShardNames(3)
+	ring, err := cluster.NewRingOf(0, names...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Two old vehicles, one semi-new and one new on every shard.
+	want := map[string][]int{}
+	for _, n := range names {
+		want[n] = []int{oldDays, oldDays, semiNewDays, newDays}
+	}
+	days := map[string]int{}
+	var seed []ingest.Report
+	for i := 1; len(days) < 4*len(names); i++ {
+		id := fmt.Sprintf("v%02d", i)
+		owner := ring.Owner(id)
+		if len(want[owner]) == 0 {
+			continue
+		}
+		days[id], want[owner] = want[owner][0], want[owner][1:]
+		seed = append(seed, kickReports(id, 0, days[id], daily)...)
+	}
+	store := ingest.New(600_000)
+	if _, err := store.UpsertBatch(seed); err != nil {
+		t.Fatal(err)
+	}
+
+	sharded, err := cluster.NewSharded(cluster.ShardedConfig{Engine: testEngineConfig(), Base: store.Fleet, Names: names})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sharded.RetrainAll(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	var backends []ShardBackend
+	for _, sh := range sharded.Shards() {
+		srv, err := NewWithOptions(sh.Engine, Options{Ingest: store, RetrainDirty: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		backends = append(backends, ShardBackend{Name: sh.Name, Handler: srv})
+	}
+	router, err := NewRouter(sharded.Ring(), backends, RouterOptions{SharedIngest: store})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	generations := func() map[string]uint64 {
+		out := map[string]uint64{}
+		for _, sh := range sharded.Shards() {
+			out[sh.Name] = sh.Engine.Status().Generation
+		}
+		return out
+	}
+	coldStartOwners := map[string]bool{}
+	for _, sh := range sharded.Shards() {
+		for _, st := range sh.Engine.Snapshot().Statuses {
+			if st.Category != core.Old {
+				coldStartOwners[sh.Name] = true
+			}
+		}
+	}
+	if len(coldStartOwners) != len(names) {
+		t.Fatalf("cold-start vehicles on %d of %d shards; the fixture wants them on every shard", len(coldStartOwners), len(names))
+	}
+
+	// report posts one JSON batch through the router, waits for every
+	// kicked build, and returns the shards whose generation moved.
+	report := func(label string, reports []ingest.Report) map[string]bool {
+		t.Helper()
+		before := generations()
+		var rows []string
+		for _, r := range reports {
+			rows = append(rows, fmt.Sprintf(`{"vehicle":%q,"date":%q,"seconds":%v}`, r.VehicleID, r.Date.Format("2006-01-02"), r.Seconds))
+		}
+		req := httptest.NewRequest(http.MethodPost, "/telemetry", strings.NewReader(`{"reports":[`+strings.Join(rows, ",")+`]}`))
+		req.Header.Set("Content-Type", "application/json")
+		rec := httptest.NewRecorder()
+		router.ServeHTTP(rec, req)
+		if rec.Code != http.StatusOK {
+			t.Fatalf("%s: POST /telemetry = %d: %s", label, rec.Code, rec.Body)
+		}
+		deadline := time.Now().Add(30 * time.Second)
+		for _, sh := range sharded.Shards() {
+			for sh.Engine.Status().Retraining {
+				if time.Now().After(deadline) {
+					t.Fatalf("%s: shard %s never went idle", label, sh.Name)
+				}
+				time.Sleep(time.Millisecond)
+			}
+			if st := sh.Engine.Status(); st.LastError != "" {
+				t.Fatalf("%s: shard %s: %s", label, sh.Name, st.LastError)
+			}
+		}
+		moved := map[string]bool{}
+		for name, gen := range generations() {
+			switch {
+			case gen == before[name]+1:
+				moved[name] = true
+			case gen != before[name]:
+				t.Fatalf("%s: shard %s went from generation %d to %d, want at most one publish", label, name, before[name], gen)
+			}
+		}
+
+		// The unsharded reference: a fresh engine over the same store.
+		cfg := testEngineConfig()
+		cfg.Source = store.Fleet
+		single, err := engine.New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := single.RetrainFromSource(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		singleSrv, err := New(single)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantRec := httptest.NewRecorder()
+		singleSrv.ServeHTTP(wantRec, httptest.NewRequest(http.MethodGet, "/fleet/forecast", nil))
+		gotRec, got := routerGet(t, router, "/fleet/forecast")
+		if gotRec.Code != http.StatusOK || string(got) != wantRec.Body.String() {
+			t.Fatalf("%s: router /fleet/forecast (%d) differs from the unsharded engine's:\nrouter %s\nsingle %s", label, gotRec.Code, got, wantRec.Body)
+		}
+		return moved
+	}
+	onlyOwner := func(label, id string, moved map[string]bool) {
+		t.Helper()
+		if owner := ring.Owner(id); len(moved) != 1 || !moved[owner] {
+			t.Fatalf("%s: generations moved on %v, want only %s's owner %s", label, moved, id, owner)
+		}
+	}
+
+	var oldID, semiID, newID string
+	for id, d := range days {
+		switch {
+		case d == oldDays && (oldID == "" || id < oldID):
+			oldID = id
+		case d == semiNewDays && (semiID == "" || id < semiID):
+			semiID = id
+		case d == newDays && (newID == "" || id < newID):
+			newID = id
+		}
+	}
+
+	onlyOwner("old vehicle's tail day", oldID, report("old vehicle's tail day", kickReports(oldID, oldDays, oldDays+1, daily)))
+	onlyOwner("new vehicle's tail day", newID, report("new vehicle's tail day", kickReports(newID, newDays, newDays+1, daily)))
+
+	// Bring the semi-new vehicle to one day short of its first
+	// maintenance, then report that day.
+	complete := semiNewDays + 1
+	for categoryAfter(t, semiID, complete, daily) != core.Old {
+		complete++
+	}
+	onlyOwner("semi-new vehicle's tail days", semiID, report("semi-new vehicle's tail days", kickReports(semiID, semiNewDays, complete-1, daily)))
+	moved := report("first maintenance", kickReports(semiID, complete-1, complete, daily))
+	for name := range coldStartOwners {
+		if !moved[name] {
+			t.Fatalf("first maintenance of %s moved generations on %v, want every shard with cold-start vehicles", semiID, moved)
+		}
+	}
+}

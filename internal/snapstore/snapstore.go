@@ -163,6 +163,19 @@ func New(dir string) (*Store, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("snapstore: %w", err)
 	}
+	// A process killed mid-Save never ran its deferred remove; each such
+	// temp file can be a whole spill. No Save of this store runs yet.
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		return nil, fmt.Errorf("snapstore: %w", err)
+	}
+	for _, e := range entries {
+		if ok, _ := filepath.Match("*.snap.tmp*", e.Name()); ok {
+			if err := os.Remove(filepath.Join(dir, e.Name())); err != nil {
+				return nil, fmt.Errorf("snapstore: removing a stale temp file: %w", err)
+			}
+		}
+	}
 	return &Store{dir: dir}, nil
 }
 

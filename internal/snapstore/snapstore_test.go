@@ -717,3 +717,41 @@ func TestLoadRefusesVersion1(t *testing.T) {
 		t.Fatalf("version 1 spill: err = %v, want the unsupported-version error", err)
 	}
 }
+
+// TestNewRemovesStaleTempFiles: a Save killed before its deferred
+// remove leaves <shard>.snap.tmp*; New deletes such files and leaves
+// the spills themselves and unrelated files alone.
+func TestNewRemovesStaleTempFiles(t *testing.T) {
+	store := spill(t, "s")
+	dir := store.Dir()
+	path := filepath.Join(dir, "s.snap")
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stale := []string{"s.snap.tmp123", "shard01.snap.tmp9"}
+	for _, name := range append(stale, "notes.txt") {
+		if err := os.WriteFile(filepath.Join(dir, name), []byte("half a spill"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	reopened, err := New(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range stale {
+		if _, err := os.Stat(filepath.Join(dir, name)); !os.IsNotExist(err) {
+			t.Errorf("stale temp file %s survived New: %v", name, err)
+		}
+	}
+	if _, err := os.Stat(filepath.Join(dir, "notes.txt")); err != nil {
+		t.Errorf("unrelated file removed: %v", err)
+	}
+	if got, err := os.ReadFile(path); err != nil || string(got) != string(want) {
+		t.Fatalf("spill changed by New (err %v)", err)
+	}
+	if _, err := reopened.Load("s"); err != nil {
+		t.Fatalf("spill no longer loads: %v", err)
+	}
+}
