@@ -185,8 +185,8 @@ func printIngestStats(st serve.IngestStatsJSON) {
 		w.Appends, w.Rotations, w.Fsyncs, orNever(w.LastFsync))
 	fmt.Printf("  replay      %d records in %.3fs (open %.3fs), %d truncated-tail events\n",
 		w.ReplayRecords, w.ReplaySeconds, w.OpenSeconds, w.TruncatedTailEvents)
-	fmt.Printf("  checkpoint  wal index %d, seq %d, written %s\n",
-		w.CheckpointIndex, w.CheckpointSeq, orNever(w.LastCheckpoint))
+	fmt.Printf("  checkpoint  wal index %d, seq %d, %d bytes (boot load %.3fs), written %s\n",
+		w.CheckpointIndex, w.CheckpointSeq, w.CheckpointBytes, w.CheckpointLoadSeconds, orNever(w.LastCheckpoint))
 }
 
 // metricsSummary scrapes GET /metrics — from a single fleetserver or a

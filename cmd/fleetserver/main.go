@@ -22,7 +22,9 @@
 // incremental reconcile retrain, so a crashed server comes back
 // serving its last generation and folds recovered telemetry in without
 // ever cold-training; each persisted generation also checkpoints the
-// store and compacts the WAL segments the checkpoint covers.
+// store and compacts the WAL segments the checkpoint covers. Without
+// -snapshot-dir nothing checkpoints: the WAL is never compacted and
+// every restart replays all of it (logged as a warning at boot).
 //
 // Cluster topologies (see internal/cluster and ARCHITECTURE.md):
 //
@@ -151,6 +153,12 @@ func main() {
 	}
 	if *walDir != "" && !*liveIngest {
 		fatal("-wal-dir needs -ingest")
+	}
+	if *walDir != "" && *snapDir == "" {
+		// The checkpoint that compacts the WAL is written only after a
+		// generation is spilled, so without one the journal grows for
+		// good and every restart replays all of it.
+		slog.Warn("-wal-dir without -snapshot-dir: the WAL is never checkpointed or compacted, so it grows without bound and every restart replays all of it", "wal_dir", *walDir)
 	}
 	if *shards > 1 && *join != "" {
 		fatal("-shards and -join are mutually exclusive")
@@ -556,6 +564,7 @@ func openIngestStore(walDir, fsyncPolicy string) *ingest.Store {
 	if st := store.Stats(); st.WAL != nil {
 		slog.Info("wal recovered", "dir", walDir, "vehicles", st.Vehicles, "seq", st.Seq,
 			"replayed", st.WAL.ReplayRecords, "replay_seconds", st.WAL.ReplaySeconds, "open_seconds", st.WAL.OpenSeconds,
+			"checkpoint_load_seconds", st.WAL.CheckpointLoadSeconds, "checkpoint_bytes", st.WAL.CheckpointBytes,
 			"truncated_tail_events", st.WAL.TruncatedTailEvents, "fsync", fsyncPolicy)
 	}
 	return store

@@ -7,20 +7,26 @@
 //     content) to the WAL under the store lock, before the batch is
 //     acknowledged — WAL order is seq order;
 //   - at the next boot the store reconstructs itself by loading the
-//     checkpoint (a full spill of the day maps, hashes and counters)
-//     and replaying every journal record past it, restoring Seq, the
+//     checkpoint (a flat, CRC-checked file holding each vehicle's dense
+//     run of days, its hash and the counters; see checkpoint.go) and
+//     replaying every journal record past it, restoring Seq, the
 //     per-vehicle content hashes and the counters exactly as they were
-//     at the last acknowledged batch. Replay costs O(WAL bytes) and
+//     at the last acknowledged batch. The checkpoint's records are
+//     installed as decoded, with no copy. Replay costs O(WAL bytes) and
 //     allocates nothing per report: the log streams through one
 //     buffered reader, and each record is applied in place by one
-//     validating walk under a single store lock, with the hashes and
-//     day bounds recomputed once per changed vehicle at the end;
+//     validating walk under a single store lock, with the hashes
+//     recomputed once per changed vehicle at the end;
 //   - CheckpointAndCompact — called from the engine's snapshot
 //     persistence hook, i.e. once a model generation is safely on disk
-//     — atomically rewrites the checkpoint at the store's current
-//     state and deletes every WAL segment the new checkpoint covers,
-//     so the log's size tracks the telemetry arrived since the last
-//     persisted generation, not all time.
+//     — encodes the store's current state straight from its records
+//     under the read lock, atomically replaces the checkpoint outside
+//     it, and deletes every WAL segment the new checkpoint covers, so
+//     the log's size tracks the telemetry arrived since the last
+//     persisted generation, not all time. Nothing else checkpoints: a
+//     store whose owner never persists a generation (a fleetserver
+//     with -wal-dir but no -snapshot-dir) keeps its whole journal and
+//     replays all of it at every boot.
 //
 // Restore ordering at boot is snapstore-restore → WAL-replay →
 // incremental reconcile retrain: the rebooted engine serves its
@@ -36,13 +42,10 @@
 package ingest
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/binary"
-	"encoding/gob"
 	"errors"
 	"fmt"
-	"io"
 	"math"
 	"os"
 	"path/filepath"
@@ -62,38 +65,6 @@ type DurableOptions struct {
 	FsyncEvery time.Duration
 	// SegmentBytes is the WAL rotation threshold (0 = wal default).
 	SegmentBytes int64
-}
-
-// checkpointFile is the store spill inside the WAL directory. It is
-// not a segment (no .wal suffix), so the log never scans it.
-const checkpointFile = "checkpoint"
-
-const (
-	ckptMagic   = "reprockpt\n"
-	ckptVersion = 1
-)
-
-// checkpointVehicle is one vehicle's spilled state.
-type checkpointVehicle struct {
-	Days       map[int64]float64
-	Hash       uint64
-	LastSeq    uint64
-	Reports    uint64
-	LastReport time.Time
-}
-
-// checkpointState is the full store spill: everything needed to resume
-// as if every batch up to WALIndex had just been applied.
-type checkpointState struct {
-	// WALIndex is the journal record the checkpoint covers through;
-	// replay skips records at or below it.
-	WALIndex uint64
-	Seq      uint64
-	Accepted uint64
-	Rejected uint64
-	Changed  uint64
-	Vehicles map[string]checkpointVehicle
-	SavedAt  time.Time
 }
 
 // OpenDurable opens (creating if needed) a WAL-backed store in dir and
@@ -120,14 +91,27 @@ func OpenDurable(allowance float64, opts DurableOptions) (*Store, error) {
 	s := New(allowance)
 	s.journal = log
 
-	ck, err := loadCheckpoint(filepath.Join(opts.Dir, checkpointFile))
+	tLoad := time.Now()
+	path := filepath.Join(opts.Dir, checkpointFile)
+	ck, version, size, err := loadCheckpoint(path)
 	if err != nil && !errors.Is(err, os.ErrNotExist) {
 		log.Close()
 		return nil, err
 	}
 	if ck != nil {
-		s.restoreCheckpoint(ck)
+		if version != ckptVersion {
+			// Version 1 is read once: rewrite it in the current layout,
+			// covering exactly what it covered.
+			data := encodeCheckpoint(ck)
+			if err := writeCheckpoint(path, data); err != nil {
+				log.Close()
+				return nil, err
+			}
+			size = len(data)
+		}
+		s.restoreCheckpoint(ck, size)
 	}
+	s.ckptLoadDuration = time.Since(tLoad)
 
 	// Nothing else holds the store yet: one lock section covers the
 	// whole replay.
@@ -164,42 +148,23 @@ func OpenDurable(allowance float64, opts DurableOptions) (*Store, error) {
 	return s, nil
 }
 
-// restoreCheckpoint installs a loaded spill as the store's state.
-func (s *Store) restoreCheckpoint(ck *checkpointState) {
+// restoreCheckpoint installs a loaded checkpoint, its records as
+// decoded, as the store's state.
+func (s *Store) restoreCheckpoint(ck *checkpoint, size int) {
 	s.mu.Lock()
-	s.seq = ck.Seq
-	s.accepted = ck.Accepted
-	s.rejected = ck.Rejected
-	s.changed = ck.Changed
-	s.vehicles = make(map[string]*vehicleRecord, len(ck.Vehicles))
-	for id, cv := range ck.Vehicles {
-		rec := &vehicleRecord{
-			days:       make(map[int64]float64, len(cv.Days)),
-			hash:       cv.Hash,
-			lastSeq:    cv.LastSeq,
-			reports:    cv.Reports,
-			lastReport: cv.LastReport,
-		}
-		first := true
-		for day, sec := range cv.Days {
-			rec.days[day] = sec
-			if first || day < rec.minDay {
-				rec.minDay = day
-			}
-			if first || day > rec.maxDay {
-				rec.maxDay = day
-			}
-			first = false
-		}
-		s.vehicles[id] = rec
-	}
-	s.lastIndex = ck.WALIndex
+	s.seq = ck.seq
+	s.accepted = ck.accepted
+	s.rejected = ck.rejected
+	s.changed = ck.changed
+	s.vehicles = ck.vehicles
+	s.lastIndex = ck.walIndex
 	s.mu.Unlock()
 	// ckptMu strictly after mu is released (ckptMu-before-mu ordering).
 	s.ckptMu.Lock()
-	s.ckptIndex = ck.WALIndex
-	s.ckptSeq = ck.Seq
-	s.ckptAt = ck.SavedAt
+	s.ckptIndex = ck.walIndex
+	s.ckptSeq = ck.seq
+	s.ckptAt = ck.savedAt
+	s.ckptBytes = size
 	s.ckptMu.Unlock()
 }
 
@@ -250,26 +215,29 @@ func (r *journalReplay) apply(payload []byte) error {
 		day := int64(binary.LittleEndian.Uint64(payload[off:]))
 		seconds := math.Float64frombits(binary.LittleEndian.Uint64(payload[off+8:]))
 		off += 16
+		if day < minReportDay || day > maxStoredDay {
+			return fmt.Errorf("journal record day %d out of range", day)
+		}
 
 		rec := r.last
 		if rec == nil || !bytes.Equal(id, r.lastID) {
 			// string(id) as a map key does not allocate on lookup.
 			rec = s.vehicles[string(id)]
 			if rec == nil {
-				rec = &vehicleRecord{days: make(map[int64]float64)}
+				rec = &vehicleRecord{}
 				s.vehicles[string(id)] = rec
 			}
 			rec.lastReport = r.now
 			r.last = rec
 			r.lastID = append(r.lastID[:0], id...)
 		}
-		// upsertDayLocked minus the hash and day bounds, which finish
-		// recomputes once per vehicle.
+		// upsertDayLocked minus the hash, which finish recomputes once
+		// per vehicle.
 		rec.reports++
-		if old, ok := rec.days[day]; ok && old == seconds {
+		if old, ok := rec.at(day); ok && old == seconds {
 			continue // idempotent re-delivery
 		}
-		rec.days[day] = seconds
+		rec.put(day, seconds)
 		s.seq++
 		rec.lastSeq = s.seq
 		s.changed++
@@ -280,25 +248,13 @@ func (r *journalReplay) apply(payload []byte) error {
 	return nil
 }
 
-// finish recomputes the content hash and day bounds of every vehicle
-// the replay changed. The hash is an XOR fold, so folding the final day
-// map equals the incremental per-upsert updates exactly.
+// finish recomputes the content hash of every vehicle the replay
+// changed. The hash is an XOR fold, so folding the final run equals the
+// incremental per-upsert updates exactly.
 func (r *journalReplay) finish() {
 	for _, rec := range r.s.vehicles {
-		if rec.lastSeq <= r.seq0 {
-			continue
-		}
-		rec.hash = 0
-		first := true
-		for day, sec := range rec.days {
-			rec.hash ^= dayHash(day, sec)
-			if first || day < rec.minDay {
-				rec.minDay = day
-			}
-			if first || day > rec.maxDay {
-				rec.maxDay = day
-			}
-			first = false
+		if rec.lastSeq > r.seq0 {
+			rec.hash = rec.fold()
 		}
 	}
 }
@@ -348,43 +304,34 @@ func (s *Store) CheckpointAndCompact() (CheckpointResult, error) {
 		return CheckpointResult{}, fmt.Errorf("ingest: %w", err)
 	}
 
+	// Encode straight from the records under the read lock; write,
+	// fsync and rename outside it.
 	s.mu.RLock()
-	ck := checkpointState{
-		WALIndex: s.lastIndex,
-		Seq:      s.seq,
-		Accepted: s.accepted,
-		Rejected: s.rejected,
-		Changed:  s.changed,
-		Vehicles: make(map[string]checkpointVehicle, len(s.vehicles)),
-		SavedAt:  time.Now(),
+	ck := checkpoint{
+		walIndex: s.lastIndex,
+		seq:      s.seq,
+		accepted: s.accepted,
+		rejected: s.rejected,
+		changed:  s.changed,
+		savedAt:  time.Now(),
+		vehicles: s.vehicles,
 	}
-	for id, rec := range s.vehicles {
-		days := make(map[int64]float64, len(rec.days))
-		for d, sec := range rec.days {
-			days[d] = sec
-		}
-		ck.Vehicles[id] = checkpointVehicle{
-			Days:       days,
-			Hash:       rec.hash,
-			LastSeq:    rec.lastSeq,
-			Reports:    rec.reports,
-			LastReport: rec.lastReport,
-		}
-	}
+	data := encodeCheckpoint(&ck)
 	s.mu.RUnlock()
 
-	if err := saveCheckpoint(filepath.Join(s.journal.Dir(), checkpointFile), &ck); err != nil {
+	if err := writeCheckpoint(filepath.Join(s.journal.Dir(), checkpointFile), data); err != nil {
 		return CheckpointResult{}, err
 	}
-	s.ckptIndex = ck.WALIndex
-	s.ckptSeq = ck.Seq
-	s.ckptAt = ck.SavedAt
+	s.ckptIndex = ck.walIndex
+	s.ckptSeq = ck.seq
+	s.ckptAt = ck.savedAt
+	s.ckptBytes = len(data)
 
-	removed, err := s.journal.CompactThrough(ck.WALIndex)
+	removed, err := s.journal.CompactThrough(ck.walIndex)
 	if err != nil {
 		return CheckpointResult{}, fmt.Errorf("ingest: %w", err)
 	}
-	return CheckpointResult{WALIndex: ck.WALIndex, Seq: ck.Seq, SegmentsRemoved: removed}, nil
+	return CheckpointResult{WALIndex: ck.walIndex, Seq: ck.seq, SegmentsRemoved: removed}, nil
 }
 
 // Durable reports whether the store journals through a WAL.
@@ -425,6 +372,7 @@ func (s *Store) walStats() *WALStats {
 	s.ckptMu.Lock()
 	out.CheckpointIndex = s.ckptIndex
 	out.CheckpointSeq = s.ckptSeq
+	out.CheckpointBytes = s.ckptBytes
 	if !s.ckptAt.IsZero() {
 		out.LastCheckpoint = s.ckptAt.UTC().Format(time.RFC3339Nano)
 	}
@@ -434,101 +382,9 @@ func (s *Store) walStats() *WALStats {
 	out.ReplayRecords = s.replayRecords
 	out.ReplaySeconds = s.replayDuration.Seconds()
 	out.OpenSeconds = s.openDuration.Seconds()
+	out.CheckpointLoadSeconds = s.ckptLoadDuration.Seconds()
 	s.mu.RUnlock()
 	return out
-}
-
-// --- checkpoint file I/O -----------------------------------------------------
-
-func saveCheckpoint(path string, ck *checkpointState) error {
-	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, checkpointFile+".tmp*")
-	if err != nil {
-		return fmt.Errorf("ingest: %w", err)
-	}
-	defer os.Remove(tmp.Name()) // no-op after a successful rename
-
-	w := bufio.NewWriter(tmp)
-	writeErr := func() error {
-		if _, err := w.WriteString(ckptMagic); err != nil {
-			return err
-		}
-		enc := gob.NewEncoder(w)
-		if err := enc.Encode(ckptVersion); err != nil {
-			return err
-		}
-		if err := enc.Encode(ck); err != nil {
-			return err
-		}
-		if err := w.Flush(); err != nil {
-			return err
-		}
-		return tmp.Sync()
-	}()
-	if cerr := tmp.Close(); writeErr == nil {
-		writeErr = cerr
-	}
-	if writeErr != nil {
-		return fmt.Errorf("ingest: writing checkpoint: %w", writeErr)
-	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
-		return fmt.Errorf("ingest: %w", err)
-	}
-	d, err := os.Open(dir)
-	if err != nil {
-		return fmt.Errorf("ingest: %w", err)
-	}
-	err = d.Sync()
-	if cerr := d.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		return fmt.Errorf("ingest: syncing checkpoint rename: %w", err)
-	}
-	return nil
-}
-
-// removeStaleCheckpointTemps deletes the temp files of checkpoints whose
-// writer was killed before its deferred remove ran.
-func removeStaleCheckpointTemps(dir string) error {
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		return fmt.Errorf("ingest: %w", err)
-	}
-	for _, e := range entries {
-		if ok, _ := filepath.Match(checkpointFile+".tmp*", e.Name()); ok {
-			if err := os.Remove(filepath.Join(dir, e.Name())); err != nil {
-				return fmt.Errorf("ingest: removing a stale checkpoint temp file: %w", err)
-			}
-		}
-	}
-	return nil
-}
-
-func loadCheckpoint(path string) (*checkpointState, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err // os.ErrNotExist = first boot
-	}
-	defer f.Close()
-	r := bufio.NewReader(f)
-	got := make([]byte, len(ckptMagic))
-	if _, err := io.ReadFull(r, got); err != nil || string(got) != ckptMagic {
-		return nil, fmt.Errorf("ingest: %s is not a checkpoint file", path)
-	}
-	dec := gob.NewDecoder(r)
-	var version int
-	if err := dec.Decode(&version); err != nil {
-		return nil, fmt.Errorf("ingest: reading %s: %w", path, err)
-	}
-	if version != ckptVersion {
-		return nil, fmt.Errorf("ingest: %s has checkpoint version %d, this build reads %d", path, version, ckptVersion)
-	}
-	var ck checkpointState
-	if err := dec.Decode(&ck); err != nil {
-		return nil, fmt.Errorf("ingest: reading %s: %w", path, err)
-	}
-	return &ck, nil
 }
 
 // --- journal record codec ----------------------------------------------------

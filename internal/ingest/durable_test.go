@@ -392,7 +392,7 @@ func TestDurableCheckpointWithNothingNewIsNoOp(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ck1, err := loadCheckpoint(path)
+	ck1, _, _, err := loadCheckpoint(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -409,15 +409,15 @@ func TestDurableCheckpointWithNothingNewIsNoOp(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ck2, err := loadCheckpoint(path)
+	ck2, _, _, err := loadCheckpoint(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if string(bytes2) != string(bytes1) || !ck2.SavedAt.Equal(ck1.SavedAt) {
-		t.Fatalf("checkpoint rewritten with nothing new: SavedAt %v -> %v", ck1.SavedAt, ck2.SavedAt)
+	if string(bytes2) != string(bytes1) || !ck2.savedAt.Equal(ck1.savedAt) {
+		t.Fatalf("checkpoint rewritten with nothing new: SavedAt %v -> %v", ck1.savedAt, ck2.savedAt)
 	}
-	if got := s.Stats().WAL.LastCheckpoint; got != ck1.SavedAt.UTC().Format(time.RFC3339Nano) {
-		t.Fatalf("stats LastCheckpoint %s, want the first checkpoint's %v", got, ck1.SavedAt)
+	if got := s.Stats().WAL.LastCheckpoint; got != ck1.savedAt.UTC().Format(time.RFC3339Nano) {
+		t.Fatalf("stats LastCheckpoint %s, want the first checkpoint's %v", got, ck1.savedAt)
 	}
 
 	if _, err := s.UpsertBatch([]Report{report("v01", 1, 1100)}); err != nil {
@@ -427,12 +427,12 @@ func TestDurableCheckpointWithNothingNewIsNoOp(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ck3, err := loadCheckpoint(path)
+	ck3, _, _, err := loadCheckpoint(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if third.WALIndex <= first.WALIndex || ck3.WALIndex != third.WALIndex || !ck3.SavedAt.After(ck1.SavedAt) {
-		t.Fatalf("checkpoint after a journaled batch: %+v, file index %d saved %v", third, ck3.WALIndex, ck3.SavedAt)
+	if third.WALIndex <= first.WALIndex || ck3.walIndex != third.WALIndex || !ck3.savedAt.After(ck1.savedAt) {
+		t.Fatalf("checkpoint after a journaled batch: %+v, file index %d saved %v", third, ck3.walIndex, ck3.savedAt)
 	}
 }
 
@@ -708,7 +708,7 @@ func TestJournalRecordCodecRoundtrip(t *testing.T) {
 		Rejected: 3,
 		Changed: []journalReport{
 			{ID: "v01", Day: 16436, Seconds: 18000.5},
-			{ID: "a-much-longer-vehicle-identifier", Day: -12, Seconds: 0},
+			{ID: "a-much-longer-vehicle-identifier", Day: minReportDay, Seconds: 0},
 			{ID: "v01", Day: 16437, Seconds: 100},
 			{ID: "v01", Day: 16437, Seconds: 100}, // no change: counts a report, not a seq step
 		},
@@ -732,6 +732,13 @@ func TestJournalRecordCodecRoundtrip(t *testing.T) {
 	for _, c := range journalCodecErrors(payload) {
 		if err := replayRecord(New(0), c.payload); err == nil {
 			t.Errorf("%s: replay accepted a malformed record", c.name)
+		}
+	}
+	// A day no door accepts would size a run without bound.
+	for _, day := range []int64{minReportDay - 1, maxStoredDay + 1} {
+		bad := encodeJournalRecord(journalRecord{Accepted: 1, Changed: []journalReport{{ID: "v01", Day: day, Seconds: 1}}})
+		if err := replayRecord(New(0), bad); err == nil {
+			t.Errorf("replay accepted day %d", day)
 		}
 	}
 }

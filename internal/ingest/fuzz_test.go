@@ -2,6 +2,7 @@ package ingest
 
 import (
 	"encoding/binary"
+	"math"
 	"testing"
 
 	"repro/internal/wal"
@@ -87,7 +88,8 @@ func fuzzSeeds() [][]byte {
 // no over-read (the payload's capacity is cut to its length, so any
 // read past the end panics). An applied record leaves the store
 // consistent: its header counters, one sequence step per changed
-// report, and derived fields that agree with the day maps. Seeds are
+// report, and a run that agrees with its bitmap, day count and hash.
+// Seeds are
 // the codec cases of TestJournalRecordCodecRoundtrip, checked in under
 // testdata/fuzz.
 func FuzzJournalReplay(f *testing.F) {
@@ -110,15 +112,24 @@ func FuzzJournalReplay(f *testing.F) {
 		s.mu.RLock()
 		defer s.mu.RUnlock()
 		for id, rec := range s.vehicles {
-			var hash uint64
-			for day, sec := range rec.days {
-				hash ^= dayHash(day, sec)
-				if day < rec.minDay || day > rec.maxDay {
-					t.Fatalf("vehicle %q day %d outside [%d, %d]", id, day, rec.minDay, rec.maxDay)
-				}
+			run := rec.run()
+			if !rec.reported(rec.lo) || !rec.reported(rec.hi) {
+				t.Fatalf("vehicle %q run [%d, %d] does not start and end on a reported day", id, rec.lo, rec.hi)
 			}
-			if hash != rec.hash {
-				t.Fatalf("vehicle %q hash %x, day map folds to %x", id, rec.hash, hash)
+			var hash uint64
+			days := 0
+			for k, sec := range run {
+				if !rec.reported(rec.lo + k) {
+					if math.Float64bits(sec) != 0 {
+						t.Fatalf("vehicle %q gap day %d holds %v", id, rec.minDay()+int64(k), sec)
+					}
+					continue
+				}
+				hash ^= dayHash(rec.minDay()+int64(k), sec)
+				days++
+			}
+			if hash != rec.hash || days != rec.n {
+				t.Fatalf("vehicle %q hash %x over %d days, run folds to %x over %d", id, rec.hash, rec.n, hash, days)
 			}
 		}
 	})

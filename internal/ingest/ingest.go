@@ -7,7 +7,8 @@
 //
 //   - reports are idempotent upserts keyed by (vehicle, day): the same
 //     batch delivered twice changes nothing, and out-of-order days are
-//     tolerated — the store keeps a day-indexed map, not a tail;
+//     tolerated — the store keeps each vehicle's days as one dense run
+//     that grows at both ends, not a tail;
 //   - every vehicle carries an FNV-1a content hash maintained
 //     incrementally (XOR-folded per-day hashes, so an upsert adjusts
 //     the hash in O(1) regardless of history length) — equal content
@@ -33,6 +34,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
 	"sort"
 	"sync"
 	"time"
@@ -89,10 +91,18 @@ type BatchResult struct {
 
 // vehicleRecord is one vehicle's stored telemetry.
 type vehicleRecord struct {
-	// days maps epoch day (floor(unix/86400)) to working seconds.
-	days           map[int64]float64
-	minDay, maxDay int64
-	// hash is the XOR fold of dayHash over every stored (day, seconds)
+	// The days are one dense run, the layout Fleet and RawSeries hand
+	// out: buf[i] holds the working seconds of epoch day base+i, and bit
+	// i of present says that day was reported (a reported zero is not a
+	// gap). The reported days span buf[lo:hi+1]; a gap, and the growth
+	// slack around the span, hold 0 with the bit clear. n counts the
+	// reported days; a stored vehicle has at least one.
+	base    int64
+	buf     []float64
+	present []uint64
+	lo, hi  int
+	n       int
+	// hash is the XOR fold of dayHash over every reported (day, seconds)
 	// entry — an order-independent FNV-1a content hash that upserts
 	// maintain incrementally.
 	hash uint64
@@ -103,6 +113,79 @@ type vehicleRecord struct {
 	// receipt time of the latest one (observability only).
 	reports    uint64
 	lastReport time.Time
+}
+
+func (r *vehicleRecord) minDay() int64 { return r.base + int64(r.lo) }
+func (r *vehicleRecord) maxDay() int64 { return r.base + int64(r.hi) }
+
+// run returns the days from the first reported to the last, gaps 0. It
+// aliases the record: callers copy it before releasing the store lock.
+func (r *vehicleRecord) run() []float64 { return r.buf[r.lo : r.hi+1] }
+
+// reported says whether buf[i] holds a reported day.
+func (r *vehicleRecord) reported(i int) bool { return r.present[i>>6]&(1<<(i&63)) != 0 }
+
+// at returns the seconds stored for day and whether day was reported.
+func (r *vehicleRecord) at(day int64) (float64, bool) {
+	i := day - r.base
+	if i < 0 || i >= int64(len(r.buf)) || !r.reported(int(i)) {
+		return 0, false
+	}
+	return r.buf[i], true
+}
+
+// put stores seconds for day, growing the run to reach it. It leaves
+// hash and lastSeq to the caller.
+func (r *vehicleRecord) put(day int64, seconds float64) {
+	i := r.reach(day)
+	if !r.reported(i) {
+		r.present[i>>6] |= 1 << (i & 63)
+		r.n++
+	}
+	r.buf[i] = seconds
+	r.lo, r.hi = min(r.lo, i), max(r.hi, i)
+}
+
+// reach returns day's index in buf, first growing buf to cover it. buf
+// grows by at least its own length toward the side the day lies on, so
+// a fill in either direction — a backfill arrives in descending day
+// order — costs amortized O(1) per day. Slots added in front come in
+// whole bitmap words, so the bitmap copies as it is.
+func (r *vehicleRecord) reach(day int64) int {
+	if r.buf == nil {
+		r.base = day
+		r.buf, r.present = make([]float64, 1), make([]uint64, 1)
+	}
+	size := int64(len(r.buf))
+	if i := day - r.base; i >= 0 && i < size {
+		return int(i)
+	}
+	front, grown := int64(0), max(day-r.base+1, 2*size)
+	if day < r.base {
+		front = (max(r.base-day, size) + 63) &^ 63
+		grown = size + front
+	}
+	buf := make([]float64, grown)
+	copy(buf[front:], r.buf)
+	present := make([]uint64, (grown+63)/64)
+	copy(present[front>>6:], r.present)
+	r.base -= front
+	r.lo += int(front)
+	r.hi += int(front)
+	r.buf, r.present = buf, present
+	return int(day - r.base)
+}
+
+// fold recomputes the content hash from the reported days.
+func (r *vehicleRecord) fold() uint64 {
+	var h uint64
+	for w, word := range r.present {
+		for ; word != 0; word &= word - 1 {
+			i := w<<6 + bits.TrailingZeros64(word)
+			h ^= dayHash(r.base+int64(i), r.buf[i])
+		}
+	}
+	return h
 }
 
 // Store is the concurrent telemetry store.
@@ -136,10 +219,12 @@ type Store struct {
 	ckptIndex uint64 // WAL index the checkpoint covers
 	ckptSeq   uint64
 	ckptAt    time.Time
+	ckptBytes int // size of the checkpoint file
 
-	replayRecords  int
-	replayDuration time.Duration
-	openDuration   time.Duration
+	replayRecords    int
+	replayDuration   time.Duration
+	openDuration     time.Duration
+	ckptLoadDuration time.Duration
 
 	// batchHist distributes UpsertBatch sizes (reports per batch) — the
 	// knob that decides whether ingest cost is dominated by per-batch or
@@ -178,17 +263,27 @@ const (
 	fnvPrime64  = 1099511628211
 )
 
+// dayHash is written out byte by byte: a loaded checkpoint folds every
+// stored day, and the short straight-line body lets the CPU overlap
+// the multiply chains of consecutive days.
 func dayHash(day int64, seconds float64) uint64 {
-	h := uint64(fnvOffset64)
-	v := uint64(day)
-	for i := 0; i < 8; i++ {
-		h = (h ^ (v >> (8 * i) & 0xff)) * fnvPrime64
-	}
-	v = math.Float64bits(seconds)
-	for i := 0; i < 8; i++ {
-		h = (h ^ (v >> (8 * i) & 0xff)) * fnvPrime64
-	}
-	return h
+	d, v := uint64(day), math.Float64bits(seconds)
+	h := (fnvOffset64 ^ d&0xff) * fnvPrime64
+	h = (h ^ d>>8&0xff) * fnvPrime64
+	h = (h ^ d>>16&0xff) * fnvPrime64
+	h = (h ^ d>>24&0xff) * fnvPrime64
+	h = (h ^ d>>32&0xff) * fnvPrime64
+	h = (h ^ d>>40&0xff) * fnvPrime64
+	h = (h ^ d>>48&0xff) * fnvPrime64
+	h = (h ^ d>>56) * fnvPrime64
+	h = (h ^ v&0xff) * fnvPrime64
+	h = (h ^ v>>8&0xff) * fnvPrime64
+	h = (h ^ v>>16&0xff) * fnvPrime64
+	h = (h ^ v>>24&0xff) * fnvPrime64
+	h = (h ^ v>>32&0xff) * fnvPrime64
+	h = (h ^ v>>40&0xff) * fnvPrime64
+	h = (h ^ v>>48&0xff) * fnvPrime64
+	return (h ^ v>>56) * fnvPrime64
 }
 
 // epochDay floors a time to its UTC calendar day number. Plain integer
@@ -356,7 +451,7 @@ func (s *Store) UpsertBatch(reports []Report) (BatchResult, error) {
 func (s *Store) upsertLocked(vehicleID string, day int64, seconds float64, now time.Time) (int64, bool) {
 	rec := s.vehicles[vehicleID]
 	if rec == nil {
-		rec = &vehicleRecord{days: make(map[int64]float64)}
+		rec = &vehicleRecord{}
 		s.vehicles[vehicleID] = rec
 	}
 	return day, s.upsertDayLocked(rec, day, seconds, now)
@@ -371,25 +466,15 @@ func (s *Store) upsertDayLocked(rec *vehicleRecord, day int64, seconds float64, 
 	rec.reports++
 	rec.lastReport = now
 
-	old, existed := rec.days[day]
+	old, existed := rec.at(day)
 	if existed && old == seconds {
 		return false // idempotent re-delivery
 	}
 	if existed {
 		rec.hash ^= dayHash(day, old)
 	}
-	rec.days[day] = seconds
+	rec.put(day, seconds)
 	rec.hash ^= dayHash(day, seconds)
-	if len(rec.days) == 1 {
-		rec.minDay, rec.maxDay = day, day
-	} else {
-		if day < rec.minDay {
-			rec.minDay = day
-		}
-		if day > rec.maxDay {
-			rec.maxDay = day
-		}
-	}
 	s.seq++
 	rec.lastSeq = s.seq
 	return true
@@ -454,14 +539,10 @@ func (s *Store) RawSeries(vehicleID string) (start time.Time, u []float64, ok bo
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	rec, ok := s.vehicles[vehicleID]
-	if !ok || len(rec.days) == 0 {
+	if !ok {
 		return time.Time{}, nil, false
 	}
-	u = make([]float64, rec.maxDay-rec.minDay+1)
-	for day, sec := range rec.days {
-		u[day-rec.minDay] = sec
-	}
-	return time.Unix(rec.minDay*86400, 0).UTC(), u, true
+	return time.Unix(rec.minDay()*86400, 0).UTC(), append([]float64(nil), rec.run()...), true
 }
 
 // Fleet materializes the stored telemetry as prepared engine vehicles:
@@ -497,11 +578,8 @@ func (s *Store) Fleet(ctx context.Context) ([]engine.Vehicle, error) {
 			s.prepHits++
 		} else {
 			s.prepMisses++
-			rv.start = time.Unix(rec.minDay*86400, 0).UTC()
-			rv.u = make(timeseries.Series, rec.maxDay-rec.minDay+1)
-			for day, sec := range rec.days {
-				rv.u[day-rec.minDay] = sec
-			}
+			rv.start = time.Unix(rec.minDay()*86400, 0).UTC()
+			rv.u = append(timeseries.Series(nil), rec.run()...)
 		}
 		raw = append(raw, rv)
 	}
@@ -639,17 +717,20 @@ type WALStats struct {
 	// post-corruption segments) the last Open cut off.
 	TruncatedTailEvents int `json:"truncated_tail_events"`
 	// ReplayRecords/ReplaySeconds describe the boot-time WAL replay;
-	// OpenSeconds is the whole OpenDurable (checkpoint load, segment
-	// scan and replay).
-	ReplayRecords     int     `json:"replay_records"`
-	ReplaySeconds     float64 `json:"replay_seconds"`
-	OpenSeconds       float64 `json:"open_seconds"`
-	CompactedSegments uint64  `json:"compacted_segments"`
+	// CheckpointLoadSeconds the boot-time checkpoint read, check and
+	// install (and the one rewrite of a version 1 file); OpenSeconds is
+	// the whole OpenDurable (checkpoint load, segment scan and replay).
+	ReplayRecords         int     `json:"replay_records"`
+	ReplaySeconds         float64 `json:"replay_seconds"`
+	CheckpointLoadSeconds float64 `json:"checkpoint_load_seconds"`
+	OpenSeconds           float64 `json:"open_seconds"`
+	CompactedSegments     uint64  `json:"compacted_segments"`
 	// CheckpointIndex/CheckpointSeq identify the WAL position and store
 	// sequence the durable checkpoint covers (segments at or below the
-	// index are compactable).
+	// index are compactable); CheckpointBytes is its file's size.
 	CheckpointIndex uint64 `json:"checkpoint_index"`
 	CheckpointSeq   uint64 `json:"checkpoint_seq"`
+	CheckpointBytes int    `json:"checkpoint_bytes"`
 	LastCheckpoint  string `json:"last_checkpoint,omitempty"`
 }
 
@@ -691,10 +772,10 @@ func (s *Store) Stats() Stats {
 	for id, rec := range s.vehicles {
 		st.PerVehicle = append(st.PerVehicle, VehicleStats{
 			ID:         id,
-			Days:       len(rec.days),
-			SpanDays:   int(rec.maxDay - rec.minDay + 1),
-			FirstDay:   time.Unix(rec.minDay*86400, 0).UTC().Format(dayLayout),
-			LastDay:    time.Unix(rec.maxDay*86400, 0).UTC().Format(dayLayout),
+			Days:       rec.n,
+			SpanDays:   rec.hi - rec.lo + 1,
+			FirstDay:   dayString(rec.minDay()),
+			LastDay:    dayString(rec.maxDay()),
 			Hash:       fmt.Sprintf("%016x", rec.hash),
 			Reports:    rec.reports,
 			LastReport: rec.lastReport.UTC().Format(time.RFC3339),

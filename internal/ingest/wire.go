@@ -274,7 +274,7 @@ func (s *Store) UpsertBinary(payload []byte, maxReports int) (BatchResult, error
 			s.accepted++
 			if rec == nil {
 				idStr = string(id)
-				rec = &vehicleRecord{days: make(map[int64]float64)}
+				rec = &vehicleRecord{}
 				s.vehicles[idStr] = rec
 			}
 			if s.upsertDayLocked(rec, day, sec, now) {
