@@ -6,33 +6,11 @@ import (
 	"slices"
 	"strconv"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/core"
 	"repro/internal/ml"
 )
-
-// FleetArtifact names one whole-fleet response body cached per
-// snapshot. Artifacts are built lazily on first read and live for the
-// snapshot's lifetime, so every fleet-wide GET after the first serves
-// pre-marshaled bytes.
-type FleetArtifact int
-
-const (
-	// ArtifactFleetForecast is the GET /fleet/forecast response body.
-	ArtifactFleetForecast FleetArtifact = iota
-	// ArtifactVehicles is the GET /vehicles response body.
-	ArtifactVehicles
-
-	numFleetArtifacts
-)
-
-// maxPlanCacheEntries bounds the per-snapshot plan cache. Plan query
-// parameters are client-controlled cache keys, so an unbounded map
-// would let a scanning client grow memory without limit; past the cap
-// plans are built per request, uncached.
-const maxPlanCacheEntries = 128
 
 // Snapshot is one immutable, fully materialized training result. All
 // fields are written before the snapshot is published and never
@@ -97,15 +75,6 @@ type Snapshot struct {
 	BuiltAt       time.Time
 	TrainDuration time.Duration
 
-	// respCache lazily memoizes marshaled per-vehicle response bytes
-	// (vehicle ID → []byte). Living on the snapshot, every entry is
-	// implicitly keyed by (generation, vehicle): the atomic snapshot
-	// swap that publishes a retrain replaces the whole cache at once, so
-	// stale bytes can never outlive their generation. Persistence
-	// (internal/snapstore) writes only the exported fields, so a
-	// restored snapshot simply starts with a cold cache.
-	respCache sync.Map
-
 	// etag is the lazily formatted generation identifier (see ETag).
 	// Lazy because Generation is stamped by the engine after the build,
 	// and because a restored snapshot starts with these fields zero — a
@@ -113,18 +82,6 @@ type Snapshot struct {
 	etagOnce sync.Once
 	etag     string
 	genID    string
-
-	// fleetArtifacts holds the lazily built whole-fleet response bodies,
-	// one atomic slot per FleetArtifact. Like respCache, the slots live
-	// on the snapshot so the publish swap invalidates them wholesale.
-	fleetArtifacts [numFleetArtifacts]atomic.Pointer[[]byte]
-
-	// plans memoizes marshaled /fleet/plan bodies keyed by
-	// (day, capacity, horizon, maxlead) — the generation key is implicit
-	// in living on the snapshot. Guarded by planMu and bounded by
-	// maxPlanCacheEntries.
-	planMu sync.Mutex
-	plans  map[string][]byte
 }
 
 // GenerationID returns a cheap identifier that is unique per published
@@ -144,67 +101,6 @@ func (s *Snapshot) GenerationID() string {
 func (s *Snapshot) ETag() string {
 	s.GenerationID()
 	return s.etag
-}
-
-// CachedFleetArtifact returns the memoized whole-fleet response body,
-// if a serving path has built it under this snapshot already. The
-// returned slice is shared and must not be mutated.
-func (s *Snapshot) CachedFleetArtifact(a FleetArtifact) ([]byte, bool) {
-	if p := s.fleetArtifacts[a].Load(); p != nil {
-		return *p, true
-	}
-	return nil, false
-}
-
-// StoreFleetArtifact memoizes one whole-fleet response body and
-// returns the canonical copy. First store wins: concurrent builders
-// marshal the same immutable snapshot, so the losers' bytes are
-// identical and simply dropped.
-func (s *Snapshot) StoreFleetArtifact(a FleetArtifact, body []byte) []byte {
-	if s.fleetArtifacts[a].CompareAndSwap(nil, &body) {
-		return body
-	}
-	return *s.fleetArtifacts[a].Load()
-}
-
-// CachedPlan returns the memoized plan body for one parameter key.
-func (s *Snapshot) CachedPlan(key string) ([]byte, bool) {
-	s.planMu.Lock()
-	defer s.planMu.Unlock()
-	b, ok := s.plans[key]
-	return b, ok
-}
-
-// StorePlan memoizes one plan body. Past maxPlanCacheEntries new keys
-// are silently dropped — the caller already has the bytes to serve.
-func (s *Snapshot) StorePlan(key string, body []byte) {
-	s.planMu.Lock()
-	defer s.planMu.Unlock()
-	if s.plans == nil {
-		s.plans = make(map[string][]byte)
-	}
-	if _, ok := s.plans[key]; !ok && len(s.plans) >= maxPlanCacheEntries {
-		return
-	}
-	s.plans[key] = body
-}
-
-// CachedResponse returns the memoized response bytes for one vehicle,
-// if a serving path has marshaled them under this snapshot already.
-// The returned slice is shared and must not be mutated.
-func (s *Snapshot) CachedResponse(id string) ([]byte, bool) {
-	if v, ok := s.respCache.Load(id); ok {
-		return v.([]byte), true
-	}
-	return nil, false
-}
-
-// StoreCachedResponse memoizes one vehicle's marshaled response bytes
-// for the lifetime of this snapshot. Concurrent stores for the same
-// vehicle are benign: every writer marshals the same immutable forecast,
-// so whichever entry wins is byte-identical to the losers.
-func (s *Snapshot) StoreCachedResponse(id string, body []byte) {
-	s.respCache.Store(id, body)
 }
 
 // prior packages the snapshot's reusable outputs for the next

@@ -2,7 +2,6 @@ package engine
 
 import (
 	"fmt"
-	"sync"
 	"testing"
 	"time"
 )
@@ -31,71 +30,5 @@ func TestSnapshotETag(t *testing.T) {
 	next := &Snapshot{Generation: 8, BuiltAt: at}
 	if next.ETag() == s.ETag() {
 		t.Fatal("snapshots with different generations share a tag")
-	}
-}
-
-// TestSnapshotFleetArtifactFirstStoreWins: artifact slots are lazy,
-// per-slot independent, and first-store-wins under racing builders —
-// every StoreFleetArtifact returns the one canonical byte slice.
-func TestSnapshotFleetArtifactFirstStoreWins(t *testing.T) {
-	s := &Snapshot{}
-	if _, ok := s.CachedFleetArtifact(ArtifactFleetForecast); ok {
-		t.Fatal("cold snapshot reports a cached artifact")
-	}
-	first := []byte("first")
-	if got := s.StoreFleetArtifact(ArtifactFleetForecast, first); &got[0] != &first[0] {
-		t.Fatal("first store did not win its own slot")
-	}
-	if got := s.StoreFleetArtifact(ArtifactFleetForecast, []byte("second")); &got[0] != &first[0] {
-		t.Fatal("second store displaced the first body")
-	}
-	cached, ok := s.CachedFleetArtifact(ArtifactFleetForecast)
-	if !ok || &cached[0] != &first[0] {
-		t.Fatalf("cached artifact = %q, ok=%v; want the first body", cached, ok)
-	}
-	if _, ok := s.CachedFleetArtifact(ArtifactVehicles); ok {
-		t.Fatal("slots are not independent")
-	}
-
-	// Racing writers all converge on one canonical slice.
-	race := &Snapshot{}
-	results := make([][]byte, 8)
-	var wg sync.WaitGroup
-	for i := range results {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			results[i] = race.StoreFleetArtifact(ArtifactVehicles, []byte{byte(i)})
-		}(i)
-	}
-	wg.Wait()
-	for i := 1; i < len(results); i++ {
-		if &results[i][0] != &results[0][0] {
-			t.Fatal("racing stores returned different canonical bodies")
-		}
-	}
-}
-
-// TestSnapshotPlanCacheBounded: the plan cache serves what it stores,
-// drops new keys past the bound (plan parameters are client-controlled
-// cache keys), but keeps accepting updates to existing keys.
-func TestSnapshotPlanCacheBounded(t *testing.T) {
-	s := &Snapshot{}
-	if _, ok := s.CachedPlan("k0"); ok {
-		t.Fatal("cold snapshot reports a cached plan")
-	}
-	for i := 0; i < maxPlanCacheEntries; i++ {
-		s.StorePlan(fmt.Sprintf("k%d", i), []byte{byte(i)})
-	}
-	if b, ok := s.CachedPlan("k0"); !ok || len(b) != 1 {
-		t.Fatal("stored plan not served back")
-	}
-	s.StorePlan("overflow", []byte("x"))
-	if _, ok := s.CachedPlan("overflow"); ok {
-		t.Fatalf("plan cache grew past its %d-entry bound", maxPlanCacheEntries)
-	}
-	s.StorePlan("k0", []byte("updated"))
-	if b, _ := s.CachedPlan("k0"); string(b) != "updated" {
-		t.Fatal("existing key rejected at the bound")
 	}
 }

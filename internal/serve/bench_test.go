@@ -16,9 +16,9 @@ import (
 //     the in-process backend shortcut that skips the goroutine scatter
 //     and writes cached bytes straight to the wire.
 //   - cached-bytes: ForecastResponse alone, the unit both paths sit on.
-//     This is the zero-allocation claim: a warm hit is one sync.Map
-//     load returning already-marshaled bytes — 0 allocs/op, no JSON
-//     encoding. Allocations in the serve/router variants come from
+//     This is the zero-allocation claim: a warm hit is one lookup in
+//     the generation-keyed response cache returning already-marshaled
+//     bytes — 0 allocs/op, no JSON encoding. Allocations in the serve/router variants come from
 //     net/http plumbing (request clone per mux match, recorder), not
 //     from marshaling.
 func BenchmarkForecastServe(b *testing.B) {

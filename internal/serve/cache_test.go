@@ -49,7 +49,7 @@ func TestResponseCacheBytesIdentical(t *testing.T) {
 			}
 		}
 	}
-	hits, misses := srv.CacheStats()
+	hits, misses := srv.responses.hits.Load(), srv.responses.misses.Load()
 	if hits != uint64(len(ids)) || misses != uint64(len(ids)) {
 		t.Fatalf("cache counters hits=%d misses=%d, want %d/%d", hits, misses, len(ids), len(ids))
 	}
@@ -70,7 +70,7 @@ func TestResponseCacheBytesIdentical(t *testing.T) {
 			t.Fatalf("%s after retrain: body %q, fresh marshal %q", id, body, want)
 		}
 	}
-	_, misses2 := srv.CacheStats()
+	misses2 := srv.responses.misses.Load()
 	if misses2 != misses+uint64(len(ids)) {
 		t.Fatalf("post-retrain misses %d, want %d (cold cache per generation)", misses2, misses+uint64(len(ids)))
 	}

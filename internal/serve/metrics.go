@@ -37,15 +37,9 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	m.Gauge("fleet_train_seconds", "Wall-clock duration of the last snapshot build.", st.TrainSeconds)
 	m.GaugeInt("fleet_train_workers", "Training worker-pool bound.", int64(st.Workers))
 
-	hits, misses := s.CacheStats()
-	m.CounterUint("fleet_response_cache_hits", "Forecast responses served from the snapshot byte cache.", hits)
-	m.CounterUint("fleet_response_cache_misses", "Forecast responses marshaled fresh.", misses)
-	m.CounterUint("fleet_fleet_forecast_cache_hits", "GET /fleet/forecast responses served from the per-generation artifact cache.", s.fleetForecastCacheHits.Load())
-	m.CounterUint("fleet_fleet_forecast_cache_misses", "GET /fleet/forecast bodies built fresh (once per generation).", s.fleetForecastCacheMisses.Load())
-	m.CounterUint("fleet_vehicles_cache_hits", "GET /vehicles responses served from the per-generation artifact cache.", s.vehiclesCacheHits.Load())
-	m.CounterUint("fleet_vehicles_cache_misses", "GET /vehicles bodies built fresh (once per generation).", s.vehiclesCacheMisses.Load())
-	m.CounterUint("fleet_plan_cache_hits", "GET /fleet/plan responses served from the per-generation plan cache.", s.planCacheHits.Load())
-	m.CounterUint("fleet_plan_cache_misses", "GET /fleet/plan bodies scheduled and marshaled fresh.", s.planCacheMisses.Load())
+	for _, c := range []*genCache[[]byte]{s.responses, s.fleetForecast, s.vehicles, s.planBodies} {
+		c.writeMetrics(&m)
+	}
 	m.CounterUint("fleet_http_not_modified_total", "Conditional GETs answered 304 Not Modified.", s.notModified.Load())
 
 	s.routeHist.Write(&m)
@@ -173,16 +167,11 @@ func (rt *Router) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	rt.routeHist.Write(&m)
 	rt.shardCall.Write(&m)
 	rt.shardCallErrs.Write(&m)
-	m.CounterUint("fleet_router_merge_cache_hits", "Fleet-wide reads served from the merged-response cache (shard generation vector unchanged).", rt.mergeHits.Load())
-	m.CounterUint("fleet_router_merge_cache_misses", "Fleet-wide reads that re-merged shard payloads.", rt.mergeMisses.Load())
-	m.CounterUint("fleet_router_merge_cache_invalidations", "Merged-response cache entries replaced because a shard generation moved.", rt.mergeInvalidations.Load())
+	rt.merged.writeMetrics(&m)
 	m.CounterUint("fleet_router_merge_cache_torn", "Gathers served but not cached because a shard's ETag and generation echo disagreed (mid-retrain).", rt.mergeTorn.Load())
 	m.CounterUint("fleet_router_shard_not_modified_total", "Per-shard fetches validated unchanged (HTTP 304 or in-process tag match).", rt.shardNotModified.Load())
-	m.CounterUint("fleet_router_plan_cache_hits", "GET /fleet/plan responses served from the router plan cache.", rt.planCacheHits.Load())
-	m.CounterUint("fleet_router_plan_cache_misses", "GET /fleet/plan bodies decoded, scheduled, and marshaled fresh at the router.", rt.planCacheMisses.Load())
-	m.CounterUint("fleet_router_plan_decode_hits", "Plan builds that reused the decoded requests of an earlier gather at the same merged tag and day.", rt.planDecodeHits.Load())
-	m.CounterUint("fleet_router_plan_decode_misses", "Plan builds that decoded the merged forecast payload.", rt.planDecodeMisses.Load())
-	m.CounterUint("fleet_router_plan_torn_bypass", "Plans built from torn gathers: served to the caller, never cached.", rt.planTornBypass.Load())
+	rt.planBodies.writeMetrics(&m)
+	rt.planInputs.writeMetrics(&m)
 	m.CounterUint("fleet_http_not_modified_total", "Conditional GETs answered 304 Not Modified by the router.", rt.notModified.Load())
 	obs.WriteRuntimeMetrics(&m)
 

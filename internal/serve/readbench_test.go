@@ -117,11 +117,11 @@ func syntheticRouter(tb testing.TB, n, shards int) *Router {
 // server across fleet sizes:
 //
 //   - uncached: the per-request marshal the route performed before the
-//     generation-keyed artifact cache — the baseline the cache is
+//     generation-keyed cache — the baseline the cache is
 //     measured against.
 //   - warm: the cached path, full HTTP stack included.
-//   - cached-bytes: FleetForecastResponse alone — one atomic load
-//     returning shared bytes, the 0 allocs/op claim.
+//   - cached-bytes: FleetForecastResponse alone — one generation-keyed
+//     cache lookup returning shared bytes, the 0 allocs/op claim.
 //   - not-modified: a conditional GET holding the current tag — the
 //     steady state of a polling dashboard, no body written at all.
 func BenchmarkFleetForecastRead(b *testing.B) {
@@ -140,7 +140,7 @@ func BenchmarkFleetForecastRead(b *testing.B) {
 			})
 
 			req := httptest.NewRequest(http.MethodGet, "/fleet/forecast", nil)
-			get(b, srv, "/fleet/forecast") // warm the artifact cache
+			get(b, srv, "/fleet/forecast") // warm the whole-fleet cache
 			b.Run("warm", func(b *testing.B) {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {

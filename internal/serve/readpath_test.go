@@ -4,7 +4,10 @@ import (
 	"context"
 	"net/http"
 	"net/http/httptest"
+	"sync/atomic"
 	"testing"
+
+	"repro/internal/engine"
 )
 
 // condGet issues a GET with an optional If-None-Match header against
@@ -62,10 +65,10 @@ func TestFleetArtifactBytesIdentical(t *testing.T) {
 			t.Fatalf("pass %d: /vehicles = %d, body diverges from fresh marshal", pass, rec.Code)
 		}
 	}
-	if h, m := srv.fleetForecastCacheHits.Load(), srv.fleetForecastCacheMisses.Load(); h != 1 || m != 1 {
+	if h, m := srv.fleetForecast.hits.Load(), srv.fleetForecast.misses.Load(); h != 1 || m != 1 {
 		t.Fatalf("fleet-forecast cache hits=%d misses=%d, want 1/1", h, m)
 	}
-	if h, m := srv.vehiclesCacheHits.Load(), srv.vehiclesCacheMisses.Load(); h != 1 || m != 1 {
+	if h, m := srv.vehicles.hits.Load(), srv.vehicles.misses.Load(); h != 1 || m != 1 {
 		t.Fatalf("vehicles cache hits=%d misses=%d, want 1/1", h, m)
 	}
 
@@ -86,11 +89,70 @@ func TestFleetArtifactBytesIdentical(t *testing.T) {
 	if got := rec.Header().Get("ETag"); got != next.ETag() {
 		t.Fatalf("post-retrain ETag %q, want %q", got, next.ETag())
 	}
-	if m := srv.fleetForecastCacheMisses.Load(); m != 2 {
+	if m := srv.fleetForecast.misses.Load(); m != 2 {
 		t.Fatalf("post-retrain misses = %d, want 2 (cold cache per generation)", m)
 	}
 	if string(body) != string(buildFleetForecastBody(next)) {
 		t.Fatal("post-retrain body diverges from fresh marshal of the new snapshot")
+	}
+}
+
+// condRoute is one row of the conditional-GET table: a data route and
+// the X-Fleet-Generation its 200 must echo.
+type condRoute struct {
+	path, gen string
+}
+
+// checkConditionalTable runs the conditional-GET contract over data
+// routes on one handler (server or router): each 200 carries a strong
+// ETag and the expected generation echo; If-None-Match with the exact
+// tag, its W/ form, a list holding it, or * yields an empty 304 counted
+// in notModified; a stale tag yields the full 200.
+func checkConditionalTable(t *testing.T, h http.Handler, notModified *atomic.Uint64, routes []condRoute) {
+	t.Helper()
+	for _, rt := range routes {
+		rec, body := condGet(t, h, rt.path, "")
+		etag := rec.Header().Get("ETag")
+		if rec.Code != http.StatusOK || len(body) == 0 {
+			t.Fatalf("%s = %d with %d body bytes, want 200", rt.path, rec.Code, len(body))
+		}
+		if len(etag) < 3 || etag[0] != '"' || etag[len(etag)-1] != '"' {
+			t.Fatalf("%s: ETag %q is not a strong tag", rt.path, etag)
+		}
+		if got := rec.Header().Get(HeaderFleetGeneration); got != rt.gen {
+			t.Fatalf("%s: %s = %q, want %q", rt.path, HeaderFleetGeneration, got, rt.gen)
+		}
+		for _, inm := range []string{etag, "W/" + etag, `"other", ` + etag, "*"} {
+			before := notModified.Load()
+			rec, body := condGet(t, h, rt.path, inm)
+			if rec.Code != http.StatusNotModified || len(body) != 0 {
+				t.Fatalf("%s If-None-Match %q = %d with %d body bytes, want empty 304", rt.path, inm, rec.Code, len(body))
+			}
+			if got := rec.Header().Get("ETag"); got != etag {
+				t.Fatalf("%s: 304 carries ETag %q, want %q", rt.path, got, etag)
+			}
+			if n := notModified.Load(); n != before+1 {
+				t.Fatalf("%s If-None-Match %q: not-modified counter %d -> %d, want +1", rt.path, inm, before, n)
+			}
+		}
+		if rec, body := condGet(t, h, rt.path, `"stale"`); rec.Code != http.StatusOK || len(body) == 0 {
+			t.Fatalf("%s stale tag = %d, want full 200", rt.path, rec.Code)
+		}
+	}
+}
+
+// checkUncacheable asserts that error responses carry no tag and never
+// answer 304, whatever the client presents.
+func checkUncacheable(t *testing.T, h http.Handler, path string, status int) {
+	t.Helper()
+	for _, inm := range []string{"", "*"} {
+		rec, _ := condGet(t, h, path, inm)
+		if rec.Code != status {
+			t.Fatalf("%s If-None-Match %q = %d, want %d", path, inm, rec.Code, status)
+		}
+		if tag := rec.Header().Get("ETag"); tag != "" {
+			t.Fatalf("%s (%d) carries ETag %q", path, status, tag)
+		}
 	}
 }
 
@@ -100,6 +162,29 @@ func TestFleetArtifactBytesIdentical(t *testing.T) {
 // carry no tag.
 func TestConditionalGET(t *testing.T) {
 	srv := buildServer(t)
+	gen := srv.engine.Snapshot().GenerationID()
+	checkConditionalTable(t, srv, &srv.notModified, []condRoute{
+		{"/vehicles/v02/forecast", gen},
+		{"/vehicles", gen},
+		{"/fleet/forecast", gen},
+		{"/fleet/plan", gen},
+		{"/fleet/plan?capacity=3&horizon=400", gen},
+	})
+	checkUncacheable(t, srv, "/vehicles/ghost/forecast", http.StatusNotFound)
+	checkUncacheable(t, srv, "/fleet/plan?capacity=bogus", http.StatusBadRequest)
+	cold, err := engine.New(testEngineConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	unready, err := New(cold)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, path := range []string{"/vehicles/v02/forecast", "/vehicles", "/fleet/forecast", "/fleet/plan"} {
+		checkUncacheable(t, unready, path, http.StatusServiceUnavailable)
+	}
+
+	srv = buildServer(t)
 
 	rec, _ := get(t, srv, "/fleet/forecast")
 	etag := rec.Header().Get("ETag")
@@ -175,20 +260,20 @@ func TestPlanCache(t *testing.T) {
 	if string(first) != string(second) {
 		t.Fatal("cached plan diverges from the fresh one")
 	}
-	if h, m := srv.planCacheHits.Load(), srv.planCacheMisses.Load(); h != 1 || m != 1 {
+	if h, m := srv.planBodies.hits.Load(), srv.planBodies.misses.Load(); h != 1 || m != 1 {
 		t.Fatalf("plan cache hits=%d misses=%d, want 1/1", h, m)
 	}
 	if rec, _ := get(t, srv, "/fleet/plan?capacity=3&horizon=400&maxlead=30"); rec.Code != http.StatusOK {
 		t.Fatalf("different parameters = %d", rec.Code)
 	}
-	if m := srv.planCacheMisses.Load(); m != 2 {
+	if m := srv.planBodies.misses.Load(); m != 2 {
 		t.Fatalf("parameter change did not miss: %d", m)
 	}
 	rec, _ := get(t, srv, "/fleet/plan?capacity=bogus")
 	if rec.Code != http.StatusBadRequest {
 		t.Fatalf("bad capacity = %d, want 400", rec.Code)
 	}
-	if h, m := srv.planCacheHits.Load(), srv.planCacheMisses.Load(); h != 1 || m != 2 {
+	if h, m := srv.planBodies.hits.Load(), srv.planBodies.misses.Load(); h != 1 || m != 2 {
 		t.Fatalf("400 touched the plan cache: hits=%d misses=%d", h, m)
 	}
 }

@@ -40,10 +40,6 @@ func (fr fleetRoute) path() string {
 	return "/fleet/forecast"
 }
 
-// maxRouterPlanEntries bounds the router's plan cache, mirroring the
-// per-snapshot bound: plan parameters are client-controlled keys.
-const maxRouterPlanEntries = 128
-
 // fragment is one vehicle's pre-marshaled slice of a shard payload.
 // raw aliases the shard's response bytes verbatim, so merging is
 // concatenation, never re-encoding.
@@ -61,20 +57,18 @@ type shardFragments struct {
 	errors map[string]json.RawMessage
 }
 
-// mergeCache is one route's merged-response cache: the per-shard
-// fragments of the last consistent gather, the shard generation vector
-// they form, and the merged body built from them.
+// mergeCache holds one route's per-shard fragments of the last
+// consistent gather: the tags the next gather validates each shard
+// against, and the fragments an unchanged shard contributes to a
+// re-merge. The merged body itself lives in Router.merged.
 type mergeCache struct {
 	mu     sync.Mutex
 	shards map[string]*shardFragments
-	vector string
-	etag   string
-	body   []byte
 }
 
 // fleetResponder is the in-process shortcut for fleet-wide routes:
 // *serve.Server implements it, so the router reads a shard's cached
-// artifact bytes directly — no goroutine, no memWriter, no HTTP
+// whole-fleet bytes directly — no goroutine, no memWriter, no HTTP
 // round trip — and skips re-parsing whenever the shard's tag hasn't
 // moved. Remote backends go through a conditional GET instead.
 type fleetResponder interface {
@@ -247,19 +241,18 @@ func mergedETag(vector string) string {
 }
 
 // gatherMerged returns the merged body and entity tag for one
-// fleet-wide route. A shard that is mid-retrain can answer a plain GET
-// with bytes from one generation and headers from another; the
-// ETag/X-Fleet-Generation pair exposes that, and such a torn gather is
-// served to the caller but never stored in the cache — only a gather
-// whose generation vector is consistent becomes a cache entry. torn
-// reports that condition to the caller, because the never-cache rule
-// extends to anything *derived* from the body: a torn gather's etag
-// cannot vouch for its bytes, so derived artifacts (the router's plan
-// bodies) must not be memoized under it either.
-func (rt *Router) gatherMerged(ctx context.Context, route fleetRoute) (body []byte, etag string, torn bool, fail *fanoutError) {
+// fleet-wide route, and the generation the caches derived from it key
+// by: the merged tag, or "" for a torn gather. A shard that is
+// mid-retrain can answer a plain GET with bytes from one generation
+// and headers from another; the ETag/X-Fleet-Generation pair exposes
+// that, and such a torn gather is served to the caller but its tag
+// cannot vouch for its bytes — so neither the merged body nor anything
+// derived from it (the router's decoded plan requests and plan bodies)
+// is stored under it.
+func (rt *Router) gatherMerged(ctx context.Context, route fleetRoute) (body []byte, etag, gen string, fail *fanoutError) {
 	mc := &rt.merge[route]
 	mc.mu.Lock()
-	prevShards, prevVector, prevETag, prevBody := mc.shards, mc.vector, mc.etag, mc.body
+	prevShards := mc.shards
 	mc.mu.Unlock()
 
 	fetches := make([]shardFetch, len(rt.backends))
@@ -305,7 +298,7 @@ func (rt *Router) gatherMerged(ctx context.Context, route fleetRoute) (body []by
 		}
 	}
 	if len(fe.Shards) > 0 {
-		return nil, "", false, &fe
+		return nil, "", "", &fe
 	}
 
 	var vb strings.Builder
@@ -318,13 +311,8 @@ func (rt *Router) gatherMerged(ctx context.Context, route fleetRoute) (body []by
 	}
 	vector := vb.String()
 
-	if vector == prevVector && prevBody != nil {
-		rt.mergeHits.Add(1)
-		return prevBody, prevETag, false, nil
-	}
-	rt.mergeMisses.Add(1)
-	if prevBody != nil {
-		rt.mergeInvalidations.Add(1)
+	if etag, body, ok := rt.merged.get(vector, route.path()); ok {
+		return body, etag, etag, nil
 	}
 	order := make([]string, len(rt.backends))
 	for i := range rt.backends {
@@ -334,25 +322,11 @@ func (rt *Router) gatherMerged(ctx context.Context, route fleetRoute) (body []by
 	etag = mergedETag(vector)
 	if !consistent {
 		rt.mergeTorn.Add(1)
-		return body, etag, true, nil
+		return body, etag, "", nil
 	}
+	etag, body = rt.merged.put(vector, route.path(), etag, body)
 	mc.mu.Lock()
-	mc.shards, mc.vector, mc.etag, mc.body = shards, vector, etag, body
+	mc.shards = shards
 	mc.mu.Unlock()
-	return body, etag, false, nil
-}
-
-// writeCached is the router's counterpart of Server.writeCached.
-func (rt *Router) writeCached(w http.ResponseWriter, r *http.Request, etag string, body []byte) {
-	h := w.Header()
-	h.Set("ETag", etag)
-	h.Set(HeaderFleetGeneration, etag[1:len(etag)-1])
-	if etagMatch(r.Header.Get("If-None-Match"), etag) {
-		rt.notModified.Add(1)
-		w.WriteHeader(http.StatusNotModified)
-		return
-	}
-	h.Set("Content-Type", "application/json")
-	w.WriteHeader(http.StatusOK)
-	_, _ = w.Write(body)
+	return body, etag, etag, nil
 }

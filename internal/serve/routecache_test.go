@@ -8,6 +8,9 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/cluster"
+	"repro/internal/engine"
 )
 
 // singleServerBytes returns the unsharded reference bytes for a path —
@@ -49,7 +52,7 @@ func TestRouterMergedCache(t *testing.T) {
 	if string(warm) != string(cold) || rec.Header().Get("ETag") != etag {
 		t.Fatal("warm merged read diverges from the cold one")
 	}
-	if h, m := fx.router.mergeHits.Load(), fx.router.mergeMisses.Load(); h != 1 || m != 1 {
+	if h, m := fx.router.merged.hits.Load(), fx.router.merged.misses.Load(); h != 1 || m != 1 {
 		t.Fatalf("merge cache hits=%d misses=%d, want 1/1", h, m)
 	}
 	if n := fx.router.shardNotModified.Load(); n != 3 {
@@ -64,7 +67,7 @@ func TestRouterMergedCache(t *testing.T) {
 			t.Fatalf("pass %d: merged /vehicles diverges from unsharded bytes", pass)
 		}
 	}
-	if h, m := fx.router.mergeHits.Load(), fx.router.mergeMisses.Load(); h != 2 || m != 2 {
+	if h, m := fx.router.merged.hits.Load(), fx.router.merged.misses.Load(); h != 2 || m != 2 {
 		t.Fatalf("after /vehicles: hits=%d misses=%d, want 2/2", h, m)
 	}
 
@@ -80,8 +83,8 @@ func TestRouterMergedCache(t *testing.T) {
 	if got := rec.Header().Get("ETag"); got == etag {
 		t.Fatal("merged ETag did not change with a shard generation")
 	}
-	if inv := fx.router.mergeInvalidations.Load(); inv != 1 {
-		t.Fatalf("mergeInvalidations = %d, want 1", inv)
+	if m := fx.router.merged.misses.Load(); m != 3 {
+		t.Fatalf("merge cache misses = %d, want 3 (the moved vector re-merges)", m)
 	}
 	if n := fx.router.shardNotModified.Load(); n != 8 {
 		t.Fatalf("shardNotModified = %d, want 8 (two warm passes + 2 unchanged shards)", n)
@@ -89,10 +92,58 @@ func TestRouterMergedCache(t *testing.T) {
 }
 
 // TestRouterConditionalGET: the router speaks the same If-None-Match
-// protocol as a single server, against its merged tag.
+// protocol as a single server, against its merged tag. The fleet-wide
+// routes, the plan included, echo the merged generation; the
+// per-vehicle route echoes its owner shard's.
 func TestRouterConditionalGET(t *testing.T) {
 	fx := buildCluster(t, 6, 3, 0, RouterOptions{})
 	rec, _ := routerGet(t, fx.router, "/fleet/forecast")
+	merged := strings.Trim(rec.Header().Get("ETag"), `"`)
+	if !strings.HasPrefix(merged, "m") {
+		t.Fatalf("merged generation %q, want the m<hash> form", merged)
+	}
+	owner := fx.sharded.Ring().Owner("v02")
+	var ownerGen string
+	for _, sh := range fx.sharded.Shards() {
+		if sh.Name == owner {
+			ownerGen = sh.Engine.Snapshot().GenerationID()
+		}
+	}
+	checkConditionalTable(t, fx.router, &fx.router.notModified, []condRoute{
+		{"/vehicles/v02/forecast", ownerGen},
+		{"/vehicles", merged},
+		{"/fleet/forecast", merged},
+		{"/fleet/plan", merged},
+		{"/fleet/plan?capacity=3&horizon=400", merged},
+	})
+	checkUncacheable(t, fx.router, "/vehicles/ghost/forecast", http.StatusNotFound)
+	checkUncacheable(t, fx.router, "/fleet/plan?capacity=bogus", http.StatusBadRequest)
+	ring, err := cluster.NewRingOf(0, "c0", "c1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var backends []ShardBackend
+	for _, name := range ring.Shards() {
+		eng, err := engine.New(testEngineConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		srv, err := New(eng)
+		if err != nil {
+			t.Fatal(err)
+		}
+		backends = append(backends, ShardBackend{Name: name, Handler: srv})
+	}
+	unready, err := NewRouter(ring, backends, RouterOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, path := range []string{"/vehicles/v02/forecast", "/vehicles", "/fleet/forecast", "/fleet/plan"} {
+		checkUncacheable(t, unready, path, http.StatusServiceUnavailable)
+	}
+
+	fx = buildCluster(t, 6, 3, 0, RouterOptions{})
+	rec, _ = routerGet(t, fx.router, "/fleet/forecast")
 	etag := rec.Header().Get("ETag")
 
 	req := httptest.NewRequest(http.MethodGet, "/fleet/forecast", nil)
@@ -180,7 +231,7 @@ func TestRouterTornGatherNeverCached(t *testing.T) {
 	if torn := router.mergeTorn.Load(); torn != 3 {
 		t.Fatalf("mergeTorn = %d, want 3", torn)
 	}
-	if h, m := router.mergeHits.Load(), router.mergeMisses.Load(); h != 0 || m != 3 {
+	if h, m := router.merged.hits.Load(), router.merged.misses.Load(); h != 0 || m != 3 {
 		t.Fatalf("torn gathers hit the cache: hits=%d misses=%d, want 0/3", h, m)
 	}
 }
@@ -218,7 +269,7 @@ func TestRouterRemoteConditionalScatter(t *testing.T) {
 	if n := router.shardNotModified.Load(); n != 3 {
 		t.Fatalf("remote warm read got %d shard 304s, want 3", n)
 	}
-	if h := router.mergeHits.Load(); h != 1 {
+	if h := router.merged.hits.Load(); h != 1 {
 		t.Fatalf("remote warm read mergeHits = %d, want 1", h)
 	}
 }
@@ -240,7 +291,7 @@ func TestRouterPlanCache(t *testing.T) {
 	if string(second) != string(first) || rec.Header().Get("ETag") != ptag {
 		t.Fatal("cached router plan diverges")
 	}
-	if h, m := fx.router.planCacheHits.Load(), fx.router.planCacheMisses.Load(); h != 1 || m != 1 {
+	if h, m := fx.router.planBodies.hits.Load(), fx.router.planBodies.misses.Load(); h != 1 || m != 1 {
 		t.Fatalf("router plan cache hits=%d misses=%d, want 1/1", h, m)
 	}
 	rec2, body := condGet(t, fx.router, path, ptag)
@@ -267,10 +318,10 @@ func TestRouterPlanDecodeReuse(t *testing.T) {
 	if rec.Code != http.StatusOK || string(bodyB) != string(wantB) {
 		t.Fatalf("plan B = %d, diverges from unsharded plan", rec.Code)
 	}
-	if d, h := fx.router.planDecodeMisses.Load(), fx.router.planDecodeHits.Load(); d != 1 || h != 1 {
+	if d, h := fx.router.planInputs.misses.Load(), fx.router.planInputs.hits.Load(); d != 1 || h != 1 {
 		t.Fatalf("plan decode misses=%d hits=%d, want 1/1 (variant B must reuse A's decode)", d, h)
 	}
-	if m := fx.router.planCacheMisses.Load(); m != 2 {
+	if m := fx.router.planBodies.misses.Load(); m != 2 {
 		t.Fatalf("planCacheMisses = %d, want 2 (distinct parameter keys)", m)
 	}
 
@@ -283,7 +334,7 @@ func TestRouterPlanDecodeReuse(t *testing.T) {
 	if rec.Code != http.StatusOK || string(bodyA) != string(wantA) {
 		t.Fatal("post-retrain plan diverges")
 	}
-	if d := fx.router.planDecodeMisses.Load(); d != 2 {
+	if d := fx.router.planInputs.misses.Load(); d != 2 {
 		t.Fatalf("post-retrain planDecodeMisses = %d, want 2", d)
 	}
 }
@@ -315,20 +366,17 @@ func TestRouterPlanTornNeverCached(t *testing.T) {
 			t.Fatalf("pass %d: torn plan = %d, body diverges from unsharded plan", pass, rec.Code)
 		}
 	}
-	if b := router.planTornBypass.Load(); b != 2 {
-		t.Fatalf("planTornBypass = %d, want 2", b)
+	if torn := router.mergeTorn.Load(); torn != 2 {
+		t.Fatalf("mergeTorn = %d, want 2 (each torn plan is a torn gather)", torn)
 	}
-	if h, m := router.planCacheHits.Load(), router.planCacheMisses.Load(); h != 0 || m != 0 {
+	if h, m := router.planBodies.hits.Load(), router.planBodies.misses.Load(); h != 0 || m != 0 {
 		t.Fatalf("torn plans touched the plan cache: hits=%d misses=%d", h, m)
 	}
-	if d := router.planDecodeHits.Load(); d != 0 {
+	if d := router.planInputs.hits.Load(); d != 0 {
 		t.Fatalf("torn plans reused a decode: hits=%d", d)
 	}
-	router.planMu.Lock()
-	cachedPlans, cachedReqs := len(router.plans), router.planReqsKey
-	router.planMu.Unlock()
-	if cachedPlans != 0 || cachedReqs != "" {
-		t.Fatalf("torn plan left cache residue: %d plan entries, reqs key %q", cachedPlans, cachedReqs)
+	if router.planBodies.cur.Load() != nil || router.planInputs.cur.Load() != nil {
+		t.Fatal("torn plan left cache residue")
 	}
 }
 

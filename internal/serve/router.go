@@ -159,40 +159,35 @@ type Router struct {
 	shardCall     *obs.Family
 	shardCallErrs *obs.Family
 
-	// merge is the per-route merged-response cache keyed by the shard
-	// generation vector (routecache.go); the plan cache memoizes
-	// /fleet/plan bodies under the merged tag they were built from.
-	merge   [numFleetRoutes]mergeCache
-	planMu  sync.Mutex
-	planTag string
-	plans   map[string][]byte
-	// The decoded scheduling requests of the last consistent forecast
-	// gather, shared read-only across plan parameter variants: the keyed
-	// entries in plans vary by (day, capacity, horizon, maxlead), but
-	// the expensive decode of the merged forecast body varies only by
-	// (merged tag, day) — one decode serves every parameter combination.
-	planReqsKey string
-	planReqs    []sched.Request
-	planReqsErr map[string]string
+	// merge keeps each fleet route's per-shard fragments for the
+	// conditional re-gather (routecache.go). The read caches
+	// (readcache.go): merged holds the merged fleet bodies keyed by the
+	// shard generation vector and the route; planInputs the scheduling
+	// requests decoded from a merged forecast body, keyed by (merged
+	// tag, day) and shared by every parameter variant; planBodies the
+	// plan bodies keyed by (merged tag, day and parameters). A torn
+	// gather yields the empty generation, so nothing derived from it is
+	// stored.
+	merge      [numFleetRoutes]mergeCache
+	merged     *genCache[[]byte]
+	planInputs *genCache[planInput]
+	planBodies *genCache[[]byte]
 
-	// Read-path counters, exported on /metrics: merged-cache
-	// hits/misses/invalidations, gathers left uncached because a shard's
-	// ETag and generation echo disagreed (torn mid-retrain), shard
-	// fetches validated unchanged (HTTP 304 or in-process tag match),
-	// plan-cache hits/misses, decoded-request reuse across plan
-	// parameter variants, plans built from torn gathers (served,
-	// never cached), and client conditional GETs answered 304.
-	mergeHits          atomic.Uint64
-	mergeMisses        atomic.Uint64
-	mergeInvalidations atomic.Uint64
-	mergeTorn          atomic.Uint64
-	shardNotModified   atomic.Uint64
-	planCacheHits      atomic.Uint64
-	planCacheMisses    atomic.Uint64
-	planDecodeHits     atomic.Uint64
-	planDecodeMisses   atomic.Uint64
-	planTornBypass     atomic.Uint64
-	notModified        atomic.Uint64
+	// Read-path counters, exported on /metrics: gathers left uncached
+	// because a shard's ETag and generation echo disagreed (torn
+	// mid-retrain), shard fetches validated unchanged (HTTP 304 or
+	// in-process tag match), and client conditional GETs answered 304.
+	mergeTorn        atomic.Uint64
+	shardNotModified atomic.Uint64
+	notModified      atomic.Uint64
+}
+
+// planInput is what a plan is scheduled from: the requests decoded
+// from a merged forecast body and its per-vehicle forecast errors.
+// Shared read-only across plan parameter variants.
+type planInput struct {
+	reqs []sched.Request
+	errs map[string]string
 }
 
 // NewRouter builds the cluster front door. Every ring shard must have
@@ -227,6 +222,9 @@ func NewRouter(ring *cluster.Ring, backends []ShardBackend, opts RouterOptions) 
 			obs.LatencyBuckets, "shard"),
 		shardCallErrs: obs.NewCounterFamily("fleet_shard_call_errors_total",
 			"Per-shard calls that failed (transport error or deadline).", "shard"),
+		merged:     newGenCache[[]byte]("fleet_router_merge_cache", "Merged fleet-wide responses", 0),
+		planInputs: newGenCache[planInput]("fleet_router_plan_decode", "Plan builds' scheduling requests", 0),
+		planBodies: newGenCache[[]byte]("fleet_router_plan_cache", "GET /fleet/plan responses at the router", maxPlanEntries),
 	}
 	for i := range backends {
 		b := &backends[i]
@@ -497,20 +495,12 @@ func (rt *Router) handleOwnerRoute(w http.ResponseWriter, r *http.Request) {
 		t0 := time.Now()
 		status, etag, body := fr.ForecastResponse(id)
 		rt.shardCall.With(owner).ObserveSince(t0)
-		h := w.Header()
-		h.Set("X-Fleet-Shard", owner)
-		if status == http.StatusOK {
-			h.Set("ETag", etag)
-			h.Set(HeaderFleetGeneration, etag[1:len(etag)-1])
-			if etagMatch(r.Header.Get("If-None-Match"), etag) {
-				rt.notModified.Add(1)
-				w.WriteHeader(http.StatusNotModified)
-				return
-			}
+		w.Header().Set("X-Fleet-Shard", owner)
+		if status != http.StatusOK {
+			writeBody(w, status, body)
+			return
 		}
-		h.Set("Content-Type", "application/json")
-		w.WriteHeader(status)
-		_, _ = w.Write(body)
+		writeCached(w, r, &rt.notModified, etag[1:len(etag)-1], etag, body)
 		return
 	}
 	target := r.URL.Path
@@ -533,12 +523,18 @@ func (rt *Router) handleOwnerRoute(w http.ResponseWriter, r *http.Request) {
 }
 
 func (rt *Router) handleVehicles(w http.ResponseWriter, r *http.Request) {
-	body, etag, _, fail := rt.gatherMerged(r.Context(), routeVehicles)
+	rt.handleMerged(w, r, routeVehicles)
+}
+
+// handleMerged serves one fleet-wide route's merged body, echoing the
+// merged generation its tag quotes.
+func (rt *Router) handleMerged(w http.ResponseWriter, r *http.Request, route fleetRoute) {
+	body, etag, _, fail := rt.gatherMerged(r.Context(), route)
 	if fail != nil {
 		fail.write(w)
 		return
 	}
-	rt.writeCached(w, r, etag, body)
+	writeCached(w, r, &rt.notModified, etag[1:len(etag)-1], etag, body)
 }
 
 // mergeFleetForecasts combines per-shard /fleet/forecast payloads into
@@ -564,12 +560,7 @@ func mergeFleetForecasts(parts map[string]FleetForecastJSON) FleetForecastJSON {
 }
 
 func (rt *Router) handleFleetForecast(w http.ResponseWriter, r *http.Request) {
-	body, etag, _, fail := rt.gatherMerged(r.Context(), routeFleetForecast)
-	if fail != nil {
-		fail.write(w)
-		return
-	}
-	rt.writeCached(w, r, etag, body)
+	rt.handleMerged(w, r, routeFleetForecast)
 }
 
 // handlePlan schedules the whole fleet: forecasts gather (through the
@@ -580,11 +571,10 @@ func (rt *Router) handleFleetForecast(w http.ResponseWriter, r *http.Request) {
 // payload; the decode runs only once per (merged tag, day) — parameter
 // variants share the decoded requests — and the marshaled plan body is
 // keyed by (merged tag, day, capacity, horizon, maxlead). A torn
-// gather (some shard mid-retrain) is scheduled and served, but neither
-// its decode nor its plan body enters a cache: the merged tag of a
-// torn gather cannot vouch for the bytes it was derived from.
+// gather (some shard mid-retrain) is scheduled and served under the
+// empty generation, so neither its decode nor its plan body is stored.
 func (rt *Router) handlePlan(w http.ResponseWriter, r *http.Request) {
-	body, etag, torn, fail := rt.gatherMerged(r.Context(), routeFleetForecast)
+	body, etag, gen, fail := rt.gatherMerged(r.Context(), routeFleetForecast)
 	if fail != nil {
 		fail.write(w)
 		return
@@ -596,34 +586,19 @@ func (rt *Router) handlePlan(w http.ResponseWriter, r *http.Request) {
 	}
 	now, day := planDay()
 	key := p.cacheKey(day)
-	ptag := planETag(etag, key)
-	reqsKey := etag + "|" + day
-	var reqs []sched.Request
-	var ferrs map[string]string
-	if !torn {
-		rt.planMu.Lock()
-		if rt.planTag != etag {
-			// Some shard's generation moved: every cached plan is stale.
-			rt.planTag, rt.plans = etag, nil
-		}
-		cached := rt.plans[key]
-		if rt.planReqsKey == reqsKey {
-			reqs, ferrs = rt.planReqs, rt.planReqsErr
-		}
-		rt.planMu.Unlock()
-		if cached != nil {
-			rt.planCacheHits.Add(1)
-			rt.writeCached(w, r, ptag, cached)
-			return
-		}
+	echo := etag[1 : len(etag)-1]
+	if ptag, pbody, ok := rt.planBodies.get(gen, key); ok {
+		writeCached(w, r, &rt.notModified, echo, ptag, pbody)
+		return
 	}
-	if reqs == nil {
+	_, in, ok := rt.planInputs.get(gen, day)
+	if !ok {
 		var merged FleetForecastJSON
 		if err := jsonDecode(body, &merged); err != nil {
 			writeError(w, http.StatusInternalServerError, fmt.Sprintf("serve: decoding merged forecasts: %v", err))
 			return
 		}
-		reqs = make([]sched.Request, 0, len(merged.Forecasts))
+		in.reqs = make([]sched.Request, 0, len(merged.Forecasts))
 		for _, f := range merged.Forecasts {
 			// The due date came from a shard's own wire encoding; a parse
 			// failure is impossible short of a corrupted relay, and the
@@ -632,42 +607,20 @@ func (rt *Router) handlePlan(w http.ResponseWriter, r *http.Request) {
 			if due.Before(now) {
 				due = now
 			}
-			reqs = append(reqs, sched.Request{VehicleID: f.VehicleID, Due: due, Uncertainty: 2})
+			in.reqs = append(in.reqs, sched.Request{VehicleID: f.VehicleID, Due: due, Uncertainty: 2})
 		}
-		ferrs = merged.Errors
-		rt.planDecodeMisses.Add(1)
-		if !torn {
-			rt.planMu.Lock()
-			rt.planReqsKey, rt.planReqs, rt.planReqsErr = reqsKey, reqs, ferrs
-			rt.planMu.Unlock()
-		}
-	} else {
-		rt.planDecodeHits.Add(1)
+		in.errs = merged.Errors
+		_, in = rt.planInputs.put(gen, day, "", in)
 	}
 	// Schedule copies reqs before sorting, so the cached slice stays
 	// shareable across concurrent parameter variants.
-	pbody, err := buildPlanBody(reqs, ferrs, p, now)
+	pbody, err := buildPlanBody(in.reqs, in.errs, p, now)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	if torn {
-		rt.planTornBypass.Add(1)
-		rt.writeCached(w, r, ptag, pbody)
-		return
-	}
-	rt.planCacheMisses.Add(1)
-	rt.planMu.Lock()
-	if rt.planTag == etag {
-		if rt.plans == nil {
-			rt.plans = make(map[string][]byte)
-		}
-		if _, ok := rt.plans[key]; ok || len(rt.plans) < maxRouterPlanEntries {
-			rt.plans[key] = pbody
-		}
-	}
-	rt.planMu.Unlock()
-	rt.writeCached(w, r, ptag, pbody)
+	ptag, pbody := rt.planBodies.put(gen, key, planETag(etag, key), pbody)
+	writeCached(w, r, &rt.notModified, echo, ptag, pbody)
 }
 
 // handleTelemetry guards, then routes the batch. With a shared store

@@ -118,21 +118,15 @@ type Server struct {
 	lastKickSeq uint64
 	prevKickSeq uint64
 
-	// cacheHits/cacheMisses count per-vehicle forecast responses served
-	// from the snapshot's response cache vs marshaled fresh (exported on
-	// GET /metrics). A retrain swaps in a cold cache, so a miss burst
-	// after each generation is expected.
-	cacheHits   atomic.Uint64
-	cacheMisses atomic.Uint64
-	// The whole-fleet artifact and plan caches get the same accounting
-	// (readcache.go); notModified counts conditional GETs answered 304.
-	fleetForecastCacheHits   atomic.Uint64
-	fleetForecastCacheMisses atomic.Uint64
-	vehiclesCacheHits        atomic.Uint64
-	vehiclesCacheMisses      atomic.Uint64
-	planCacheHits            atomic.Uint64
-	planCacheMisses          atomic.Uint64
-	notModified              atomic.Uint64
+	// The read caches (readcache.go), each keyed by the snapshot
+	// generation: per-vehicle forecast bodies (unknown IDs never
+	// stored), the two whole-fleet bodies, and plan bodies keyed by day
+	// and parameters. notModified counts conditional GETs answered 304.
+	responses     *genCache[[]byte]
+	fleetForecast *genCache[[]byte]
+	vehicles      *genCache[[]byte]
+	planBodies    *genCache[[]byte]
+	notModified   atomic.Uint64
 }
 
 // New builds the HTTP facade over an engine. The engine does not need a
@@ -155,13 +149,17 @@ func NewWithOptions(eng *engine.Engine, opts Options) (*Server, error) {
 		logger = slog.Default()
 	}
 	s := &Server{
-		engine:       eng,
-		mux:          http.NewServeMux(),
-		log:          logger,
-		routeHist:    newRouteFamily(),
-		ingest:       opts.Ingest,
-		retrainDirty: opts.RetrainDirty,
-		telemetry:    newGuard(opts.Telemetry),
+		engine:        eng,
+		mux:           http.NewServeMux(),
+		log:           logger,
+		routeHist:     newRouteFamily(),
+		ingest:        opts.Ingest,
+		retrainDirty:  opts.RetrainDirty,
+		telemetry:     newGuard(opts.Telemetry),
+		responses:     newGenCache[[]byte]("fleet_response_cache", "GET /vehicles/{id}/forecast responses", 0),
+		fleetForecast: newGenCache[[]byte]("fleet_fleet_forecast_cache", "GET /fleet/forecast responses", 0),
+		vehicles:      newGenCache[[]byte]("fleet_vehicles_cache", "GET /vehicles responses", 0),
+		planBodies:    newGenCache[[]byte]("fleet_plan_cache", "GET /fleet/plan responses", maxPlanEntries),
 	}
 	if s.ingest != nil {
 		// Baseline the dirty-threshold policy at the store's current
@@ -304,13 +302,18 @@ type VehicleInfo struct {
 
 func (s *Server) handleVehicles(w http.ResponseWriter, r *http.Request) {
 	status, etag, body := s.VehiclesResponse()
+	s.writeResponse(w, r, status, etag, body)
+}
+
+// writeResponse writes what a *Response method resolved: a 200 through
+// writeCached, echoing the snapshot generation its tag quotes, anything
+// else as the plain error it is.
+func (s *Server) writeResponse(w http.ResponseWriter, r *http.Request, status int, etag string, body []byte) {
 	if status != http.StatusOK {
-		w.Header().Set("Content-Type", "application/json")
-		w.WriteHeader(status)
-		_, _ = w.Write(body)
+		writeBody(w, status, body)
 		return
 	}
-	s.writeCached(w, r, etag[1:len(etag)-1], etag, body)
+	writeCached(w, r, &s.notModified, etag[1:len(etag)-1], etag, body)
 }
 
 // ForecastJSON is the wire form of a core.Forecast.
@@ -343,8 +346,8 @@ func encodeJSON(v any) []byte {
 
 // ForecastResponse resolves GET /vehicles/{id}/forecast to its status
 // code, entity tag, and response body without touching an
-// http.ResponseWriter. The 200 path serves (and populates) the current
-// snapshot's response cache, so a hot vehicle is marshaled once per
+// http.ResponseWriter. The 200 path serves (and populates) the
+// per-vehicle response cache, so a hot vehicle is marshaled once per
 // generation and then served as raw bytes; the cluster router calls
 // this directly for in-process shards, skipping the whole HTTP round
 // trip. Error responses carry no tag — they are uncacheable. The
@@ -354,16 +357,14 @@ func (s *Server) ForecastResponse(id string) (status int, etag string, body []by
 	if snap == nil {
 		return http.StatusServiceUnavailable, "", encodeJSON(map[string]string{"error": noSnapshotMsg})
 	}
-	if b, ok := snap.CachedResponse(id); ok {
-		s.cacheHits.Add(1)
-		return http.StatusOK, snap.ETag(), b
+	gen := snap.GenerationID()
+	if etag, b, ok := s.responses.get(gen, id); ok {
+		return http.StatusOK, etag, b
 	}
 	// Precomputed at snapshot build: the hot path does no model math.
 	if f, ok := snap.ForecastByID[id]; ok {
-		s.cacheMisses.Add(1)
-		b := encodeJSON(toJSON(f))
-		snap.StoreCachedResponse(id, b)
-		return http.StatusOK, snap.ETag(), b
+		etag, b := s.responses.put(gen, id, snap.ETag(), encodeJSON(toJSON(f)))
+		return http.StatusOK, etag, b
 	}
 	// Error responses stay uncached: failed-forecast vehicles are cold
 	// paths, and unknown IDs are attacker-controlled cache keys.
@@ -373,20 +374,9 @@ func (s *Server) ForecastResponse(id string) (status int, etag string, body []by
 	return http.StatusNotFound, "", encodeJSON(map[string]string{"error": fmt.Sprintf("unknown vehicle %q", id)})
 }
 
-// CacheStats reports the response-cache hit/miss counters.
-func (s *Server) CacheStats() (hits, misses uint64) {
-	return s.cacheHits.Load(), s.cacheMisses.Load()
-}
-
 func (s *Server) handleForecast(w http.ResponseWriter, r *http.Request) {
 	status, etag, body := s.ForecastResponse(r.PathValue("id"))
-	if status == http.StatusOK {
-		s.writeCached(w, r, etag[1:len(etag)-1], etag, body)
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	_, _ = w.Write(body)
+	s.writeResponse(w, r, status, etag, body)
 }
 
 // FleetForecastJSON is the /fleet/forecast response. Errors lists the
@@ -399,13 +389,7 @@ type FleetForecastJSON struct {
 
 func (s *Server) handleFleetForecast(w http.ResponseWriter, r *http.Request) {
 	status, etag, body := s.FleetForecastResponse()
-	if status != http.StatusOK {
-		w.Header().Set("Content-Type", "application/json")
-		w.WriteHeader(status)
-		_, _ = w.Write(body)
-		return
-	}
-	s.writeCached(w, r, etag[1:len(etag)-1], etag, body)
+	s.writeResponse(w, r, status, etag, body)
 }
 
 // PlanJSON is the wire form of a workshop plan.
@@ -436,10 +420,9 @@ func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) {
 	// over at UTC midnight by construction.
 	now, day := planDay()
 	key := p.cacheKey(day)
-	etag := planETag(snap.ETag(), key)
-	if body, ok := snap.CachedPlan(key); ok {
-		s.planCacheHits.Add(1)
-		s.writeCached(w, r, snap.GenerationID(), etag, body)
+	gen := snap.GenerationID()
+	if etag, body, ok := s.planBodies.get(gen, key); ok {
+		writeCached(w, r, &s.notModified, gen, etag, body)
 		return
 	}
 	reqs := make([]sched.Request, 0, len(snap.Forecasts))
@@ -455,9 +438,8 @@ func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	s.planCacheMisses.Add(1)
-	snap.StorePlan(key, body)
-	s.writeCached(w, r, snap.GenerationID(), etag, body)
+	etag, body := s.planBodies.put(gen, key, planETag(snap.ETag(), key), body)
+	writeCached(w, r, &s.notModified, gen, etag, body)
 }
 
 // RetrainJSON acknowledges a retrain request.
