@@ -721,7 +721,12 @@ func TestJournalRecordCodecRoundtrip(t *testing.T) {
 	ref := New(0)
 	ref.mu.Lock()
 	for _, jr := range rec.Changed {
-		if _, ok := ref.upsertLocked(jr.ID, jr.Day, jr.Seconds, time.Now()); ok {
+		vrec := ref.vehicles[jr.ID]
+		if vrec == nil {
+			vrec = &vehicleRecord{}
+			ref.vehicles[jr.ID] = vrec
+		}
+		if ref.upsertDayLocked(vrec, jr.Day, jr.Seconds, time.Now()) {
 			ref.changed++
 		}
 	}

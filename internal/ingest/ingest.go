@@ -401,12 +401,22 @@ func (s *Store) UpsertBatch(reports []Report) (BatchResult, error) {
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	var changed []journalReport
-	for _, r := range reports {
-		vr := res.Vehicles[r.VehicleID]
-		if vr == nil {
-			vr = &VehicleResult{}
-			res.Vehicles[r.VehicleID] = vr
+	var (
+		changed []journalReport
+		// A batch lists a vehicle's days one after another: the result
+		// entry and the record are resolved once per run of consecutive
+		// same-vehicle reports, as UpsertBinary does per wire group.
+		vr  *VehicleResult
+		rec *vehicleRecord
+	)
+	for i, r := range reports {
+		if i == 0 || r.VehicleID != reports[i-1].VehicleID {
+			vr = res.Vehicles[r.VehicleID]
+			if vr == nil {
+				vr = &VehicleResult{}
+				res.Vehicles[r.VehicleID] = vr
+			}
+			rec = nil
 		}
 		if err := validate(r, now); err != nil {
 			vr.Rejected++
@@ -418,7 +428,14 @@ func (s *Store) UpsertBatch(reports []Report) (BatchResult, error) {
 		vr.Accepted++
 		res.Accepted++
 		s.accepted++
-		if day, ok := s.upsertLocked(r.VehicleID, epochDay(r.Date), r.Seconds, now); ok {
+		if rec == nil {
+			if rec = s.vehicles[r.VehicleID]; rec == nil {
+				rec = &vehicleRecord{}
+				s.vehicles[r.VehicleID] = rec
+			}
+		}
+		day := epochDay(r.Date)
+		if s.upsertDayLocked(rec, day, r.Seconds, now) {
 			vr.Changed++
 			res.Changed++
 			s.changed++
@@ -445,22 +462,10 @@ func (s *Store) UpsertBatch(reports []Report) (BatchResult, error) {
 	return res, nil
 }
 
-// upsertLocked applies one validated (vehicle, epoch day, seconds)
-// report and reports whether it changed stored content, returning the
-// epoch day for the journal. Callers hold the write lock.
-func (s *Store) upsertLocked(vehicleID string, day int64, seconds float64, now time.Time) (int64, bool) {
-	rec := s.vehicles[vehicleID]
-	if rec == nil {
-		rec = &vehicleRecord{}
-		s.vehicles[vehicleID] = rec
-	}
-	return day, s.upsertDayLocked(rec, day, seconds, now)
-}
-
 // upsertDayLocked applies one validated (epoch day, seconds) report to
 // an already-resolved vehicle record — the allocation-free inner step
-// the binary wire path drives directly with a byte-slice ID, resolving
-// the record once per group instead of once per report. Callers hold
+// both batch paths drive, resolving the record once per wire group or
+// run of same-vehicle reports instead of once per report. Callers hold
 // the write lock.
 func (s *Store) upsertDayLocked(rec *vehicleRecord, day int64, seconds float64, now time.Time) bool {
 	rec.reports++

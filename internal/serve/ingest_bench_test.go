@@ -16,8 +16,9 @@ import (
 // fleet collector produces: the same vehicles re-reporting day after
 // day, so upserts are idempotent re-deliveries and the store's content
 // (and journal) does not grow across iterations. The canonical batch is
-// 100 reports = 10 vehicles × 10 days, the shape the ≥5x binary-vs-JSON
-// acceptance criterion is pinned at.
+// 100 reports = 10 vehicles × 10 days, the shape BENCH_ingest.json
+// compares the two doors at and both doors' ≤1 alloc/report tests
+// (TestBinaryDoorAllocsPerReport, TestJSONDoorAllocsPerReport) pin.
 const (
 	benchVehicles    = 10
 	benchDaysPerVeh  = 10

@@ -118,6 +118,31 @@ func TestRouterConditionalGET(t *testing.T) {
 	})
 	checkUncacheable(t, fx.router, "/vehicles/ghost/forecast", http.StatusNotFound)
 	checkUncacheable(t, fx.router, "/fleet/plan?capacity=bogus", http.StatusBadRequest)
+
+	// Over remote backends the owner route forwards If-None-Match and
+	// relays the shard's 304, which the router counts as its own.
+	var remote []ShardBackend
+	for _, sh := range fx.sharded.Shards() {
+		srv, err := New(sh.Engine)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ts := httptest.NewServer(srv)
+		t.Cleanup(ts.Close)
+		remote = append(remote, NewRemoteBackend(sh.Name, ts.URL, nil))
+	}
+	relay, err := NewRouter(fx.sharded.Ring(), remote, RouterOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkConditionalTable(t, relay, &relay.notModified, []condRoute{
+		{"/vehicles/v02/forecast", ownerGen},
+		{"/vehicles", merged},
+		{"/fleet/forecast", merged},
+		{"/fleet/plan", merged},
+	})
+	checkUncacheable(t, relay, "/vehicles/ghost/forecast", http.StatusNotFound)
+
 	ring, err := cluster.NewRingOf(0, "c0", "c1")
 	if err != nil {
 		t.Fatal(err)

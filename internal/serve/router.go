@@ -518,6 +518,11 @@ func (rt *Router) handleOwnerRoute(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	w.Header().Set("X-Fleet-Shard", owner)
+	if resp.status == http.StatusNotModified {
+		// The shard matched the forwarded If-None-Match: a 304 this
+		// router answered, counted as the in-process path counts it.
+		rt.notModified.Add(1)
+	}
 	w.WriteHeader(resp.status)
 	_, _ = w.Write(resp.body)
 }
@@ -652,13 +657,13 @@ func (rt *Router) handleTelemetry(w http.ResponseWriter, r *http.Request) {
 		rt.routeTelemetryBinary(w, r, body)
 		return
 	}
-	var req TelemetryRequest
-	if err := jsonDecode(body, &req); err != nil {
+	reports, err := decodeTelemetryJSON(nil, body)
+	if err != nil {
 		writeError(w, http.StatusBadRequest, fmt.Sprintf("serve: decoding telemetry batch: %v", err))
 		return
 	}
-	if len(req.Reports) > maxTelemetryReports {
-		writeError(w, http.StatusRequestEntityTooLarge, fmt.Sprintf("serve: batch of %d reports exceeds the %d-report limit", len(req.Reports), maxTelemetryReports))
+	if len(reports) > maxTelemetryReports {
+		writeError(w, http.StatusRequestEntityTooLarge, fmt.Sprintf("serve: batch of %d reports exceeds the %d-report limit", len(reports), maxTelemetryReports))
 		return
 	}
 
@@ -666,7 +671,7 @@ func (rt *Router) handleTelemetry(w http.ResponseWriter, r *http.Request) {
 	// scatter an empty batch so each shard judges its retrain trigger
 	// against the store's new state.
 	if rt.ingest != nil {
-		res, err := rt.ingest.UpsertBatch(appendReportsFromJSON(nil, req.Reports))
+		res, err := rt.ingest.UpsertBatch(reports)
 		if err != nil {
 			// Applied in memory but not durably journaled: do not ack.
 			writeError(w, http.StatusInternalServerError, err.Error())
@@ -677,12 +682,19 @@ func (rt *Router) handleTelemetry(w http.ResponseWriter, r *http.Request) {
 	}
 
 	// Partitioned routing: group the reports by ring owner and send
-	// each group to that shard only. Vehicles are disjoint across
+	// each group to that shard only, re-encoded so the shard decodes the
+	// very reports this router did. Vehicles are disjoint across
 	// groups, so the merged per-vehicle report is a plain union.
-	groups := make(map[string][]ReportJSON)
-	for _, rep := range req.Reports {
-		owner := rt.ring.Owner(rep.Vehicle)
-		groups[owner] = append(groups[owner], rep)
+	groups := make(map[string][]byte)
+	for _, rep := range reports {
+		owner := rt.ring.Owner(rep.VehicleID)
+		sub, ok := groups[owner]
+		if ok {
+			sub = append(sub, ',')
+		} else {
+			sub = append(sub, `{"reports":[`...)
+		}
+		groups[owner] = appendReportJSON(sub, rep)
 	}
 	owners, ok := rt.sortedOwners(w, len(groups), func(yield func(string)) {
 		for name := range groups {
@@ -694,12 +706,7 @@ func (rt *Router) handleTelemetry(w http.ResponseWriter, r *http.Request) {
 	}
 	parts := make([]ownerPart, len(owners))
 	for i, name := range owners {
-		sub, err := json.Marshal(TelemetryRequest{Reports: groups[name]})
-		if err != nil {
-			writeError(w, http.StatusInternalServerError, fmt.Sprintf("serve: encoding sub-batch: %v", err))
-			return
-		}
-		parts[i] = ownerPart{shard: name, body: sub}
+		parts[i] = ownerPart{shard: name, body: append(groups[name], "]}"...)}
 	}
 	rt.forwardTelemetryParts(w, r, parts, "application/json", false)
 }

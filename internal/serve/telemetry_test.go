@@ -46,23 +46,33 @@ func parityReports() []ingest.Report {
 	}
 }
 
-// storeFingerprint summarizes a store's observable content: sorted
-// vehicle IDs with their content hashes plus the accept/reject
-// counters — the bit-identity the acceptance criterion pins.
-func storeFingerprint(t testing.TB, store *ingest.Store) string {
+// storeFingerprint summarizes the observable content of one store, or
+// of several with disjoint vehicles taken together: sorted vehicle IDs
+// with their content hashes plus the summed accept/reject counters —
+// the bit-identity the acceptance criterion pins.
+func storeFingerprint(t testing.TB, stores ...*ingest.Store) string {
 	t.Helper()
-	ids := store.Vehicles()
+	hashes := map[string]uint64{}
+	var ids []string
+	var acc, rej, chg uint64
+	for _, store := range stores {
+		for _, id := range store.Vehicles() {
+			h, ok := store.Hash(id)
+			if !ok {
+				t.Fatalf("vehicle %s listed but has no hash", id)
+			}
+			ids = append(ids, id)
+			hashes[id] = h
+		}
+		st := store.Stats()
+		acc, rej, chg = acc+st.Accepted, rej+st.Rejected, chg+st.Changed
+	}
 	sort.Strings(ids)
 	var b strings.Builder
 	for _, id := range ids {
-		h, ok := store.Hash(id)
-		if !ok {
-			t.Fatalf("vehicle %s listed but has no hash", id)
-		}
-		fmt.Fprintf(&b, "%s=%016x\n", id, h)
+		fmt.Fprintf(&b, "%s=%016x\n", id, hashes[id])
 	}
-	st := store.Stats()
-	fmt.Fprintf(&b, "accepted=%d rejected=%d changed=%d", st.Accepted, st.Rejected, st.Changed)
+	fmt.Fprintf(&b, "accepted=%d rejected=%d changed=%d", acc, rej, chg)
 	return b.String()
 }
 
