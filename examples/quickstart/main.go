@@ -17,8 +17,8 @@ import (
 func main() {
 	log.SetFlags(0)
 
-	// 1. Acquire data. In production this comes from the CAN bus through
-	// the cloud collector; here the simulator stands in for the fleet.
+	// 1. Acquire data. In production the vehicles' daily reports reach
+	// the ingest store; here the fleet generator stands in for them.
 	cfg := telematics.DefaultFleetConfig()
 	cfg.Vehicles = 6
 	cfg.Days = 1000

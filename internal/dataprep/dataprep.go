@@ -1,13 +1,17 @@
-// Package dataprep implements the five-step preparation pipeline of
-// paper §3: (i) cleaning of missing and inconsistent values,
-// (ii) normalization, (iii) aggregation to the daily granularity,
-// (iv) enrichment with derived attributes, and (v) transformation into
-// the relational, windowed representation the regressors consume.
+// Package dataprep prepares a raw daily utilization series that did
+// not come through the ingest store — a CSV export, a fleetgen file or
+// a peer shard's donor series — for the predictor: it cleans missing
+// and inconsistent values (paper §3, step i), validates the result and
+// derives the §2 series. The store's telemetry doors already refuse
+// every value Clean would repair, so the store derives its vehicles
+// with timeseries.Derive directly. Normalization (§3, step ii) is
+// core.FeatureConfig.Normalize, applied as the feature rows are built.
 package dataprep
 
 import (
 	"fmt"
 	"math"
+	"time"
 
 	"repro/internal/timeseries"
 )
@@ -108,4 +112,25 @@ func ValidateClean(u timeseries.Series) error {
 		}
 	}
 	return nil
+}
+
+// PreparedVehicle is one vehicle's cleaned and derived series.
+type PreparedVehicle struct {
+	ID     string
+	Start  time.Time
+	Series *timeseries.VehicleSeries
+	Clean  CleanReport
+}
+
+// Prepare cleans, validates and derives one vehicle's raw daily series.
+func Prepare(id string, start time.Time, raw timeseries.Series, allowance float64) (*PreparedVehicle, error) {
+	clean, rep := Clean(raw)
+	if err := ValidateClean(clean); err != nil {
+		return nil, fmt.Errorf("dataprep: vehicle %s failed post-clean validation: %w", id, err)
+	}
+	vs, err := timeseries.Derive(id, clean, allowance)
+	if err != nil {
+		return nil, fmt.Errorf("dataprep: vehicle %s: %w", id, err)
+	}
+	return &PreparedVehicle{ID: id, Start: start, Series: vs, Clean: rep}, nil
 }

@@ -101,142 +101,6 @@ func TestValidateCleanRejects(t *testing.T) {
 	}
 }
 
-func TestMinMaxScaler(t *testing.T) {
-	var s MinMaxScaler
-	if err := s.Fit([]float64{10, 20, 30}); err != nil {
-		t.Fatal(err)
-	}
-	if s.Transform(10) != 0 || s.Transform(30) != 1 || s.Transform(20) != 0.5 {
-		t.Fatal("wrong scaling")
-	}
-	// Out-of-range extrapolates (not clipped) so inverse stays exact.
-	if s.Transform(40) != 1.5 {
-		t.Fatalf("extrapolation = %v, want 1.5", s.Transform(40))
-	}
-	if got := s.Inverse(s.Transform(17.3)); math.Abs(got-17.3) > 1e-12 {
-		t.Fatalf("inverse round trip = %v", got)
-	}
-}
-
-func TestMinMaxScalerConstant(t *testing.T) {
-	var s MinMaxScaler
-	if err := s.Fit([]float64{5, 5, 5}); err != nil {
-		t.Fatal(err)
-	}
-	if s.Transform(5) != 0 || s.Inverse(0) != 5 {
-		t.Fatal("constant input mishandled")
-	}
-}
-
-func TestScalerErrors(t *testing.T) {
-	var s MinMaxScaler
-	if err := s.Fit(nil); err == nil {
-		t.Fatal("empty fit accepted")
-	}
-	if err := s.Fit([]float64{1, math.NaN()}); err == nil {
-		t.Fatal("NaN fit accepted")
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("unfitted Transform did not panic")
-		}
-	}()
-	(&MinMaxScaler{}).Transform(1)
-}
-
-func TestStandardScaler(t *testing.T) {
-	var s StandardScaler
-	if err := s.Fit([]float64{2, 4, 6}); err != nil {
-		t.Fatal(err)
-	}
-	if got := s.Transform(4); got != 0 {
-		t.Fatalf("mean transforms to %v, want 0", got)
-	}
-	if got := s.Inverse(s.Transform(5.5)); math.Abs(got-5.5) > 1e-12 {
-		t.Fatalf("inverse round trip = %v", got)
-	}
-	var c StandardScaler
-	if err := c.Fit([]float64{3, 3}); err != nil {
-		t.Fatal(err)
-	}
-	if c.Transform(3) != 0 {
-		t.Fatal("constant standard scaling wrong")
-	}
-}
-
-func TestScalerRoundTripProperty(t *testing.T) {
-	if err := quick.Check(func(seed uint64) bool {
-		rnd := rng.New(seed)
-		vals := make([]float64, 20)
-		for i := range vals {
-			vals[i] = rnd.Range(-1e4, 1e4)
-		}
-		var mm MinMaxScaler
-		var st StandardScaler
-		if mm.Fit(vals) != nil || st.Fit(vals) != nil {
-			return false
-		}
-		for _, v := range vals {
-			if math.Abs(mm.Inverse(mm.Transform(v))-v) > 1e-6 {
-				return false
-			}
-			if math.Abs(st.Inverse(st.Transform(v))-v) > 1e-6 {
-				return false
-			}
-		}
-		return true
-	}, &quick.Config{MaxCount: 40}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestAggregateDaily(t *testing.T) {
-	day := time.Date(2019, 6, 3, 0, 0, 0, 0, time.UTC)
-	obs := []Observation{
-		{At: day.Add(26 * time.Hour), Seconds: 100}, // day 1 (unsorted input)
-		{At: day.Add(2 * time.Hour), Seconds: 40},   // day 0
-		{At: day.Add(30 * time.Hour), Seconds: 60},  // day 1
-		{At: day.Add(96 * time.Hour), Seconds: 10},  // day 4
-	}
-	start, u, err := AggregateDaily(obs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !start.Equal(day) {
-		t.Fatalf("start = %v", start)
-	}
-	want := timeseries.Series{40, 160, 0, 0, 10}
-	for i := range want {
-		if u[i] != want[i] {
-			t.Fatalf("daily = %v, want %v", u, want)
-		}
-	}
-	if _, _, err := AggregateDaily(nil); err == nil {
-		t.Fatal("empty input accepted")
-	}
-}
-
-func TestEnrich(t *testing.T) {
-	// 2019-06-03 is a Monday.
-	start := time.Date(2019, 6, 3, 0, 0, 0, 0, time.UTC)
-	cal, err := Enrich(start, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cal[0].DayOfWeek != 0 || cal[0].IsWeekend {
-		t.Fatalf("Monday features wrong: %+v", cal[0])
-	}
-	if cal[5].DayOfWeek != 5 || !cal[5].IsWeekend {
-		t.Fatalf("Saturday features wrong: %+v", cal[5])
-	}
-	if cal[0].Month != 6 {
-		t.Fatalf("month = %d", cal[0].Month)
-	}
-	if _, err := Enrich(start, 0); err == nil {
-		t.Fatal("zero horizon accepted")
-	}
-}
-
 func TestPrepareEndToEnd(t *testing.T) {
 	raw := timeseries.Series{1000, math.NaN(), 3000, -5, 2000, 95000, 1500, 2500}
 	start := time.Date(2015, 1, 1, 0, 0, 0, 0, time.UTC)
@@ -244,7 +108,7 @@ func TestPrepareEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if prep.ID != "vx" || prep.Series == nil || len(prep.Calendar) != len(raw) {
+	if prep.ID != "vx" || !prep.Start.Equal(start) || prep.Series == nil || len(prep.Series.U) != len(raw) {
 		t.Fatalf("prepared = %+v", prep)
 	}
 	if prep.Clean.Total() != 3 {

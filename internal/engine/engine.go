@@ -40,8 +40,9 @@ import (
 	"repro/internal/timeseries"
 )
 
-// Vehicle is one prepared vehicle to ingest: the derived series from
-// the §3 preparation pipeline plus its acquisition start date.
+// Vehicle is one prepared vehicle to ingest: its derived §2 series
+// (from dataprep.Prepare or the ingest store's Fleet) plus its
+// acquisition start date.
 type Vehicle struct {
 	Series *timeseries.VehicleSeries
 	Start  time.Time

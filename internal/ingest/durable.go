@@ -170,11 +170,14 @@ func (s *Store) restoreCheckpoint(ck *checkpoint, size int) {
 
 // journalReplay applies journal records to a store in place, as one
 // validating walk per record: no record is decoded into an intermediate
-// form, and nothing is allocated per report. The reports were validated
-// when first accepted and are replayed in journal (= seq) order, so
-// applying them verbatim reproduces the exact post-batch state: same
-// day maps, same hashes, same Seq. Callers hold s.mu for the whole
-// replay and call finish once at its end.
+// form, and nothing is allocated per report. Each report's day and
+// seconds are checked against the bounds the doors and the checkpoint
+// enforce, so a record no door could have written fails the open
+// instead of landing a value the next checkpoint load would refuse.
+// The reports are replayed in journal (= seq) order, so applying them
+// verbatim reproduces the exact post-batch state: same runs, same
+// hashes, same Seq. Callers hold s.mu for the whole replay and call
+// finish once at its end.
 type journalReplay struct {
 	s   *Store
 	now time.Time
@@ -217,6 +220,9 @@ func (r *journalReplay) apply(payload []byte) error {
 		off += 16
 		if day < minReportDay || day > maxStoredDay {
 			return fmt.Errorf("journal record day %d out of range", day)
+		}
+		if err := validateSeconds(seconds); err != nil {
+			return fmt.Errorf("journal record day %d: %w", day, err)
 		}
 
 		rec := r.last

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"maps"
+	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -14,6 +15,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/dataprep"
 	"repro/internal/telematics"
 	"repro/internal/wal"
 )
@@ -745,6 +747,71 @@ func TestJournalRecordCodecRoundtrip(t *testing.T) {
 		if err := replayRecord(New(0), bad); err == nil {
 			t.Errorf("replay accepted day %d", day)
 		}
+	}
+	for _, c := range badSecondsRecords() {
+		if err := replayRecord(New(0), c.payload); err == nil {
+			t.Errorf("%s: replay accepted a second no door accepts", c.name)
+		}
+	}
+}
+
+// badSecondsRecords are journal record payloads, one per second value
+// every door refuses, each for day 1 of v01.
+func badSecondsRecords() []codecCase {
+	day := epochDay(day0) + 1
+	var out []codecCase
+	for _, c := range []struct {
+		name string
+		sec  float64
+	}{
+		{"seconds-nan", math.NaN()},
+		{"seconds-negative", -1},
+		{"seconds-over-max", dataprep.MaxDailySeconds + 1},
+	} {
+		out = append(out, codecCase{c.name, encodeJournalRecord(journalRecord{
+			Accepted: 1,
+			Changed:  []journalReport{{ID: "v01", Day: day, Seconds: c.sec}},
+		})})
+	}
+	return out
+}
+
+// TestOpenDurableRefusesOutOfRangeSeconds: a CRC-valid journal record
+// carrying a second that no door accepts fails the open, the way an
+// out-of-range day does. Replaying it would land a value that Fleet
+// serves and that the next checkpoint load refuses, so the store could
+// not reopen once compaction dropped the segment.
+func TestOpenDurableRefusesOutOfRangeSeconds(t *testing.T) {
+	for _, c := range badSecondsRecords() {
+		t.Run(c.name, func(t *testing.T) {
+			dir := t.TempDir()
+			s, err := OpenDurable(0, DurableOptions{Dir: dir, Fsync: wal.FsyncAlways})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := s.UpsertBatch([]Report{report("v01", 0, 100), report("v01", 2, 200)}); err != nil {
+				t.Fatal(err)
+			}
+			if err := s.Close(); err != nil {
+				t.Fatal(err)
+			}
+			log, err := wal.Open(dir, wal.Options{Fsync: wal.FsyncAlways})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := log.Append(c.payload); err != nil {
+				t.Fatal(err)
+			}
+			if err := log.Close(); err != nil {
+				t.Fatal(err)
+			}
+			s2, err := OpenDurable(0, DurableOptions{Dir: dir, Fsync: wal.FsyncAlways})
+			if err == nil {
+				_, u, _ := s2.RawSeries("v01")
+				s2.Close()
+				t.Fatalf("open replayed the record: v01 holds %v", u)
+			}
+		})
 	}
 }
 

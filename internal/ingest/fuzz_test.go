@@ -88,9 +88,9 @@ func fuzzSeeds() [][]byte {
 // no over-read (the payload's capacity is cut to its length, so any
 // read past the end panics). An applied record leaves the store
 // consistent: its header counters, one sequence step per changed
-// report, and a run that agrees with its bitmap, day count and hash.
-// Seeds are
-// the codec cases of TestJournalRecordCodecRoundtrip, checked in under
+// report, a run that agrees with its bitmap, day count and hash, and
+// every stored second inside the range the doors accept. Seeds are the
+// codec cases of TestJournalRecordCodecRoundtrip, checked in under
 // testdata/fuzz.
 func FuzzJournalReplay(f *testing.F) {
 	for _, seed := range journalSeeds() {
@@ -125,6 +125,9 @@ func FuzzJournalReplay(f *testing.F) {
 					}
 					continue
 				}
+				if err := validateSeconds(sec); err != nil {
+					t.Fatalf("vehicle %q day %d stored: %v", id, rec.minDay()+int64(k), err)
+				}
 				hash ^= dayHash(rec.minDay()+int64(k), sec)
 				days++
 			}
@@ -136,7 +139,8 @@ func FuzzJournalReplay(f *testing.F) {
 }
 
 // journalSeeds is one valid record, a report-less one (an all
-// re-delivery batch) and every malformed shape derived from the first.
+// re-delivery batch), every malformed shape derived from the first and
+// one record per out-of-range second.
 func journalSeeds() []codecCase {
 	valid := encodeJournalRecord(journalRecord{
 		Accepted: 4,
@@ -151,5 +155,5 @@ func journalSeeds() []codecCase {
 	return append([]codecCase{
 		{"valid", valid},
 		{"no-reports", encodeJournalRecord(journalRecord{Accepted: 3})},
-	}, journalCodecErrors(valid)...)
+	}, append(journalCodecErrors(valid), badSecondsRecords()...)...)
 }

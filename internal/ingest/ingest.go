@@ -16,8 +16,8 @@
 //   - a monotonic change sequence records which vehicles changed since
 //     any point in time (DirtySince), so retrain policy can be
 //     data-driven instead of purely periodic;
-//   - Fleet derives timeseries.VehicleSeries on demand through the §3
-//     preparation pipeline, making the store a drop-in engine.Source.
+//   - Fleet derives timeseries.VehicleSeries on demand from the stored
+//     runs, making the store a drop-in engine.Source.
 //
 // Durability: a store opened with OpenDurable journals every accepted
 // batch through an internal/wal log *before* UpsertBatch returns, and
@@ -232,10 +232,10 @@ type Store struct {
 	batchHist *obs.Histogram
 }
 
-// preparedEntry caches one vehicle's §3 preparation output keyed by the
+// preparedEntry caches one vehicle's derived series keyed by the
 // content hash it was derived from, making Fleet's source fetch
-// O(changed vehicles): clean vehicles reuse their prepared series
-// across retrains instead of re-running the pipeline.
+// O(changed vehicles): clean vehicles reuse their series across
+// retrains instead of re-deriving them.
 type preparedEntry struct {
 	hash    uint64
 	vehicle engine.Vehicle
@@ -352,17 +352,25 @@ func validateDay(day int64, now time.Time) error {
 	return nil
 }
 
-// validateSeconds checks the daily working-seconds range.
+// validateSeconds checks the daily working-seconds range. The test
+// passes every valid value and fails NaN, so it is one inlined range
+// check that allocates nothing on every door and the replay.
 func validateSeconds(sec float64) error {
+	if sec >= 0 && sec <= dataprep.MaxDailySeconds {
+		return nil
+	}
+	return secondsError(sec)
+}
+
+// secondsError says why sec is out of range.
+func secondsError(sec float64) error {
 	switch {
 	case math.IsNaN(sec) || math.IsInf(sec, 0):
 		return errNonFiniteSeconds
 	case sec < 0:
 		return fmt.Errorf("negative seconds %v", sec)
-	case sec > dataprep.MaxDailySeconds:
-		return fmt.Errorf("seconds %v exceed the physical daily maximum %v", sec, dataprep.MaxDailySeconds)
 	}
-	return nil
+	return fmt.Errorf("seconds %v exceed the physical daily maximum %v", sec, dataprep.MaxDailySeconds)
 }
 
 func dayString(day int64) string {
@@ -536,10 +544,9 @@ func (s *Store) Hash(vehicleID string) (uint64, bool) {
 
 // RawSeries returns a vehicle's contiguous daily series — first
 // reported day to last, unreported days zero — plus the series start.
-// It is the exact raw input Fleet feeds the preparation pipeline, and
-// the payload of the cluster donor-series exchange: a peer shard that
-// prepares this series gets the bit-identical prepared vehicle this
-// shard would.
+// It is the exact run Fleet derives from, and the payload of the
+// cluster donor-series exchange: a peer shard that prepares this series
+// gets the bit-identical vehicle this shard's Fleet hands out.
 func (s *Store) RawSeries(vehicleID string) (start time.Time, u []float64, ok bool) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
@@ -550,20 +557,22 @@ func (s *Store) RawSeries(vehicleID string) (start time.Time, u []float64, ok bo
 	return time.Unix(rec.minDay()*86400, 0).UTC(), append([]float64(nil), rec.run()...), true
 }
 
-// Fleet materializes the stored telemetry as prepared engine vehicles:
-// per vehicle, a contiguous daily series from its first to its last
-// reported day (unreported days are zero — the vehicle did not work),
-// run through the §3 preparation pipeline. It satisfies engine.Source,
-// so an engine configured with Source: store.Fleet re-reads live
-// telemetry on every retrain.
+// Fleet materializes the stored telemetry as engine vehicles: per
+// vehicle, a contiguous daily series from its first to its last
+// reported day (unreported days are zero — the vehicle did not work)
+// and the §2 series timeseries.Derive computes from it. Every way into
+// the store refuses the values §3's cleaning would repair, so the run
+// is already clean and Derive of it equals dataprep.Prepare of it bit
+// for bit. Fleet satisfies engine.Source, so an engine configured with
+// Source: store.Fleet re-reads live telemetry on every retrain.
 //
-// Preparation is O(changed vehicles): each vehicle's prepared output is
+// Derivation is O(changed vehicles): each vehicle's derived series is
 // cached keyed by its incremental content hash, so a retrain after one
-// vehicle's telemetry update only re-runs the pipeline for that
-// vehicle — every clean vehicle reuses its cached (immutable) prepared
-// series. Only the raw-series copy of dirty vehicles happens under the
-// store lock; the pipeline itself runs outside it, so a retrain fetch
-// never stalls concurrent telemetry writes for more than the copy.
+// vehicle's telemetry update only re-derives that vehicle — every
+// clean vehicle reuses its cached (immutable) series. Only the
+// raw-series copy of dirty vehicles happens under the store lock; the
+// derive runs outside it, so a retrain fetch never stalls concurrent
+// telemetry writes for more than the copy.
 func (s *Store) Fleet(ctx context.Context) ([]engine.Vehicle, error) {
 	type rawVehicle struct {
 		id     string
@@ -601,11 +610,11 @@ func (s *Store) Fleet(ctx context.Context) ([]engine.Vehicle, error) {
 			out = append(out, rv.cached)
 			continue
 		}
-		prep, err := dataprep.Prepare(rv.id, rv.start, rv.u, s.allowance)
+		vs, err := timeseries.Derive(rv.id, rv.u, s.allowance)
 		if err != nil {
-			return nil, fmt.Errorf("ingest: preparing vehicle %s: %w", rv.id, err)
+			return nil, fmt.Errorf("ingest: deriving vehicle %s: %w", rv.id, err)
 		}
-		v := engine.Vehicle{Series: prep.Series, Start: prep.Start}
+		v := engine.Vehicle{Series: vs, Start: rv.start}
 		s.prepMu.Lock()
 		if s.prepCache == nil {
 			s.prepCache = make(map[string]preparedEntry)
@@ -635,29 +644,6 @@ func (s *Store) SeedFromFleet(f *telematics.Fleet) (BatchResult, error) {
 			reports = append(reports, Report{
 				VehicleID: v.Profile.ID,
 				Date:      v.Start.AddDate(0, 0, t),
-				Seconds:   sec,
-			})
-		}
-	}
-	return s.UpsertBatch(reports)
-}
-
-// DrainCollector copies a telematics.Collector's accumulated daily
-// series into the store, closing the on-vehicle loop: controllers
-// stream SummaryReports into a Collector, and draining it lands the
-// per-day aggregates here. Draining is idempotent — re-draining an
-// unchanged collector changes nothing.
-func (s *Store) DrainCollector(c *telematics.Collector) (BatchResult, error) {
-	var reports []Report
-	for _, id := range c.Vehicles() {
-		start, u, err := c.DailySeries(id)
-		if err != nil {
-			return BatchResult{}, fmt.Errorf("ingest: draining collector for %s: %w", id, err)
-		}
-		for t, sec := range u {
-			reports = append(reports, Report{
-				VehicleID: id,
-				Date:      start.AddDate(0, 0, t),
 				Seconds:   sec,
 			})
 		}

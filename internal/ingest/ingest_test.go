@@ -111,7 +111,7 @@ func TestOutOfOrderDelivery(t *testing.T) {
 }
 
 // TestGapsAreZeroDays: unreported days inside the span materialize as
-// zero-usage days, matching the telematics.Collector semantics.
+// zero-usage days: the vehicle did not work.
 func TestGapsAreZeroDays(t *testing.T) {
 	s := New(0)
 	s.UpsertBatch([]Report{report("v01", 3, 4000), report("v01", 0, 1000)})
@@ -303,44 +303,6 @@ func TestSeedFromFleetMatchesCSVPath(t *testing.T) {
 				t.Fatalf("vehicle %s day %d: %v, want %v", v.Profile.ID, i, u[i], w)
 			}
 		}
-	}
-}
-
-func TestDrainCollector(t *testing.T) {
-	c := telematics.NewCollector()
-	t0 := time.Date(2019, 6, 3, 8, 0, 0, 0, time.UTC)
-	for i := 0; i < 3; i++ {
-		if err := c.Receive(telematics.SummaryReport{
-			VehicleID:   "v01",
-			PeriodStart: t0.Add(time.Duration(i) * 10 * time.Minute),
-			PeriodEnd:   t0.Add(time.Duration(i+1) * 10 * time.Minute),
-			WorkSeconds: 600,
-		}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	s := New(0)
-	res, err := s.DrainCollector(c)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Accepted != 1 || res.Changed != 1 {
-		t.Fatalf("drain = %+v", res)
-	}
-	fleet, err := s.Fleet(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(fleet) != 1 || len(fleet[0].Series.U) != 1 || fleet[0].Series.U[0] != 1800 {
-		t.Fatalf("drained series = %+v", fleet[0].Series.U)
-	}
-	// Re-draining an unchanged collector is a no-op.
-	res, err = s.DrainCollector(c)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Changed != 0 {
-		t.Fatalf("re-drain changed %d, want 0", res.Changed)
 	}
 }
 

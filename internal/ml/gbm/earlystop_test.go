@@ -81,3 +81,27 @@ func TestEarlyStoppingValidationFractionDefault(t *testing.T) {
 		t.Fatalf("validation fraction set without early stopping: %v", m2.ValidationFraction)
 	}
 }
+
+// TestEarlyStoppingKeepsOnlyUsedNodes: after early stopping cuts the
+// ensemble, the model holds exactly its stages' nodes, not round 0's
+// reservation for every round.
+func TestEarlyStoppingKeepsOnlyUsedNodes(t *testing.T) {
+	rnd := rng.New(1)
+	n := 300
+	x := make([][]float64, n)
+	y := make([]float64, n)
+	for i := range x {
+		x[i] = []float64{rnd.Float64()}
+		y[i] = rnd.NormFloat64()
+	}
+	m := New(Config{NEstimators: 500, MaxDepth: 3, LearningRate: 0.3, EarlyStoppingRounds: 10, Seed: 1})
+	if err := m.Fit(x, y); err != nil {
+		t.Fatal(err)
+	}
+	if m.TreeCount() >= 500 {
+		t.Fatalf("early stopping never fired: %d trees", m.TreeCount())
+	}
+	if cap(m.nodes) != len(m.nodes) || cap(m.stageStart) != len(m.stageStart) {
+		t.Fatalf("%d nodes in a buffer of %d, %d stage starts in %d", len(m.nodes), cap(m.nodes), len(m.stageStart), cap(m.stageStart))
+	}
+}

@@ -348,6 +348,10 @@ func (m *Model) FitMatrix(cm *ml.ColMatrix, y []float64) error {
 		m.stageStart = m.stageStart[:bestRound+2]
 		m.nodes = m.nodes[:m.stageStart[bestRound+1]]
 	}
+	// Keep only what the fitted stages use: round 0 reserved room for
+	// every round, and early stopping may have cut most of it.
+	m.nodes = append(make([]bnode, 0, len(m.nodes)), m.nodes...)
+	m.stageStart = append(make([]int32, 0, len(m.stageStart)), m.stageStart...)
 	t.recycleSlabs()
 	ml.AddHistStats(&t.stats)
 	m.fitted = true

@@ -119,7 +119,9 @@ func (m *Model) fitExact(cm *ml.ColMatrix, y []float64, w []float64) {
 
 	sum, count := b.nodeStats(0, active)
 	b.grow(0, active, 0, sum, count)
-	m.nodes = b.nodes
+	// Keep only the nodes the tree uses: the reservation is a worst
+	// case, and bootstrapped rows repeat, so most of it stays empty.
+	m.nodes = append(make([]node, 0, len(b.nodes)), b.nodes...)
 	m.width = p
 	m.importances = b.gains
 	m.fitted = true

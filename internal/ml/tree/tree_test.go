@@ -205,3 +205,23 @@ func TestDuplicateFeatureValuesNoSplit(t *testing.T) {
 		t.Fatalf("mean prediction = %v", got)
 	}
 }
+
+// TestFitKeepsOnlyUsedNodes: a fitted tree holds exactly the nodes it
+// grew, not the builder's worst-case reservation. A constant target
+// grows one leaf against a reservation of 2n+1.
+func TestFitKeepsOnlyUsedNodes(t *testing.T) {
+	n := 200
+	x := make([][]float64, n)
+	y := make([]float64, n)
+	for i := range x {
+		x[i] = []float64{float64(i)}
+		y[i] = 7
+	}
+	m := New(Config{MinSamplesLeaf: 1})
+	if err := m.Fit(x, y); err != nil {
+		t.Fatal(err)
+	}
+	if m.NodeCount() != 1 || cap(m.nodes) != len(m.nodes) {
+		t.Fatalf("%d nodes in a buffer of %d, want 1 in 1", len(m.nodes), cap(m.nodes))
+	}
+}

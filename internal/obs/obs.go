@@ -66,20 +66,6 @@ func (w *TextWriter) Meta(name, help, kind string) {
 	w.b.WriteByte('\n')
 }
 
-// Described reports whether Meta already ran for name — the router's
-// merge uses this to drop duplicate HELP/TYPE comments relayed from
-// shards.
-func (w *TextWriter) Described(name string) bool { return w.meta[name] }
-
-// MarkDescribed records that name carries comments without writing any
-// (for comment lines relayed verbatim from another exposition).
-func (w *TextWriter) MarkDescribed(name string) {
-	if w.meta == nil {
-		w.meta = make(map[string]bool)
-	}
-	w.meta[name] = true
-}
-
 // DescribedNames returns the metric names Meta has run for, sorted —
 // the router seeds its shard-relabeling dedup set from these so a
 // metric the router already described is not re-described by a relayed

@@ -5,87 +5,12 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"sort"
 	"strconv"
 	"strings"
 	"time"
 )
 
-// Collector is the cloud-side endpoint: it receives SummaryReports from
-// on-board controllers and reduces them to per-vehicle daily utilization
-// series, the input of the prediction pipeline.
-type Collector struct {
-	// perDay[vehicle][dayKey] accumulates working seconds.
-	perDay map[string]map[string]float64
-}
-
-// NewCollector returns an empty collector.
-func NewCollector() *Collector {
-	return &Collector{perDay: make(map[string]map[string]float64)}
-}
-
 const dayKeyLayout = "2006-01-02"
-
-// Receive ingests one summary report, attributing its working seconds to
-// the calendar day of the period start.
-func (c *Collector) Receive(r SummaryReport) error {
-	if r.VehicleID == "" {
-		return fmt.Errorf("telematics: report with empty vehicle id")
-	}
-	if r.WorkSeconds < 0 || math.IsNaN(r.WorkSeconds) {
-		return fmt.Errorf("telematics: report for %s with invalid work seconds %v", r.VehicleID, r.WorkSeconds)
-	}
-	m, ok := c.perDay[r.VehicleID]
-	if !ok {
-		m = make(map[string]float64)
-		c.perDay[r.VehicleID] = m
-	}
-	m[r.PeriodStart.UTC().Format(dayKeyLayout)] += r.WorkSeconds
-	return nil
-}
-
-// Vehicles lists the vehicle IDs with at least one report, sorted.
-func (c *Collector) Vehicles() []string {
-	ids := make([]string, 0, len(c.perDay))
-	for id := range c.perDay {
-		ids = append(ids, id)
-	}
-	sort.Strings(ids)
-	return ids
-}
-
-// DailySeries materializes the contiguous daily utilization series of one
-// vehicle from its first to its last reported day; days without reports
-// are zero (the vehicle simply did not work).
-func (c *Collector) DailySeries(vehicleID string) (start time.Time, u []float64, err error) {
-	m, ok := c.perDay[vehicleID]
-	if !ok || len(m) == 0 {
-		return time.Time{}, nil, fmt.Errorf("telematics: no reports for vehicle %q", vehicleID)
-	}
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	first, err := time.Parse(dayKeyLayout, keys[0])
-	if err != nil {
-		return time.Time{}, nil, fmt.Errorf("telematics: corrupt day key %q: %w", keys[0], err)
-	}
-	last, err := time.Parse(dayKeyLayout, keys[len(keys)-1])
-	if err != nil {
-		return time.Time{}, nil, fmt.Errorf("telematics: corrupt day key %q: %w", keys[len(keys)-1], err)
-	}
-	days := int(last.Sub(first).Hours()/24) + 1
-	u = make([]float64, days)
-	for k, v := range m {
-		d, err := time.Parse(dayKeyLayout, k)
-		if err != nil {
-			return time.Time{}, nil, fmt.Errorf("telematics: corrupt day key %q: %w", k, err)
-		}
-		u[int(d.Sub(first).Hours()/24)] = v
-	}
-	return first, u, nil
-}
 
 // WriteCSV serializes a fleet's raw daily series as CSV with the header
 // vehicle,model,class,date,seconds. NaN (missing) days are written as

@@ -1,3 +1,17 @@
+// Package telematics generates the synthetic fleet the system is
+// exercised on, and reads and writes it as CSV. Each vehicle's raw
+// daily utilization series U_v(t) is what the paper's telematics
+// backend delivers: in the deployed system the on-vehicle collectors'
+// daily totals reach the ingest store through its telemetry doors, and
+// a CSV export seeds it.
+//
+// The real system (Tierra S.p.A. telematics) is proprietary and its data
+// is unavailable, so the generator reproduces the statistical properties
+// the paper reports — heterogeneous usage levels, weekly and annual
+// seasonality, multi-week idle periods, sudden site relocations, and the
+// ~30 % lower utilization during the first maintenance cycle — so that
+// every downstream component is exercised on data with the same shape as
+// the original.
 package telematics
 
 import (

@@ -10,166 +10,6 @@ import (
 	"repro/internal/rng"
 )
 
-func TestFrameGenValidation(t *testing.T) {
-	if _, err := NewFrameGen("", DefaultFrameGenConfig(), rng.New(1)); err == nil {
-		t.Fatal("empty vehicle id accepted")
-	}
-	cfg := DefaultFrameGenConfig()
-	cfg.Rate = 0.5
-	if _, err := NewFrameGen("v1", cfg, rng.New(1)); err == nil {
-		t.Fatal("sub-1Hz rate accepted")
-	}
-}
-
-func TestFrameGenSession(t *testing.T) {
-	gen, err := NewFrameGen("v1", DefaultFrameGenConfig(), rng.New(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	start := time.Date(2019, 6, 3, 8, 0, 0, 0, time.UTC)
-	var frames []Frame
-	n := gen.Session(start, time.Minute, func(f Frame) bool {
-		frames = append(frames, f)
-		return true
-	})
-	if n != len(frames) {
-		t.Fatalf("returned count %d != emitted %d", n, len(frames))
-	}
-	if want := 6000; n != want { // 100 Hz × 60 s
-		t.Fatalf("got %d frames, want %d", n, want)
-	}
-	working := 0
-	for _, f := range frames {
-		if f.VehicleID != "v1" {
-			t.Fatal("frame with wrong vehicle id")
-		}
-		if f.Working {
-			working++
-			if f.EngineSpeed < 1000 {
-				t.Fatalf("working frame with idle RPM %v", f.EngineSpeed)
-			}
-		}
-	}
-	// ~92.5 % of the session is the working phase.
-	if share := float64(working) / float64(n); share < 0.85 || share > 0.97 {
-		t.Fatalf("working share %.3f outside [0.85, 0.97]", share)
-	}
-	// Frames are monotone in time.
-	for i := 1; i < len(frames); i++ {
-		if !frames[i].Timestamp.After(frames[i-1].Timestamp) {
-			t.Fatal("timestamps not strictly increasing")
-		}
-	}
-}
-
-func TestFrameGenSessionAbort(t *testing.T) {
-	gen, _ := NewFrameGen("v1", DefaultFrameGenConfig(), rng.New(1))
-	n := gen.Session(time.Now(), time.Minute, func(Frame) bool { return false })
-	if n != 1 {
-		t.Fatalf("abort after first frame emitted %d frames", n)
-	}
-}
-
-func TestControllerAggregation(t *testing.T) {
-	const rate = 100.0
-	ctrl, err := NewController("v1", 10*time.Minute, rate)
-	if err != nil {
-		t.Fatal(err)
-	}
-	gen, _ := NewFrameGen("v1", DefaultFrameGenConfig(), rng.New(2))
-	start := time.Date(2019, 6, 3, 8, 0, 0, 0, time.UTC)
-	gen.Session(start, 25*time.Minute, func(f Frame) bool {
-		if err := ctrl.Ingest(f); err != nil {
-			t.Fatal(err)
-		}
-		return true
-	})
-	reports := ctrl.Flush()
-	if len(reports) != 3 { // 25 min spans three 10-minute periods
-		t.Fatalf("got %d reports, want 3", len(reports))
-	}
-	var work float64
-	for _, r := range reports {
-		if r.VehicleID != "v1" {
-			t.Fatal("report with wrong vehicle")
-		}
-		if r.PeriodEnd.Sub(r.PeriodStart) != 10*time.Minute {
-			t.Fatalf("period length %v", r.PeriodEnd.Sub(r.PeriodStart))
-		}
-		work += r.WorkSeconds
-	}
-	// 92.5 % of 25 min ≈ 1387 s of working time.
-	if work < 1300 || work > 1500 {
-		t.Fatalf("total work seconds %v outside [1300, 1500]", work)
-	}
-	if again := ctrl.Flush(); len(again) != 0 {
-		t.Fatalf("second flush returned %d reports", len(again))
-	}
-}
-
-func TestControllerRejectsForeignFrames(t *testing.T) {
-	ctrl, _ := NewController("v1", time.Minute, 100)
-	if err := ctrl.Ingest(Frame{VehicleID: "v2", Timestamp: time.Now()}); err == nil {
-		t.Fatal("foreign frame accepted")
-	}
-}
-
-func TestControllerValidation(t *testing.T) {
-	if _, err := NewController("v1", 0, 100); err == nil {
-		t.Fatal("zero period accepted")
-	}
-	if _, err := NewController("v1", time.Minute, 0); err == nil {
-		t.Fatal("zero rate accepted")
-	}
-}
-
-func TestCollector(t *testing.T) {
-	c := NewCollector()
-	day := time.Date(2019, 6, 3, 0, 0, 0, 0, time.UTC)
-	for i, secs := range []float64{100, 200, 300} {
-		err := c.Receive(SummaryReport{
-			VehicleID:   "v1",
-			PeriodStart: day.AddDate(0, 0, i*2), // days 0, 2, 4
-			WorkSeconds: secs,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
-	start, u, err := c.DailySeries("v1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !start.Equal(day) {
-		t.Fatalf("start = %v, want %v", start, day)
-	}
-	want := []float64{100, 0, 200, 0, 300}
-	if len(u) != len(want) {
-		t.Fatalf("series %v, want %v", u, want)
-	}
-	for i := range want {
-		if u[i] != want[i] {
-			t.Fatalf("series %v, want %v", u, want)
-		}
-	}
-	if got := c.Vehicles(); len(got) != 1 || got[0] != "v1" {
-		t.Fatalf("Vehicles = %v", got)
-	}
-}
-
-func TestCollectorRejectsBadReports(t *testing.T) {
-	c := NewCollector()
-	if err := c.Receive(SummaryReport{VehicleID: "", WorkSeconds: 1}); err == nil {
-		t.Fatal("empty id accepted")
-	}
-	if err := c.Receive(SummaryReport{VehicleID: "v1", WorkSeconds: -1}); err == nil {
-		t.Fatal("negative work accepted")
-	}
-	if _, _, err := c.DailySeries("ghost"); err == nil {
-		t.Fatal("unknown vehicle accepted")
-	}
-}
-
 func TestProfileValidation(t *testing.T) {
 	valid := Profile{
 		ID: "v1", BaseDailySeconds: 20000, Allowance: 2e6,

@@ -8,8 +8,8 @@
 // cycle reaches the per-vehicle allowance T_v (the paper uses
 // T_v = 2 000 000 seconds for every vehicle). The package derives cycle
 // boundaries from a raw utilization series, segments the data into
-// cycles, and offers the summary statistics used for exploration
-// (Figures 1–3) and the similarity computation of §4.4.
+// cycles, and offers the distance used by the similarity computation of
+// §4.4.
 package timeseries
 
 import (
@@ -24,9 +24,6 @@ const DefaultAllowance = 2_000_000.0
 
 // Series is a daily time series indexed by day offset t = 0, 1, 2, ...
 type Series []float64
-
-// Len returns the number of days in the series.
-func (s Series) Len() int { return len(s) }
 
 // Clone returns a deep copy.
 func (s Series) Clone() Series {
@@ -52,43 +49,6 @@ func (s Series) Mean() float64 {
 	return s.Sum() / float64(len(s))
 }
 
-// Std returns the population standard deviation, or 0 for fewer than two
-// samples.
-func (s Series) Std() float64 {
-	if len(s) < 2 {
-		return 0
-	}
-	m := s.Mean()
-	var ss float64
-	for _, v := range s {
-		d := v - m
-		ss += d * d
-	}
-	return math.Sqrt(ss / float64(len(s)))
-}
-
-// Min returns the minimum value; +Inf for an empty series.
-func (s Series) Min() float64 {
-	m := math.Inf(1)
-	for _, v := range s {
-		if v < m {
-			m = v
-		}
-	}
-	return m
-}
-
-// Max returns the maximum value; -Inf for an empty series.
-func (s Series) Max() float64 {
-	m := math.Inf(-1)
-	for _, v := range s {
-		if v > m {
-			m = v
-		}
-	}
-	return m
-}
-
 // Slice returns s[from:to] as a copy, clamping the bounds to the series.
 func (s Series) Slice(from, to int) Series {
 	if from < 0 {
@@ -101,27 +61,6 @@ func (s Series) Slice(from, to int) Series {
 		return Series{}
 	}
 	return s[from:to].Clone()
-}
-
-// ZeroRuns returns the lengths of maximal runs of zero-valued days. These
-// are the "vertical steps" visible in Figure 3 of the paper.
-func (s Series) ZeroRuns() []int {
-	var runs []int
-	run := 0
-	for _, v := range s {
-		if v == 0 {
-			run++
-			continue
-		}
-		if run > 0 {
-			runs = append(runs, run)
-			run = 0
-		}
-	}
-	if run > 0 {
-		runs = append(runs, run)
-	}
-	return runs
 }
 
 // Cycle is one maintenance cycle: days [Start, End) of the utilization
@@ -277,47 +216,6 @@ func (vs *VehicleSeries) FirstCycle() (Cycle, bool) {
 		return Cycle{}, false
 	}
 	return vs.Cycles[0], true
-}
-
-// CycleOf returns the cycle containing day t.
-func (vs *VehicleSeries) CycleOf(t int) (Cycle, error) {
-	if t < 0 || t >= len(vs.U) {
-		return Cycle{}, fmt.Errorf("timeseries: day %d out of range [0,%d)", t, len(vs.U))
-	}
-	for _, c := range vs.Cycles {
-		if t >= c.Start && t < c.End {
-			return c, nil
-		}
-	}
-	return Cycle{}, fmt.Errorf("timeseries: day %d not covered by any cycle (internal inconsistency)", t)
-}
-
-// MeanDailyUtilization returns the mean of U over days [from, to).
-func (vs *VehicleSeries) MeanDailyUtilization(from, to int) float64 {
-	return vs.U.Slice(from, to).Mean()
-}
-
-// Pearson returns the Pearson correlation coefficient between two
-// equal-length series. It returns 0 when either series is constant.
-func Pearson(a, b Series) (float64, error) {
-	if len(a) != len(b) {
-		return 0, fmt.Errorf("timeseries: Pearson length mismatch %d vs %d", len(a), len(b))
-	}
-	if len(a) == 0 {
-		return 0, ErrEmptySeries
-	}
-	ma, mb := a.Mean(), b.Mean()
-	var num, da, db float64
-	for i := range a {
-		x, y := a[i]-ma, b[i]-mb
-		num += x * y
-		da += x * x
-		db += y * y
-	}
-	if da == 0 || db == 0 {
-		return 0, nil
-	}
-	return num / math.Sqrt(da*db), nil
 }
 
 // AvgDistance returns the point-wise average absolute distance between

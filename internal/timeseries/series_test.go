@@ -10,14 +10,11 @@ import (
 
 func TestSeriesStats(t *testing.T) {
 	s := Series{1, 2, 3, 4}
-	if s.Sum() != 10 || s.Mean() != 2.5 || s.Min() != 1 || s.Max() != 4 {
-		t.Fatalf("stats wrong: sum=%v mean=%v min=%v max=%v", s.Sum(), s.Mean(), s.Min(), s.Max())
+	if s.Sum() != 10 || s.Mean() != 2.5 {
+		t.Fatalf("stats wrong: sum=%v mean=%v", s.Sum(), s.Mean())
 	}
 	if got := (Series{}).Mean(); got != 0 {
 		t.Fatalf("empty mean = %v, want 0", got)
-	}
-	if std := (Series{2, 2, 2}).Std(); std != 0 {
-		t.Fatalf("constant std = %v, want 0", std)
 	}
 }
 
@@ -31,17 +28,6 @@ func TestSliceClamps(t *testing.T) {
 	}
 	if got := s.Slice(3, 1); len(got) != 0 {
 		t.Fatalf("inverted Slice = %v, want empty", got)
-	}
-}
-
-func TestZeroRuns(t *testing.T) {
-	s := Series{0, 0, 5, 0, 3, 0, 0, 0}
-	runs := s.ZeroRuns()
-	if len(runs) != 3 || runs[0] != 2 || runs[1] != 1 || runs[2] != 3 {
-		t.Fatalf("ZeroRuns = %v, want [2 1 3]", runs)
-	}
-	if got := (Series{1, 2}).ZeroRuns(); len(got) != 0 {
-		t.Fatalf("no-zero series gave runs %v", got)
 	}
 }
 
@@ -167,35 +153,6 @@ func TestCompleteCyclesAndFirstCycle(t *testing.T) {
 	}
 }
 
-func TestCycleOf(t *testing.T) {
-	vs, _ := Derive("v", craftedSeries(), 100)
-	c, err := vs.CycleOf(4)
-	if err != nil || c.Index != 1 {
-		t.Fatalf("CycleOf(4) = %+v err=%v", c, err)
-	}
-	if _, err := vs.CycleOf(99); err == nil {
-		t.Fatal("out-of-range day accepted")
-	}
-}
-
-func TestPearsonKnown(t *testing.T) {
-	r, err := Pearson(Series{1, 2, 3}, Series{2, 4, 6})
-	if err != nil || math.Abs(r-1) > 1e-12 {
-		t.Fatalf("perfect correlation = %v err=%v", r, err)
-	}
-	r, _ = Pearson(Series{1, 2, 3}, Series{6, 4, 2})
-	if math.Abs(r+1) > 1e-12 {
-		t.Fatalf("perfect anticorrelation = %v", r)
-	}
-	r, _ = Pearson(Series{1, 1, 1}, Series{1, 2, 3})
-	if r != 0 {
-		t.Fatalf("constant series correlation = %v, want 0", r)
-	}
-	if _, err := Pearson(Series{1}, Series{1, 2}); err == nil {
-		t.Fatal("length mismatch accepted")
-	}
-}
-
 func TestAvgDistance(t *testing.T) {
 	d, err := AvgDistance(Series{1, 2, 3}, Series{2, 4, 10})
 	if err != nil {
@@ -221,13 +178,6 @@ func TestAvgDistanceMatchesDefinition(t *testing.T) {
 	}
 	if want := (2.0 + 0 + 2) / 3; d != want {
 		t.Fatalf("avg distance = %v, want %v", d, want)
-	}
-}
-
-func TestMeanDailyUtilization(t *testing.T) {
-	vs, _ := Derive("v", craftedSeries(), 100)
-	if got := vs.MeanDailyUtilization(0, 2); got != 40 {
-		t.Fatalf("mean over [0,2) = %v, want 40", got)
 	}
 }
 
