@@ -168,7 +168,7 @@ func TestRestoreSnapshotRefusesVersion1(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if restoreSnapshot(eng, snaps, "shard00") || eng.Snapshot() != nil {
+	if _, ok := restoreSnapshot(eng, readSnapshots(snaps, []string{"shard00"}), "shard00", false); ok || eng.Snapshot() != nil {
 		t.Fatal("a version 1 spill was restored; the boot must cold-train instead")
 	}
 }

@@ -18,11 +18,24 @@
 // acknowledged (-fsync always|interval|never picks the sync policy),
 // and a restarted process reconstructs the store by replaying the log
 // — a kill -9 loses no acknowledged report. Combined with
-// -snapshot-dir the boot order is snapstore-restore → WAL-replay →
-// incremental reconcile retrain, so a crashed server comes back
-// serving its last generation and folds recovered telemetry in without
-// ever cold-training; each persisted generation also checkpoints the
-// store and compacts the WAL segments the checkpoint covers. Without
+// -snapshot-dir the boot order is:
+//
+//  1. WAL replay (ingest.OpenDurable), while one goroutine reads each
+//     shard's snapshot file, checks its CRC and decodes its rows;
+//  2. the restored rows are published (engine.Restore): /readyz and
+//     every read answer from them, before any model is decoded;
+//  3. the models decode on a goroutine that holds the engine's build
+//     lock, with /admin/status reporting retraining:true from step 2
+//     until step 4 ends. A CRC-valid file whose model table does not
+//     decode is logged and its models dropped: the rows keep serving
+//     and the reconcile retrains every vehicle;
+//  4. under the same hold, one incremental reconcile retrain folds the
+//     recovered telemetry in (retried while a -join shard's peers boot).
+//
+// So a crashed server comes back serving its last generation and folds
+// recovered telemetry in without ever cold-training; each persisted
+// generation also checkpoints the store and compacts the WAL segments
+// the checkpoint covers. Without
 // -snapshot-dir nothing checkpoints: the WAL is never compacted and
 // every restart replays all of it (logged as a warning at boot).
 //
@@ -46,9 +59,9 @@
 //
 // Snapshot persistence: with -snapshot-dir every published generation
 // is spilled to disk (atomic rename) and restored at the next boot, so
-// a restarted server answers from its last generation immediately and
-// retrains incrementally from the persisted model keys instead of
-// cold-training.
+// a restarted server answers from its last generation's rows
+// immediately and retrains incrementally from the persisted model keys
+// and models instead of cold-training.
 //
 // Telemetry protection (enforce at the fleet's front door — the
 // router in a sharded deployment): -telemetry-rps/-telemetry-burst
@@ -204,6 +217,26 @@ func main() {
 		slog.Info("cluster shard joining ring", "shard", *join, "members", len(names), "ring", strings.Join(names, ", "))
 	}
 
+	// This process's engine shards: one, or -shards N in-process.
+	shardNames := []string{"default"}
+	switch {
+	case ring != nil:
+		shardNames = []string{*join}
+	case *shards > 1:
+		shardNames = cluster.ShardNames(*shards)
+	}
+
+	// The snapshot files are read and checked while OpenDurable replays
+	// the WAL below: neither needs the other.
+	var snaps *snapstore.Store
+	if *snapDir != "" {
+		var err error
+		if snaps, err = snapstore.New(*snapDir); err != nil {
+			fatal("opening snapshot store", "dir", *snapDir, "error", err)
+		}
+	}
+	rows := readSnapshots(snaps, shardNames)
+
 	// Base fleet source: live store (durable with -wal-dir) or CSV
 	// re-read. Boot order for a durable store: checkpoint + WAL replay
 	// happen inside OpenDurable, before anything is served.
@@ -223,28 +256,19 @@ func main() {
 		base = csvSource(*data)
 	}
 
-	var snaps *snapstore.Store
-	if *snapDir != "" {
-		var err error
-		if snaps, err = snapstore.New(*snapDir); err != nil {
-			fatal("opening snapshot store", "dir", *snapDir, "error", err)
-		}
-	}
-
 	waitForTelemetry := waitForTelemetryAtBoot(*liveIngest, len(storeVehicles(store)), ring != nil)
 	ecfg := engine.Config{Predictor: cfg, Workers: *workers, Logger: logger}
 
 	if *shards > 1 {
-		runSharded(*addr, *shards, ecfg, base, store, snaps, *retrainDirt, *interval, waitForTelemetry, guard, logger, *pprofFlag)
+		runSharded(*addr, *shards, ecfg, base, store, snaps, rows, *retrainDirt, *interval, waitForTelemetry, guard, logger, *pprofFlag)
 		return
 	}
 
 	// Single engine: the whole fleet, or — with -join — this shard's
 	// partition of it.
-	shardName := "default"
+	shardName := shardNames[0]
 	src := base
 	if ring != nil {
-		shardName = *join
 		if *liveIngest {
 			// Partitioned store: everything local is owned; the
 			// fleet-wide donor pool is pulled from the peers at each
@@ -273,7 +297,8 @@ func main() {
 	if err != nil {
 		fatal("building engine", "error", err)
 	}
-	restored := restoreSnapshot(eng, snaps, shardName)
+	reconcile := *liveIngest && len(store.Vehicles()) > 0
+	reconciled, restored := restoreSnapshot(eng, rows, shardName, reconcile)
 
 	srv, err := serve.NewWithOptions(eng, serve.Options{
 		Ingest:       store,
@@ -288,20 +313,21 @@ func main() {
 
 	// Bind before the cold training finishes: the server answers
 	// /healthz and /admin/status immediately and 503s data endpoints
-	// until the first snapshot lands. A restored snapshot serves at
-	// once; retrains stay incremental against it, so the eager cold
-	// train is skipped — a reconcile retrain (incremental: everything
-	// the snapshot covers is reused without training) folds in whatever
-	// the WAL replay recovered beyond the snapshot.
+	// until the first snapshot lands. A restored snapshot's rows serve
+	// at once while its models decode; retrains stay incremental against
+	// it, so the eager cold train is skipped — a reconcile retrain
+	// (incremental: everything the snapshot covers is reused without
+	// training) folds in whatever the WAL replay recovered beyond the
+	// snapshot.
 	switch {
 	case restored:
 		slog.Info("serving restored generation; retrains will be incremental", "shard", shardName, "generation", eng.Snapshot().Generation)
-		if *liveIngest && len(store.Vehicles()) > 0 {
+		if reconcile {
 			retries := 0
 			if ring != nil {
 				retries = 60 // the first donor fetch races the peers' boot
 			}
-			go reconcileRetrain(eng, retries, shardName)
+			go reconcileRetrain(eng, reconciled, retries, shardName)
 		}
 	case waitForTelemetry:
 		slog.Info("ingest store empty; waiting for POST /telemetry before the first training")
@@ -331,7 +357,7 @@ func main() {
 // runSharded boots the in-process cluster: N partitioned engines, one
 // serve.Server each over the shared store, and the fan-out router in
 // front.
-func runSharded(addr string, shards int, ecfg engine.Config, base engine.Source, store *ingest.Store, snaps *snapstore.Store, retrainDirty int, interval time.Duration, waitForTelemetry bool, guard serve.GuardOptions, logger *slog.Logger, pprofFlag bool) {
+func runSharded(addr string, shards int, ecfg engine.Config, base engine.Source, store *ingest.Store, snaps *snapstore.Store, rows func(string) (*snapstore.Rows, error), retrainDirty int, interval time.Duration, waitForTelemetry bool, guard serve.GuardOptions, logger *slog.Logger, pprofFlag bool) {
 	// Shard engines register their training metrics here so the spill
 	// hook can attribute snapshot-encode time; a spill that fires before
 	// registration (a restore racing boot) just skips the observation.
@@ -374,10 +400,11 @@ func runSharded(addr string, shards int, ecfg engine.Config, base engine.Source,
 		backends = append(backends, serve.ShardBackend{Name: sh.Name, Handler: srv})
 		engines = append(engines, sh.Engine)
 
-		if restoreSnapshot(sh.Engine, snaps, sh.Name) {
+		reconcile := store != nil && len(store.Vehicles()) > 0
+		if reconciled, ok := restoreSnapshot(sh.Engine, rows, sh.Name, reconcile); ok {
 			slog.Info("serving restored generation", "shard", sh.Name, "generation", sh.Engine.Snapshot().Generation)
-			if store != nil && len(store.Vehicles()) > 0 {
-				go reconcileRetrain(sh.Engine, 0, sh.Name)
+			if reconcile {
+				go reconcileRetrain(sh.Engine, reconciled, 0, sh.Name)
 			}
 		} else if !waitForTelemetry {
 			go func(sh cluster.Shard) {
@@ -521,20 +548,19 @@ func initialTrain(eng *engine.Engine, retries int, failFast bool) {
 	slog.Info("initial training complete", "vehicles", len(snap.Statuses), "seconds", snap.TrainDuration.Seconds(), "workers", eng.Workers())
 }
 
-// reconcileRetrain folds WAL-recovered telemetry into a restored
-// generation with one incremental retrain (near-free when the
-// snapshot already covers the store: model keys match, everything
-// reuses). Like initialTrain it retries while a partitioned cluster's
-// peers come up, so crash recovery completes without waiting for the
-// next telemetry batch or periodic tick. ErrRetrainInFlight means some
-// other trigger is already rebuilding from the same source — done.
-func reconcileRetrain(eng *engine.Engine, retries int, shard string) {
+// reconcileRetrain sees the reconcile build of a restore through: it
+// waits for the build that Engine.Restore runs after the model decode
+// (near-free when the snapshot already covers the store: model keys
+// match, everything reuses), and when that build failed, it retries
+// while a partitioned cluster's peers come up, so crash recovery
+// completes without waiting for the next telemetry batch or periodic
+// tick. A retry that meets ErrRetrainInFlight is done: the models are
+// decoded by then, so the build in flight started after the decode and
+// reads the same source.
+func reconcileRetrain(eng *engine.Engine, reconciled <-chan error, retries int, shard string) {
 	slog.Info("reconciling restored generation with recovered telemetry (incremental)", "shard", shard)
-	for attempt := 0; ; attempt++ {
-		_, err := eng.TryRetrainFromSource(context.Background(), false)
-		if err == nil || errors.Is(err, engine.ErrRetrainInFlight) {
-			return
-		}
+	err := <-reconciled
+	for attempt := 0; err != nil && !errors.Is(err, engine.ErrRetrainInFlight); attempt++ {
 		if attempt >= retries {
 			slog.Error("reconcile retrain failed; still serving the restored generation", "shard", shard, "error", err)
 			return
@@ -543,6 +569,7 @@ func reconcileRetrain(eng *engine.Engine, retries int, shard string) {
 			slog.Warn("reconcile retrain failed; retrying while the cluster assembles", "shard", shard, "error", err)
 		}
 		time.Sleep(time.Second)
+		_, err = eng.TryRetrainFromSource(context.Background(), false)
 	}
 }
 
@@ -647,25 +674,56 @@ func checkpointAfterSpill(store *ingest.Store, shard string, generation uint64) 
 	}
 }
 
-// restoreSnapshot loads and installs a persisted generation, reporting
-// whether the engine now serves it. Missing spills are normal (first
-// boot); anything else is logged and treated as cold boot.
-func restoreSnapshot(eng *engine.Engine, snaps *snapstore.Store, shard string) bool {
-	if snaps == nil {
-		return false
+// readSnapshots starts reading and checking every shard's persisted
+// snapshot file on one goroutine, decoding only the rows, and returns a
+// lookup that waits for that read: the boot overlaps it with the WAL
+// replay. Without a snapshot store every lookup reports a missing file.
+func readSnapshots(snaps *snapstore.Store, shards []string) func(shard string) (*snapstore.Rows, error) {
+	type loaded struct {
+		rows *snapstore.Rows
+		err  error
 	}
-	snap, err := snaps.Load(shard)
+	if snaps == nil {
+		return func(string) (*snapstore.Rows, error) { return nil, os.ErrNotExist }
+	}
+	byShard := make(map[string]loaded, len(shards))
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for _, sh := range shards {
+			rows, err := snaps.LoadRows(sh)
+			byShard[sh] = loaded{rows, err}
+		}
+	}()
+	return func(shard string) (*snapstore.Rows, error) {
+		<-done
+		if l, ok := byShard[shard]; ok {
+			return l.rows, l.err
+		}
+		return nil, os.ErrNotExist
+	}
+}
+
+// restoreSnapshot publishes a shard's persisted rows and starts the
+// decode of its models (and, with reconcile, the reconcile build after
+// it; see Engine.Restore), reporting whether the engine now serves the
+// restored generation and returning the reconcile's outcome. Missing
+// spills are normal (first boot); anything else is logged and treated
+// as a cold boot.
+func restoreSnapshot(eng *engine.Engine, load func(shard string) (*snapstore.Rows, error), shard string, reconcile bool) (<-chan error, bool) {
+	rows, err := load(shard)
 	if err != nil {
 		if !errors.Is(err, os.ErrNotExist) {
 			slog.Warn("ignoring unrestorable snapshot", "shard", shard, "error", err)
 		}
-		return false
+		return nil, false
 	}
-	if err := eng.Restore(snap); err != nil {
+	reconciled, err := eng.Restore(rows.Snapshot, rows.Models, reconcile)
+	if err != nil {
 		slog.Warn("ignoring unrestorable snapshot", "shard", shard, "error", err)
-		return false
+		return nil, false
 	}
-	return true
+	return reconciled, true
 }
 
 // readFleetCSV loads a fleetgen CSV.

@@ -35,7 +35,7 @@ func AugmentTimeShift(vs *timeseries.VehicleSeries, from, to int, cfg FeatureCon
 	var out []Record
 	for k := 0; k < shifts; k++ {
 		s := 1 + rnd.Intn(len(region)-minLen)
-		shifted, err := timeseries.Derive(vs.ID, region[s:].Clone(), vs.Allowance)
+		shifted, err := timeseries.DeriveOwned(vs.ID, region[s:].Clone(), vs.Allowance)
 		if err != nil {
 			return nil, fmt.Errorf("core: deriving shifted series (s=%d): %w", s, err)
 		}

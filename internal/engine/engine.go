@@ -363,42 +363,99 @@ func (e *Engine) logRetrainError(ctx context.Context, stage string, err error) {
 		slog.String("error", err.Error()))
 }
 
-// Restore installs a previously persisted snapshot (see
-// internal/snapstore) as the current generation, so a rebooted engine
-// serves its last build immediately instead of cold-training. The
-// restored snapshot carries the model keys, pool key and models of its
-// build, so the next Retrain is incremental against it — only vehicles
-// whose model key moved since the snapshot retrain (plus, once, every
+// Restore publishes a previously persisted generation (see
+// internal/snapstore) as the current one, so a rebooted engine serves
+// its last build immediately instead of cold-training, and returns at
+// once. The restored snapshot carries the model keys and pool key of its
+// build, so the next build is incremental against it — only vehicles
+// whose model key moved since the spill retrain (plus, once, every
 // vehicle of a spill that predates the model keys, and the cold-start
 // vehicles of one whose pool key predates the first-cycle key). Restore
 // is a boot-time operation: it refuses once the engine has any snapshot.
 //
-// With a durable telemetry store the full boot order is
-// snapstore-restore → ingest WAL-replay → incremental reconcile
-// retrain: Restore makes the last generation servable instantly, the
-// WAL replay puts every acknowledged report back in the store, and the
-// reconcile retrain (model keys match for everything the snapshot
-// covers, so it fits only vehicles whose recovered reports completed a
-// cycle) closes the gap — a crash loses nothing and never forces a cold
-// train.
-func (e *Engine) Restore(snap *Snapshot) error {
+// A restore is two stages. The rows — statuses, forecasts, errors, keys
+// — are published first: every read is served from them, and no read
+// ever touches a model. models, when non-nil, then decodes the
+// generation's models (snap.Models is nil in that case) on a goroutine
+// that holds the build lock, with Status reporting retraining from the
+// moment the rows are published. The decoded models are installed by
+// publishing a copy of the snapshot that carries them; the rows readers
+// see do not change. A decode that fails is logged and its models are
+// dropped: the rows keep serving, and the next build retrains every
+// vehicle, because a vehicle without a prior model always retrains.
+//
+// With reconcile set, one incremental build from the Source runs after
+// the decode under the same hold, so a build that folds recovered
+// telemetry into the restored generation never races the decode and
+// always plans against the decoded models. The returned channel yields
+// that build's error (nil without a reconcile) once the build lock is
+// released. With a durable telemetry store the fleetserver's boot order
+// is WAL replay (ingest.OpenDurable), then Restore with reconcile: the
+// rows serve at once, the models decode, and the reconcile build — model
+// keys match for everything the snapshot covers, so it fits only
+// vehicles whose recovered reports completed a cycle — closes the gap.
+// A crash loses nothing and never forces a cold train.
+func (e *Engine) Restore(snap *Snapshot, models func() (map[string]ml.Regressor, error), reconcile bool) (<-chan error, error) {
 	if snap == nil {
-		return fmt.Errorf("engine: Restore with a nil snapshot")
+		return nil, fmt.Errorf("engine: Restore with a nil snapshot")
 	}
 	e.buildMu.Lock()
-	defer e.release()
 	if e.snap.Load() != nil {
-		return fmt.Errorf("engine: Restore after a snapshot is already live")
+		e.release()
+		return nil, fmt.Errorf("engine: Restore after a snapshot is already live")
 	}
 	if want := e.cfg.Predictor.Hash(); snap.ConfigHash != want {
+		e.release()
 		// Key-based reuse cannot see a config change; serving
 		// (and reusing) models trained under a different window, seed
 		// or candidate set would silently mix configurations.
-		return fmt.Errorf("engine: snapshot was trained under a different predictor configuration (hash %x, engine %x); cold-train instead", snap.ConfigHash, want)
+		return nil, fmt.Errorf("engine: snapshot was trained under a different predictor configuration (hash %x, engine %x); cold-train instead", snap.ConfigHash, want)
 	}
 	e.generation = snap.Generation
+	done := make(chan error, 1)
+	if models == nil && !reconcile {
+		e.snap.Store(snap)
+		e.release()
+		done <- nil
+		return done, nil
+	}
+	// Retraining before the rows are live: no reader may see a ready
+	// engine that is idle while its restore is still under way.
+	e.stateMu.Lock()
+	e.retraining = true
+	e.stateMu.Unlock()
 	e.snap.Store(snap)
-	return nil
+	go func() {
+		if models != nil {
+			e.installModels(snap, models)
+		}
+		var err error
+		if reconcile {
+			_, err = e.retrainLocked(context.Background(), e.sourceFetch, incremental)
+		}
+		e.release()
+		done <- err
+	}()
+	return done, nil
+}
+
+// installModels decodes a restored generation's models and publishes
+// the copy of snap that carries them; a failed decode leaves snap live
+// without models. The caller holds buildMu.
+func (e *Engine) installModels(snap *Snapshot, models func() (map[string]ml.Regressor, error)) {
+	t0 := time.Now()
+	m, err := models()
+	if err != nil {
+		e.log.LogAttrs(context.Background(), slog.LevelWarn, "restored models undecodable; serving the restored rows, the next build retrains every vehicle",
+			slog.Uint64("generation", snap.Generation),
+			slog.String("error", err.Error()))
+		return
+	}
+	e.snap.Store(snap.withModels(m))
+	e.log.LogAttrs(context.Background(), slog.LevelInfo, "restored models decoded",
+		slog.Uint64("generation", snap.Generation),
+		slog.Int("vehicles", len(m)),
+		slog.Float64("seconds", time.Since(t0).Seconds()))
 }
 
 // build trains the dirty vehicles on the worker pool, carries clean

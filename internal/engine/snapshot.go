@@ -114,6 +114,32 @@ func (s *Snapshot) prior() *core.PriorGeneration {
 	}
 }
 
+// withModels returns a copy of s that carries models. A restored
+// generation serves its rows before its models are decoded (see
+// Engine.Restore); the copy replaces it once they are, so no published
+// snapshot is ever mutated.
+func (s *Snapshot) withModels(models map[string]ml.Regressor) *Snapshot {
+	return &Snapshot{
+		Statuses:       s.Statuses,
+		StatusByID:     s.StatusByID,
+		Forecasts:      s.Forecasts,
+		ForecastByID:   s.ForecastByID,
+		ForecastErrors: s.ForecastErrors,
+		FailedVehicles: s.FailedVehicles,
+		Models:         models,
+		ModelKeys:      s.ModelKeys,
+		PoolHash:       s.PoolHash,
+		PoolChanged:    s.PoolChanged,
+		UnifiedReused:  s.UnifiedReused,
+		ConfigHash:     s.ConfigHash,
+		Reused:         s.Reused,
+		Retrained:      s.Retrained,
+		Generation:     s.Generation,
+		BuiltAt:        s.BuiltAt,
+		TrainDuration:  s.TrainDuration,
+	}
+}
+
 // sameAs reports whether s equals o in everything a reader or the next
 // plan can see: statuses and forecasts field by field (floats by their
 // bits, due dates by instant and location), forecast and training

@@ -571,8 +571,9 @@ func (s *Store) RawSeries(vehicleID string) (start time.Time, u []float64, ok bo
 // vehicle's telemetry update only re-derives that vehicle — every
 // clean vehicle reuses its cached (immutable) series. Only the
 // raw-series copy of dirty vehicles happens under the store lock; the
-// derive runs outside it, so a retrain fetch never stalls concurrent
-// telemetry writes for more than the copy.
+// derive runs outside it and keeps that copy as the series' U (the one
+// copy of the run a fetch makes), so a retrain fetch never stalls
+// concurrent telemetry writes for more than the copy.
 func (s *Store) Fleet(ctx context.Context) ([]engine.Vehicle, error) {
 	type rawVehicle struct {
 		id     string
@@ -610,7 +611,8 @@ func (s *Store) Fleet(ctx context.Context) ([]engine.Vehicle, error) {
 			out = append(out, rv.cached)
 			continue
 		}
-		vs, err := timeseries.Derive(rv.id, rv.u, s.allowance)
+		// rv.u is this fetch's own copy of the run: Derive it in place.
+		vs, err := timeseries.DeriveOwned(rv.id, rv.u, s.allowance)
 		if err != nil {
 			return nil, fmt.Errorf("ingest: deriving vehicle %s: %w", rv.id, err)
 		}

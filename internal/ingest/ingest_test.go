@@ -357,3 +357,40 @@ func TestFleetPreparedCache(t *testing.T) {
 		t.Fatalf("after dirty refetch: hits=%d misses=%d, want 3/3", st.PrepCacheHits, st.PrepCacheMisses)
 	}
 }
+
+// TestFleetSeriesOwnTheirRun: the series Fleet returns keep its own copy
+// of each run, so telemetry written after the fetch — a day rewritten in
+// place, a day appended, a day backfilled — leaves them unchanged.
+func TestFleetSeriesOwnTheirRun(t *testing.T) {
+	s := New(0)
+	s.UpsertBatch([]Report{
+		report("v01", 0, 1000), report("v01", 1, 2000), report("v01", 3, 3000),
+		report("v02", 0, 4000),
+	})
+	fleet, err := s.Fleet(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := make([]timeseries.Series, len(fleet))
+	for i, v := range fleet {
+		want[i] = v.Series.U.Clone()
+	}
+	s.UpsertBatch([]Report{
+		report("v01", 1, 9000), // rewrites a day inside the run
+		report("v01", 2, 8000), // fills the gap
+		report("v01", 4, 7000), // extends the run
+		report("v02", 0, 6000),
+	})
+	for i, v := range fleet {
+		if fmt.Sprint(v.Series.U) != fmt.Sprint(want[i]) {
+			t.Errorf("vehicle %s: series %v changed to %v by later telemetry", v.Series.ID, want[i], v.Series.U)
+		}
+	}
+	again, err := s.Fleet(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := fmt.Sprint(again[0].Series.U); got != "[1000 9000 8000 3000 7000]" {
+		t.Fatalf("refetched v01 = %s, want the rewritten run", got)
+	}
+}

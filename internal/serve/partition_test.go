@@ -268,7 +268,7 @@ func TestReplayedWALDoesNotKickRetrain(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := eng2.Restore(snap); err != nil {
+	if _, err := eng2.Restore(snap, nil, false); err != nil {
 		t.Fatal(err)
 	}
 	srv, err := NewWithOptions(eng2, Options{Ingest: store2, RetrainDirty: 1})

@@ -63,7 +63,7 @@ func syntheticServer(tb testing.TB, n int) *Server {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	if err := eng.Restore(syntheticSnapshot(cfg, syntheticIDs(n))); err != nil {
+	if _, err := eng.Restore(syntheticSnapshot(cfg, syntheticIDs(n)), nil, false); err != nil {
 		tb.Fatal(err)
 	}
 	srv, err := New(eng)
@@ -97,7 +97,7 @@ func syntheticRouter(tb testing.TB, n, shards int) *Router {
 		if err != nil {
 			tb.Fatal(err)
 		}
-		if err := eng.Restore(syntheticSnapshot(cfg, owned[name])); err != nil {
+		if _, err := eng.Restore(syntheticSnapshot(cfg, owned[name]), nil, false); err != nil {
 			tb.Fatal(err)
 		}
 		srv, err := New(eng)

@@ -38,11 +38,17 @@
 //   - a CRC-32C of every byte before it.
 //
 // Save streams the file one model at a time through one reused buffer.
-// Load reads the file once, checks the CRC, and decodes with every
-// count bounded by the bytes that remain, so a damaged or hostile file
-// is refused without allocating past its own size. Vehicles that shared
-// a model when it was spilled (every vehicle the §4.4.1 unified model
-// serves) share one decoded model after Load.
+// A restore decodes in two stages over one decoder. LoadRows reads the
+// file once, checks the CRC over every byte, and decodes the rows — all
+// a restarted server needs to serve, since forecasts are precomputed
+// rows and no read touches a model. Rows.Models then decodes the model
+// table and the index, which only the next build reads; the fleetserver
+// runs it after the rows already serve (see engine.Restore). Load is
+// the two stages in a row. Every count is bounded by the bytes that
+// remain, so a damaged or hostile file is refused without allocating
+// past its own size. Vehicles that shared a model when it was spilled
+// (every vehicle the §4.4.1 unified model serves) share one decoded
+// model after Models.
 //
 // # Version policy
 //
@@ -250,10 +256,36 @@ func syncDir(dir string) error {
 	return err
 }
 
-// Load reads a shard's persisted snapshot. A missing file returns an
-// error satisfying errors.Is(err, os.ErrNotExist) — the "nothing to
-// restore, cold-train instead" signal.
+// Load reads a shard's persisted snapshot, models and all: LoadRows,
+// then Rows.Models. A missing file returns an error satisfying
+// errors.Is(err, os.ErrNotExist) — the "nothing to restore, cold-train
+// instead" signal.
 func (s *Store) Load(shard string) (*engine.Snapshot, error) {
+	rows, err := s.LoadRows(shard)
+	if err != nil {
+		return nil, err
+	}
+	if rows.Snapshot.Models, err = rows.Models(); err != nil {
+		return nil, err
+	}
+	return rows.Snapshot, nil
+}
+
+// Rows is a snapshot file that was read and checked whole, with its
+// rows decoded and its model table not yet: Snapshot can serve every
+// read, and Models decodes what the next build reuses.
+type Rows struct {
+	// Snapshot holds the file's rows; its Models is nil.
+	Snapshot *engine.Snapshot
+	path     string
+	d        *ml.Decoder // at the model table
+}
+
+// LoadRows reads a shard's persisted snapshot, checks its CRC over
+// every byte, and decodes everything but the model table: header,
+// statuses, forecasts, errors and model keys. A missing file returns an
+// error satisfying errors.Is(err, os.ErrNotExist).
+func (s *Store) LoadRows(shard string) (*Rows, error) {
 	src, err := s.path(shard)
 	if err != nil {
 		return nil, err
@@ -271,11 +303,27 @@ func (s *Store) Load(shard string) (*engine.Snapshot, error) {
 	if _, err := io.ReadFull(f, data); err != nil {
 		return nil, fmt.Errorf("snapstore: reading %s: %w", src, err)
 	}
-	snap, err := decode(data, shard)
-	if err != nil {
+	rows := &Rows{path: src}
+	if rows.Snapshot, rows.d, err = decodeRows(data, shard); err != nil {
 		return nil, fmt.Errorf("snapstore: %s: %w", src, err)
 	}
-	return snap, nil
+	return rows, nil
+}
+
+// Models decodes the model table and the per-vehicle model index that
+// follow the rows. It consumes the rest of the file, and drops the
+// decoder so the file's bytes can be freed: a second call fails.
+func (r *Rows) Models() (map[string]ml.Regressor, error) {
+	d := r.d
+	r.d = nil
+	if d == nil {
+		return nil, fmt.Errorf("snapstore: %s: model table already decoded", r.path)
+	}
+	models, err := decodeModels(d)
+	if err != nil {
+		return nil, fmt.Errorf("snapstore: %s: %w", r.path, err)
+	}
+	return models, nil
 }
 
 // encode writes one snapshot in the version 2 layout (see the package
@@ -396,22 +444,23 @@ const (
 	minIndexSize    = 4 + 4
 )
 
-// decode parses a whole file, checking magic, version, checksum and
-// shard before building the snapshot.
-func decode(data []byte, shard string) (*engine.Snapshot, error) {
+// decodeRows checks a whole file's magic, version, checksum and shard,
+// then decodes its rows into a snapshot without models. The returned
+// decoder stands at the model table, which decodeModels reads.
+func decodeRows(data []byte, shard string) (*engine.Snapshot, *ml.Decoder, error) {
 	if len(data) < headSize+crcSize || string(data[:len(magic)]) != magic {
-		return nil, errors.New("not a snapshot file")
+		return nil, nil, errors.New("not a snapshot file")
 	}
 	if v := binary.LittleEndian.Uint32(data[len(magic):]); v != version {
-		return nil, fmt.Errorf("%w: this build reads version %d only (version 1 files were gob streams); cold-train instead", errVersion, version)
+		return nil, nil, fmt.Errorf("%w: this build reads version %d only (version 1 files were gob streams); cold-train instead", errVersion, version)
 	}
 	body := data[:len(data)-crcSize]
 	if crc32.Checksum(body, castagnoli) != binary.LittleEndian.Uint32(data[len(body):]) {
-		return nil, errors.New("checksum mismatch")
+		return nil, nil, errors.New("checksum mismatch")
 	}
 	d := ml.NewDecoder(body[headSize:])
 	if got := d.String(); d.Err() == nil && got != shard {
-		return nil, fmt.Errorf("belongs to shard %q, not %q", got, shard)
+		return nil, nil, fmt.Errorf("belongs to shard %q, not %q", got, shard)
 	}
 	readTime(d) // spill time: observability only
 
@@ -466,7 +515,16 @@ func decode(data []byte, shard string) (*engine.Snapshot, error) {
 		id := d.String()
 		snap.ModelKeys[id] = d.U64()
 	}
+	if err := d.Err(); err != nil {
+		return nil, nil, err
+	}
+	return snap, d, nil
+}
 
+// decodeModels reads the model table and the per-vehicle index, the
+// rest of the file after the rows. Vehicles that index one table entry
+// share one decoded model.
+func decodeModels(d *ml.Decoder) (map[string]ml.Regressor, error) {
 	table := make([]ml.Regressor, d.Count(minEntrySize))
 	for i := range table {
 		family := d.U8()
@@ -483,12 +541,12 @@ func decode(data []byte, shard string) (*engine.Snapshot, error) {
 		}
 		table[i] = m
 	}
-	n = d.Count(minIndexSize)
-	snap.Models = make(map[string]ml.Regressor, n)
+	n := d.Count(minIndexSize)
+	models := make(map[string]ml.Regressor, n)
 	for i := 0; i < n && d.Err() == nil; i++ {
 		id := d.String()
 		if at := d.U32(); int(at) < len(table) {
-			snap.Models[id] = table[at]
+			models[id] = table[at]
 		} else {
 			d.Failf("vehicle %s indexes model %d of %d", id, at, len(table))
 		}
@@ -496,7 +554,7 @@ func decode(data []byte, shard string) (*engine.Snapshot, error) {
 	if err := d.Finish(); err != nil {
 		return nil, err
 	}
-	return snap, nil
+	return models, nil
 }
 
 // appendTime appends a time as its MarshalBinary bytes.

@@ -261,7 +261,7 @@ func TestRestoreThenIncrementalRetrain(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := eng2.Restore(restored); err != nil {
+	if _, err := eng2.Restore(restored, nil, false); err != nil {
 		t.Fatal(err)
 	}
 	if snap := eng2.Snapshot(); snap == nil || len(snap.Forecasts) != len(snap1.Forecasts) {
@@ -365,7 +365,7 @@ func spillAndRestore(t *testing.T, fleet []engine.Vehicle, edit func(*engine.Sna
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := eng2.Restore(restored); err != nil {
+	if _, err := eng2.Restore(restored, nil, false); err != nil {
 		t.Fatal(err)
 	}
 	return eng2
@@ -587,7 +587,7 @@ func TestRestoreRejectsChangedConfig(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := eng2.Restore(restored); err == nil {
+	if _, err := eng2.Restore(restored, nil, false); err == nil {
 		t.Fatal("snapshot from a different predictor config restored")
 	}
 	if eng2.Snapshot() != nil {
@@ -599,7 +599,7 @@ func TestRestoreRejectsChangedConfig(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := eng3.Restore(restored); err != nil {
+	if _, err := eng3.Restore(restored, nil, false); err != nil {
 		t.Fatalf("same-config restore rejected: %v", err)
 	}
 }

@@ -122,6 +122,13 @@ var ErrEmptySeries = errors.New("timeseries: empty utilization series")
 //     maintenance-due day of the current cycle, so D(t) = 0 on the due
 //     day itself, matching Figure 2 where the sawtooth touches zero.
 func Derive(id string, u Series, allowance float64) (*VehicleSeries, error) {
+	return DeriveOwned(id, u.Clone(), allowance)
+}
+
+// DeriveOwned is Derive for a caller that hands u over: the derived
+// series keeps u itself as its U instead of a copy, so the caller must
+// not write u afterwards.
+func DeriveOwned(id string, u Series, allowance float64) (*VehicleSeries, error) {
 	if len(u) == 0 {
 		return nil, ErrEmptySeries
 	}
@@ -138,7 +145,7 @@ func Derive(id string, u Series, allowance float64) (*VehicleSeries, error) {
 	vs := &VehicleSeries{
 		ID:        id,
 		Allowance: allowance,
-		U:         u.Clone(),
+		U:         u,
 		C:         make([]int, n),
 		L:         make(Series, n),
 		D:         make([]int, n),
