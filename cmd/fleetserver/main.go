@@ -57,6 +57,16 @@
 //     requests fan out to the peers and merge, and POST /telemetry
 //     routes each vehicle's reports to its ring owner only.
 //
+// Read-your-writes: in live mode every engine (unsharded, each -shards
+// engine, a -join shard) is wired to the store's change sequence, so a
+// GET /vehicles/{id}/forecast of a vehicle whose latest report the live
+// generation does not cover, while the build that covers it is running
+// or queued, waits for that build to publish (at most 1 s, bounded by
+// the request's context) and answers with its bytes. Reads of clean
+// vehicles, fleet-wide routes and reads before the first generation
+// never wait; during a restore, reads of stored vehicles wait for the
+// reconcile build (see internal/serve).
+//
 // Snapshot persistence: with -snapshot-dir every published generation
 // is spilled to disk (atomic rename) and restored at the next boot, so
 // a restarted server answers from its last generation's rows
@@ -258,6 +268,14 @@ func main() {
 
 	waitForTelemetry := waitForTelemetryAtBoot(*liveIngest, len(storeVehicles(store)), ring != nil)
 	ecfg := engine.Config{Predictor: cfg, Workers: *workers, Logger: logger}
+	if store != nil {
+		// Every engine — unsharded, each -shards engine over the shared
+		// store, a -join shard over its partition — builds from this
+		// store, so its sequence is what their generations cover: a
+		// forecast read of a vehicle reported since waits for the
+		// covering build instead of being answered stale.
+		ecfg.Seq = store.Seq
+	}
 
 	if *shards > 1 {
 		runSharded(*addr, *shards, ecfg, base, store, snaps, rows, *retrainDirt, *interval, waitForTelemetry, guard, logger, *pprofFlag)

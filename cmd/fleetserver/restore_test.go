@@ -299,3 +299,125 @@ func TestUndecodableModelTableServesRows(t *testing.T) {
 		}
 	}
 }
+
+// TestReadYourWritesDuringRestore: a restored generation covers no
+// store sequence, so while the model decode is held open a read of a
+// vehicle with a recovered report waits for the reconcile and answers
+// with the reconcile's generation — exactly the bytes and tag the
+// settled server serves — never with the restored rows.
+func TestReadYourWritesDuringRestore(t *testing.T) {
+	f := newRestoreFixture(t)
+	rows, err := readSnapshots(f.snaps, []string{restoreShard})(restoreShard)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A tail-day report only the WAL replay recovered: at zero seconds
+	// it completes no cycle but moves the forecast's as-of day.
+	var id string
+	for _, st := range f.spilt.Statuses {
+		if st.Category == core.Old {
+			id = st.ID
+			break
+		}
+	}
+	start, u, _ := f.store.RawSeries(id)
+	if _, err := f.store.UpsertBatch([]ingest.Report{{VehicleID: id, Date: start.AddDate(0, 0, len(u)), Seconds: 0}}); err != nil {
+		t.Fatal(err)
+	}
+
+	eng, err := engine.New(engine.Config{Predictor: f.cfg, Workers: 2, Source: f.store.Fleet, Seq: f.store.Seq, Logger: quiet})
+	if err != nil {
+		t.Fatal(err)
+	}
+	gate := make(chan struct{})
+	reconciled, err := eng.Restore(rows.Snapshot, func() (map[string]ml.Regressor, error) {
+		<-gate
+		return rows.Models()
+	}, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := newServer(t, eng, f.store)
+	get := func() *httptest.ResponseRecorder {
+		rec := httptest.NewRecorder()
+		srv.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/vehicles/"+id+"/forecast", nil))
+		return rec
+	}
+	done := make(chan *httptest.ResponseRecorder, 1)
+	go func() { done <- get() }()
+	select {
+	case rec := <-done:
+		t.Fatalf("read answered during the model decode: %d, generation %s", rec.Code, rec.Header().Get(serve.HeaderFleetGeneration))
+	case <-time.After(50 * time.Millisecond):
+	}
+	close(gate)
+	first := <-done
+	reconcileRetrain(eng, reconciled, 0, restoreShard)
+	waitIdle(t, eng)
+
+	snap := eng.Snapshot()
+	if snap.Generation != f.spilt.Generation+1 {
+		t.Fatalf("generation %d after the reconcile, want %d", snap.Generation, f.spilt.Generation+1)
+	}
+	if got := first.Header().Get(serve.HeaderFleetGeneration); first.Code != http.StatusOK || got != snap.GenerationID() {
+		t.Fatalf("read during the restore: %d, generation %s, want 200 from the reconcile's %s", first.Code, got, snap.GenerationID())
+	}
+	settled := get()
+	if first.Body.String() != settled.Body.String() || first.Header().Get("ETag") != settled.Header().Get("ETag") {
+		t.Fatalf("read during the restore:\n%s %s\nthe settled server serves:\n%s %s",
+			first.Header().Get("ETag"), first.Body, settled.Header().Get("ETag"), settled.Body)
+	}
+}
+
+// TestReadYourWritesFailedReconcileAnswersRestoredRows pins what a read
+// costs during a restore. The spill does not say which store sequence
+// its rows reflect, so a read of any stored vehicle — one the spilled
+// rows already reflect included — waits while the restore holds the
+// engine. A reconcile that fails ends that wait at once: the read
+// answers with the restored rows ("nothing_coming"), not at the cap.
+func TestReadYourWritesFailedReconcileAnswersRestoredRows(t *testing.T) {
+	f := newRestoreFixture(t)
+	rows, err := readSnapshots(f.snaps, []string{restoreShard})(restoreShard)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng, err := engine.New(engine.Config{Predictor: f.cfg, Workers: 2, Seq: f.store.Seq, Logger: quiet,
+		Source: func(context.Context) ([]engine.Vehicle, error) { return nil, fmt.Errorf("donor peers down") }})
+	if err != nil {
+		t.Fatal(err)
+	}
+	gate := make(chan struct{})
+	reconciled, err := eng.Restore(rows.Snapshot, func() (map[string]ml.Regressor, error) {
+		<-gate
+		return rows.Models()
+	}, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := newServer(t, eng, f.store)
+	id := f.spilt.Statuses[0].ID
+	done := make(chan *httptest.ResponseRecorder, 1)
+	go func() {
+		rec := httptest.NewRecorder()
+		srv.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/vehicles/"+id+"/forecast", nil))
+		done <- rec
+	}()
+	select {
+	case rec := <-done:
+		t.Fatalf("read of a stored vehicle answered during the model decode: %d", rec.Code)
+	case <-time.After(50 * time.Millisecond):
+	}
+	close(gate)
+	rec := <-done
+	if err := <-reconciled; err == nil {
+		t.Fatal("reconcile from a failing source succeeded")
+	}
+	if got := rec.Header().Get(serve.HeaderFleetGeneration); rec.Code != http.StatusOK || got != f.spilt.GenerationID() {
+		t.Fatalf("read during a failed reconcile: %d, generation %s, want 200 from the restored %s", rec.Code, got, f.spilt.GenerationID())
+	}
+	metrics := httptest.NewRecorder()
+	srv.ServeHTTP(metrics, httptest.NewRequest(http.MethodGet, "/metrics", nil))
+	if want := `fleet_forecast_wait_total{outcome="nothing_coming"} 1`; !bytes.Contains(metrics.Body.Bytes(), []byte(want)) {
+		t.Fatalf("/metrics lacks %s", want)
+	}
+}

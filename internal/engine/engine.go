@@ -76,6 +76,13 @@ type Config struct {
 	// Restore it. Failures inside the callback are the callback's
 	// problem; the snapshot is already live when it runs.
 	OnSnapshot func(*Snapshot)
+	// Seq, when set, reads the Source's change sequence (the ingest
+	// store's Seq). Each build from the Source reads it before its
+	// fetch, so the generation that build publishes covers every change
+	// up to that point; Covers and AwaitCoverage let a read of a vehicle
+	// that just changed wait for that generation instead of being
+	// answered stale. nil turns coverage off: Coming is always false.
+	Seq func() uint64
 	// Logger receives the engine's structured retrain logs; nil uses
 	// slog.Default(). Retrain log lines carry the trace ID of the
 	// request that kicked them (when there is one), tying a POST
@@ -97,13 +104,22 @@ type Engine struct {
 	buildMu    sync.Mutex
 	generation uint64
 
-	// stateMu guards the observability fields below and pending: the
-	// context of the latest kick refused while buildMu was held, if any.
+	// stateMu guards the observability fields below, pending (the
+	// context of the latest kick refused while buildMu was held, if
+	// any) and landed. retraining is written under stateMu, so Status
+	// pairs it with lastErr, and is atomic so Coming reads it lock-free.
 	stateMu    sync.Mutex
 	pending    context.Context
-	retraining bool
+	retraining atomic.Bool
 	lastErr    error
 	lastErrAt  time.Time
+
+	// covered is the Source sequence the live generation covers (see
+	// Covers; 0 for a restored or an explicit-fleet generation). landed
+	// is closed and replaced at each publish, before its OnSnapshot
+	// spill, and at each release, waking every AwaitCoverage.
+	covered atomic.Uint64
+	landed  chan struct{}
 }
 
 // New validates the configuration and returns an engine with no
@@ -122,7 +138,7 @@ func New(cfg Config) (*Engine, error) {
 	if logger == nil {
 		logger = slog.Default()
 	}
-	return &Engine{cfg: cfg, workers: workers, log: logger, metrics: newTrainMetrics()}, nil
+	return &Engine{cfg: cfg, workers: workers, log: logger, metrics: newTrainMetrics(), landed: make(chan struct{})}, nil
 }
 
 // Workers reports the bound of the training pool.
@@ -168,7 +184,50 @@ func (e *Engine) RetrainFull(ctx context.Context, fleet []Vehicle) (*Snapshot, e
 func (e *Engine) retrain(ctx context.Context, fleet []Vehicle, full bool) (*Snapshot, error) {
 	e.buildMu.Lock()
 	defer e.release()
-	return e.retrainLocked(ctx, func(context.Context) ([]Vehicle, error) { return fleet, nil }, modeOf(full))
+	// An explicit fleet covers no Source sequence.
+	return e.retrainLocked(ctx, func(context.Context) ([]Vehicle, uint64, error) { return fleet, 0, nil }, modeOf(full))
+}
+
+// Coming reports whether a build is in flight or owed to a refused
+// kick (Status's retraining) — one atomic load, the check a read makes
+// before it looks anything else up. Always false without Config.Seq.
+func (e *Engine) Coming() bool { return e.cfg.Seq != nil && e.retraining.Load() }
+
+// Covers reports whether the live generation covers Source sequence
+// seq: it was built from a fetch that began at or after seq.
+func (e *Engine) Covers(seq uint64) bool { return seq <= e.covered.Load() }
+
+// AwaitCoverage blocks until the live generation covers Source sequence
+// seq (true), no build is coming (false), or ctx ends (false and ctx's
+// error). It returns as soon as the covering build publishes, before
+// its OnSnapshot spill; a build that fails or comes out unchanged wakes
+// it at its release, and the wait goes on only while a follow-up build
+// is coming.
+func (e *Engine) AwaitCoverage(ctx context.Context, seq uint64) (bool, error) {
+	for {
+		// The channel is taken before the checks: a wake between the
+		// two closes it, so none is missed.
+		e.stateMu.Lock()
+		landed := e.landed
+		e.stateMu.Unlock()
+		if e.Covers(seq) {
+			return true, nil
+		}
+		if !e.Coming() {
+			return false, nil
+		}
+		select {
+		case <-landed:
+		case <-ctx.Done():
+			return false, ctx.Err()
+		}
+	}
+}
+
+// wakeLocked wakes every AwaitCoverage; the caller holds stateMu.
+func (e *Engine) wakeLocked() {
+	close(e.landed)
+	e.landed = make(chan struct{})
 }
 
 // buildMode says what a build may reuse and when it publishes.
@@ -258,8 +317,9 @@ func (e *Engine) begin(ctx context.Context, mode buildMode) bool {
 	}
 	// Mark the engine retraining before returning, not inside the
 	// goroutine: a caller that was just told "started" must never read
-	// retraining=false while the goroutine awaits scheduling.
-	e.retraining = true
+	// retraining=false, and a read right after the kick's ack must see
+	// the build coming, while the goroutine awaits scheduling.
+	e.retraining.Store(true)
 	e.goBuild(ctx, mode)
 	return true
 }
@@ -275,42 +335,53 @@ func (e *Engine) goBuild(ctx context.Context, mode buildMode) {
 
 // release ends a build: it clears retraining and gives buildMu up —
 // unless a kick was refused while the lock was held: then both pass
-// straight on to the follow-up build.
+// straight on to the follow-up build. Either way it wakes every
+// AwaitCoverage, which then sees the build's coverage and whether
+// another build is coming.
 func (e *Engine) release() {
 	e.stateMu.Lock()
 	ctx := e.pending
 	e.pending = nil
-	e.retraining = ctx != nil
+	e.retraining.Store(ctx != nil)
 	if ctx == nil {
 		e.buildMu.Unlock()
 	}
+	e.wakeLocked()
 	e.stateMu.Unlock()
 	if ctx != nil {
 		e.goBuild(ctx, kicked)
 	}
 }
 
-func (e *Engine) sourceFetch(ctx context.Context) ([]Vehicle, error) {
+// sourceFetch pulls the fleet from the Source and returns the Source
+// sequence read before the pull (0 without Config.Seq): the fleet holds
+// at least every change up to it.
+func (e *Engine) sourceFetch(ctx context.Context) ([]Vehicle, uint64, error) {
 	if e.cfg.Source == nil {
-		return nil, fmt.Errorf("engine: no fleet source configured")
+		return nil, 0, fmt.Errorf("engine: no fleet source configured")
+	}
+	var seq uint64
+	if e.cfg.Seq != nil {
+		seq = e.cfg.Seq()
 	}
 	fleet, err := e.cfg.Source(ctx)
 	if err != nil {
-		return nil, fmt.Errorf("engine: fleet source: %w", err)
+		return nil, 0, fmt.Errorf("engine: fleet source: %w", err)
 	}
-	return fleet, nil
+	return fleet, seq, nil
 }
 
 // retrainLocked fetches, builds and publishes one generation — or, for a
 // kicked build equal to the live snapshot, returns the live snapshot
-// unpublished. Callers hold buildMu and end the build with release.
-func (e *Engine) retrainLocked(ctx context.Context, fetch func(context.Context) ([]Vehicle, error), mode buildMode) (*Snapshot, error) {
+// unpublished. fetch also returns the Source sequence its fleet covers.
+// Callers hold buildMu and end the build with release.
+func (e *Engine) retrainLocked(ctx context.Context, fetch func(context.Context) ([]Vehicle, uint64, error), mode buildMode) (*Snapshot, error) {
 	e.stateMu.Lock()
-	e.retraining = true
+	e.retraining.Store(true)
 	e.stateMu.Unlock()
 
 	tPrep := time.Now()
-	fleet, err := fetch(ctx)
+	fleet, seq, err := fetch(ctx)
 	if err != nil {
 		e.recordError(err)
 		e.logRetrainError(ctx, "fetch", err)
@@ -325,6 +396,8 @@ func (e *Engine) retrainLocked(ctx context.Context, fetch func(context.Context) 
 	}
 	if live := e.snap.Load(); mode == kicked && live != nil && snap.sameAs(live) {
 		e.recordError(nil)
+		// The live generation is what a build at seq produces.
+		e.covered.Store(seq)
 		e.metrics.unchanged.Inc()
 		e.log.LogAttrs(ctx, slog.LevelInfo, "retrain unchanged; not published",
 			slog.String("trace", obs.TraceID(ctx)),
@@ -339,7 +412,18 @@ func (e *Engine) retrainLocked(ctx context.Context, fetch func(context.Context) 
 	// *before* publishing so Status never pairs the new generation with
 	// a stale error.
 	e.recordError(nil)
+	// Coverage never runs ahead of the live snapshot: lowered before
+	// the swap, raised after it.
+	if seq < e.covered.Load() {
+		e.covered.Store(seq)
+	}
 	e.snap.Store(snap)
+	e.covered.Store(seq)
+	// Wake readers now, not at release: they need the generation, not
+	// its spill.
+	e.stateMu.Lock()
+	e.wakeLocked()
+	e.stateMu.Unlock()
 	if e.cfg.OnSnapshot != nil {
 		e.cfg.OnSnapshot(snap)
 	}
@@ -420,9 +504,12 @@ func (e *Engine) Restore(snap *Snapshot, models func() (map[string]ml.Regressor,
 		return done, nil
 	}
 	// Retraining before the rows are live: no reader may see a ready
-	// engine that is idle while its restore is still under way.
+	// engine that is idle while its restore is still under way. The
+	// restored rows cover no Source sequence (the file does not say
+	// which they reflect), so until the hold is released a read that
+	// awaits coverage of any stored vehicle waits for the reconcile.
 	e.stateMu.Lock()
-	e.retraining = true
+	e.retraining.Store(true)
 	e.stateMu.Unlock()
 	e.snap.Store(snap)
 	go func() {
@@ -621,6 +708,21 @@ type Status struct {
 	LastErrorTime  string            `json:"last_error_time,omitempty"`
 }
 
+// LastBuildFailed reports whether the engine is idle and its last build
+// failed — Status's retraining:false with a last_error — without
+// assembling a Status.
+func (e *Engine) LastBuildFailed() bool {
+	retraining, _, err := e.buildState()
+	return !retraining && err != nil
+}
+
+// buildState reads retraining and the last build error as one pair.
+func (e *Engine) buildState() (retraining bool, lastErrAt time.Time, lastErr error) {
+	e.stateMu.Lock()
+	defer e.stateMu.Unlock()
+	return e.retraining.Load(), e.lastErrAt, e.lastErr
+}
+
 // Status reports the engine's current operational state.
 func (e *Engine) Status() Status {
 	st := Status{Workers: e.workers}
@@ -638,12 +740,11 @@ func (e *Engine) Status() Status {
 			st.FailedVehicles = snap.FailedVehicles
 		}
 	}
-	e.stateMu.Lock()
-	st.Retraining = e.retraining
-	if e.lastErr != nil {
-		st.LastError = e.lastErr.Error()
-		st.LastErrorTime = e.lastErrAt.UTC().Format(time.RFC3339)
+	retraining, at, err := e.buildState()
+	st.Retraining = retraining
+	if err != nil {
+		st.LastError = err.Error()
+		st.LastErrorTime = at.UTC().Format(time.RFC3339)
 	}
-	e.stateMu.Unlock()
 	return st
 }

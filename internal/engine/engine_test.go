@@ -459,3 +459,159 @@ func TestRetrainFromSource(t *testing.T) {
 		t.Fatal("RetrainFromSource without a source succeeded")
 	}
 }
+
+// TestCoverageLandsWithEveryBuild: with Config.Seq, a Source build
+// covers the sequence read before its fetch whether it publishes or
+// comes out unchanged; a failed build ends without covering; a kick
+// refused meanwhile keeps a build coming until its follow-up ends; an
+// explicit fleet covers nothing; without Seq nothing is ever coming.
+func TestCoverageLandsWithEveryBuild(t *testing.T) {
+	fleet := genFleet(t, 4, 900)
+	var seq atomic.Uint64
+	var fail, hold atomic.Bool
+	entered, release := make(chan struct{}, 1), make(chan struct{})
+	eng, err := New(Config{Predictor: fastPredictorConfig(), Workers: 2, Seq: seq.Load, Source: func(context.Context) ([]Vehicle, error) {
+		if hold.CompareAndSwap(true, false) {
+			entered <- struct{}{}
+			<-release
+		}
+		if fail.Load() {
+			return nil, errors.New("store offline")
+		}
+		return fleet, nil
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+
+	seq.Store(5)
+	if _, err := eng.RetrainFromSource(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if !eng.Covers(5) || eng.Covers(6) || eng.Coming() {
+		t.Fatalf("after a build at 5: covers 5 %v, covers 6 %v, coming %v", eng.Covers(5), eng.Covers(6), eng.Coming())
+	}
+	seq.Store(7)
+	fail.Store(true)
+	if _, err := eng.TryRetrainFromSource(ctx, false); err == nil {
+		t.Fatal("failing source built")
+	}
+	if eng.Covers(7) || eng.Coming() {
+		t.Fatal("a failed build covered its sequence or left a build coming")
+	}
+	fail.Store(false)
+
+	// A held kick, a refused kick behind it, and a change after the
+	// held build read 7: only the follow-up covers 8.
+	hold.Store(true)
+	if !eng.KickRetrainFromSource(ctx) {
+		t.Fatal("kick on an idle engine refused")
+	}
+	<-entered
+	if !eng.Coming() {
+		t.Fatal("no build coming while one is held")
+	}
+	short, cancel := context.WithTimeout(ctx, 20*time.Millisecond)
+	if ok, err := eng.AwaitCoverage(short, 7); ok || !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("await during a held build: %v %v, want the deadline", ok, err)
+	}
+	cancel()
+	seq.Store(8)
+	if eng.KickRetrainFromSource(ctx) {
+		t.Fatal("second kick started a build while one is held")
+	}
+	covered := make(chan bool, 1)
+	go func() {
+		ok, _ := eng.AwaitCoverage(ctx, 8)
+		covered <- ok
+	}()
+	close(release)
+	if !<-covered {
+		t.Fatal("the follow-up's coverage never reached the waiter")
+	}
+	waitIdle(t, eng)
+	if st := eng.Status(); st.Generation != 1 || eng.Coming() || !eng.Covers(8) {
+		t.Fatalf("after two unchanged kicks: generation %d, coming %v, covers 8 %v; want 1, false, true", st.Generation, eng.Coming(), eng.Covers(8))
+	}
+
+	if _, err := eng.Retrain(ctx, fleet); err != nil {
+		t.Fatal(err)
+	}
+	if eng.Covers(1) {
+		t.Fatal("an explicit fleet covers a store sequence")
+	}
+	if ok, err := eng.AwaitCoverage(ctx, 1); ok || err != nil {
+		t.Fatalf("await with nothing coming: %v %v, want an immediate false", ok, err)
+	}
+
+	plain, err := New(Config{Predictor: fastPredictorConfig(), Workers: 2, Source: func(context.Context) ([]Vehicle, error) { return fleet, nil }})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !plain.KickRetrainFromSource(ctx) || plain.Coming() {
+		t.Fatal("an engine without Seq has a build coming")
+	}
+	waitIdle(t, plain)
+}
+
+// TestAwaitCoverageWakesBeforeSpill: a read waiting for a build wakes
+// at the covering publish, while the OnSnapshot spill still holds the
+// build and Status still reports retraining.
+func TestAwaitCoverageWakesBeforeSpill(t *testing.T) {
+	fleet := genFleet(t, 4, 900)
+	var seq atomic.Uint64
+	var hold atomic.Bool
+	fetching, fetch := make(chan struct{}, 1), make(chan struct{})
+	spilling, spill := make(chan struct{}, 1), make(chan struct{})
+	eng, err := New(Config{Predictor: fastPredictorConfig(), Workers: 2, Seq: seq.Load,
+		Source: func(context.Context) ([]Vehicle, error) {
+			if hold.Load() {
+				fetching <- struct{}{}
+				<-fetch
+			}
+			return fleet, nil
+		},
+		OnSnapshot: func(*Snapshot) {
+			if hold.Load() {
+				spilling <- struct{}{}
+				<-spill
+			}
+		}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	if _, err := eng.RetrainFromSource(ctx); err != nil {
+		t.Fatal(err)
+	}
+
+	seq.Store(3)
+	hold.Store(true)
+	built := make(chan error, 1)
+	go func() {
+		_, err := eng.RetrainFromSource(ctx)
+		built <- err
+	}()
+	<-fetching
+	wctx, cancel := context.WithTimeout(ctx, 10*time.Second)
+	defer cancel()
+	covered := make(chan bool, 1)
+	go func() {
+		ok, _ := eng.AwaitCoverage(wctx, 3)
+		covered <- ok
+	}()
+	time.Sleep(20 * time.Millisecond) // let the waiter block before the publish
+	close(fetch)
+	<-spilling
+	if !<-covered {
+		t.Fatal("the waiter did not wake at the covering publish")
+	}
+	if !eng.Status().Retraining {
+		t.Fatal("retraining cleared before the spill finished")
+	}
+	close(spill)
+	if err := <-built; err != nil {
+		t.Fatal(err)
+	}
+}

@@ -14,8 +14,10 @@
 //     the hash in O(1) regardless of history length) — equal content
 //     always yields an equal hash no matter the delivery order;
 //   - a monotonic change sequence records which vehicles changed since
-//     any point in time (DirtySince), so retrain policy can be
-//     data-driven instead of purely periodic;
+//     any point in time (DirtySince, DirtyCount, VehicleSeq), so retrain
+//     policy can be data-driven instead of purely periodic, and a read
+//     can tell whether the live generation covers a vehicle's latest
+//     report;
 //   - Fleet derives timeseries.VehicleSeries on demand from the stored
 //     runs, making the store a drop-in engine.Source.
 //
@@ -516,6 +518,41 @@ func (s *Store) DirtySince(seq uint64) []string {
 	}
 	sort.Strings(ids)
 	return ids
+}
+
+// DirtyCount counts the vehicles whose content changed after the given
+// sequence point, stopping at limit: the retrain trigger's question
+// ("have at least limit vehicles changed?") without DirtySince's list,
+// sort and allocation. A store with no change since seq answers
+// without scanning.
+func (s *Store) DirtyCount(seq uint64, limit int) int {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	if s.seq <= seq {
+		return 0
+	}
+	n := 0
+	for _, rec := range s.vehicles {
+		if rec.lastSeq > seq {
+			if n++; n >= limit {
+				break
+			}
+		}
+	}
+	return n
+}
+
+// VehicleSeq returns the store sequence of a vehicle's latest content
+// change and whether the vehicle exists: a generation built from a
+// fetch that began at or after that sequence reflects the change.
+func (s *Store) VehicleSeq(vehicleID string) (uint64, bool) {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	rec, ok := s.vehicles[vehicleID]
+	if !ok {
+		return 0, false
+	}
+	return rec.lastSeq, true
 }
 
 // Vehicles lists the stored vehicle IDs, sorted.

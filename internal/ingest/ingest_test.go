@@ -394,3 +394,32 @@ func TestFleetSeriesOwnTheirRun(t *testing.T) {
 		t.Fatalf("refetched v01 = %s, want the rewritten run", got)
 	}
 }
+
+// TestDirtyCount: DirtyCount agrees with DirtySince up to its limit and
+// allocates nothing — it runs on every acknowledged batch.
+func TestDirtyCount(t *testing.T) {
+	s := New(0)
+	for i := 0; i < 8; i++ {
+		if _, err := s.UpsertBatch([]Report{report(fmt.Sprintf("v%02d", i), 0, 18000)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, c := range []struct {
+		seq   uint64
+		limit int
+	}{{0, 3}, {0, 100}, {5, 1}, {5, 3}, {5, 4}, {8, 1}, {9, 1}} {
+		want := min(len(s.DirtySince(c.seq)), c.limit)
+		if got := s.DirtyCount(c.seq, c.limit); got != want {
+			t.Errorf("DirtyCount(%d, %d) = %d, want %d", c.seq, c.limit, got, want)
+		}
+	}
+	if n := testing.AllocsPerRun(100, func() { s.DirtyCount(2, 100) }); n != 0 {
+		t.Fatalf("DirtyCount allocates %v/op, want 0", n)
+	}
+	if seq, ok := s.VehicleSeq("v03"); !ok || seq != 4 {
+		t.Fatalf("VehicleSeq(v03) = %d %v, want 4 true", seq, ok)
+	}
+	if _, ok := s.VehicleSeq("nope"); ok {
+		t.Fatal("VehicleSeq of an unknown vehicle")
+	}
+}

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"context"
 	"net/http"
 	"net/http/httptest"
 	"testing"
@@ -56,13 +57,13 @@ func BenchmarkForecastServe(b *testing.B) {
 
 	b.Run("cached-bytes", func(b *testing.B) {
 		srv := buildServer(b)
-		if status, _, _ := srv.ForecastResponse("v02"); status != http.StatusOK { // warm
+		if status, _, _ := srv.ForecastResponse(context.Background(), "v02"); status != http.StatusOK { // warm
 			b.Fatalf("status %d", status)
 		}
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			status, _, body := srv.ForecastResponse("v02")
+			status, _, body := srv.ForecastResponse(context.Background(), "v02")
 			if status != http.StatusOK || len(body) == 0 {
 				b.Fatalf("status %d, %d bytes", status, len(body))
 			}

@@ -407,3 +407,21 @@ func TestNewWithOptionsValidation(t *testing.T) {
 		t.Fatal("RetrainDirty without a store accepted")
 	}
 }
+
+// TestKickCheckAllocs pins the dirty-threshold check every acknowledged
+// batch runs (and, under -shards, every shard per router batch) at zero
+// allocations: a count that stops at the threshold, not a sorted list
+// of the dirty vehicles.
+func TestKickCheckAllocs(t *testing.T) {
+	srv, _, _ := ingestServer(t, 2)
+	if rec, body := postJSON(t, srv, "/telemetry", `{"reports":[{"vehicle":"v01","date":"2016-02-10","seconds":17000}]}`); rec.Code != http.StatusOK {
+		t.Fatalf("status %d: %s", rec.Code, body)
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		if srv.maybeKickRetrain(context.Background()) {
+			t.Fatal("one dirty vehicle met a threshold of two")
+		}
+	}); n != 0 {
+		t.Fatalf("kick check allocates %v/op, want 0", n)
+	}
+}

@@ -41,6 +41,8 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 		c.writeMetrics(&m)
 	}
 	m.CounterUint("fleet_http_not_modified_total", "Conditional GETs answered 304 Not Modified.", s.notModified.Load())
+	s.waitFamily.Write(&m)
+	m.Histogram("fleet_forecast_wait_seconds", "Time forecast reads waited for the build covering their vehicle.", "", s.waitSeconds)
 
 	s.routeHist.Write(&m)
 	s.engine.Metrics().Write(&m)

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"context"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -231,11 +232,11 @@ func TestTracePropagation(t *testing.T) {
 // including the route histogram it now feeds — at zero allocations.
 func TestForecastResponseAllocs(t *testing.T) {
 	srv := buildServer(t)
-	if status, _, _ := srv.ForecastResponse("v02"); status != http.StatusOK {
+	if status, _, _ := srv.ForecastResponse(context.Background(), "v02"); status != http.StatusOK {
 		t.Fatalf("warm status %d", status)
 	}
 	if n := testing.AllocsPerRun(200, func() {
-		status, _, body := srv.ForecastResponse("v02")
+		status, _, body := srv.ForecastResponse(context.Background(), "v02")
 		if status != http.StatusOK || len(body) == 0 {
 			t.Fatalf("status %d", status)
 		}

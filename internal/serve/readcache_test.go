@@ -153,8 +153,9 @@ func TestGenCacheHammer(t *testing.T) {
 
 // TestReadSeriesNames: every read-path series that other code reads —
 // the benchmark's cache-hit and not-modified shares, the cluster smoke
-// script — is on a server's and a router's /metrics, so a rename shows
-// here instead of turning those readings silently absent.
+// script — and the forecast-read wait series are on a server's and a
+// router's /metrics, so a rename shows here instead of turning those
+// readings silently absent.
 func TestReadSeriesNames(t *testing.T) {
 	names := func(t *testing.T, h http.Handler) map[string]bool {
 		t.Helper()
@@ -182,7 +183,7 @@ func TestReadSeriesNames(t *testing.T) {
 		return out
 	}
 	server := append(counters("fleet_response_cache", "fleet_fleet_forecast_cache", "fleet_vehicles_cache", "fleet_plan_cache"),
-		"fleet_http_not_modified_total")
+		"fleet_http_not_modified_total", "fleet_forecast_wait_total", "fleet_forecast_wait_seconds_count")
 	router := append(counters("fleet_router_merge_cache", "fleet_router_plan_cache", "fleet_router_plan_decode"),
 		"fleet_router_merge_cache_torn", "fleet_router_shard_not_modified_total", "fleet_http_not_modified_total")
 

@@ -475,7 +475,7 @@ func (rt *Router) handleReady(w http.ResponseWriter, r *http.Request) {
 // goroutine, no memWriter, no re-marshal — while remote backends keep
 // the generic relay.
 type forecastResponder interface {
-	ForecastResponse(id string) (status int, etag string, body []byte)
+	ForecastResponse(ctx context.Context, id string) (status int, etag string, body []byte)
 }
 
 // handleOwnerRoute is the single-owner fast path: the ring names the
@@ -493,7 +493,7 @@ func (rt *Router) handleOwnerRoute(w http.ResponseWriter, r *http.Request) {
 	}
 	if fr, ok := b.Handler.(forecastResponder); ok {
 		t0 := time.Now()
-		status, etag, body := fr.ForecastResponse(id)
+		status, etag, body := fr.ForecastResponse(r.Context(), id)
 		rt.shardCall.With(owner).ObserveSince(t0)
 		w.Header().Set("X-Fleet-Shard", owner)
 		if status != http.StatusOK {

@@ -52,12 +52,13 @@ func genVehicles(t testing.TB, n int) []engine.Vehicle {
 	return fleet
 }
 
-func buildCluster(t testing.TB, vehicles, shards, retrainDirty int, ropts RouterOptions) *clusterFixture {
+// genStore is an in-memory ingest store seeded with genVehicles(n).
+func genStore(t testing.TB, n int) *ingest.Store {
 	t.Helper()
 	store := ingest.New(600_000)
 	start := time.Date(2015, 1, 1, 0, 0, 0, 0, time.UTC)
 	var reports []ingest.Report
-	for _, v := range genVehicles(t, vehicles) {
+	for _, v := range genVehicles(t, n) {
 		for d, sec := range v.Series.U {
 			reports = append(reports, ingest.Report{VehicleID: v.Series.ID, Date: start.AddDate(0, 0, d), Seconds: sec})
 		}
@@ -65,7 +66,12 @@ func buildCluster(t testing.TB, vehicles, shards, retrainDirty int, ropts Router
 	if res, _ := store.UpsertBatch(reports); res.Rejected != 0 {
 		t.Fatalf("seeding rejected %d reports", res.Rejected)
 	}
+	return store
+}
 
+func buildCluster(t testing.TB, vehicles, shards, retrainDirty int, ropts RouterOptions) *clusterFixture {
+	t.Helper()
+	store := genStore(t, vehicles)
 	sharded, err := cluster.NewSharded(cluster.ShardedConfig{
 		Engine: testEngineConfig(),
 		Base:   store.Fleet,

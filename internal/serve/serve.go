@@ -27,10 +27,13 @@
 // Every read endpoint serves from the engine's current immutable
 // snapshot: one atomic pointer load, no locks, no model math (forecasts
 // are precomputed at snapshot-build time). A retrain builds the next
-// snapshot off to the side and swaps it in when done, so reads are
-// never blocked and never observe a half-trained fleet. Retrains are
-// incremental — only vehicles whose telemetry changed retrain; the
-// rest carry their models forward (see internal/engine).
+// snapshot off to the side and swaps it in when done, so reads never
+// observe a half-trained fleet. Retrains are incremental — only
+// vehicles whose telemetry changed retrain; the rest carry their
+// models forward (see internal/engine). The one read that may wait is a
+// vehicle forecast whose latest report the live generation does not
+// cover while the build that covers it is coming: it is answered from
+// that build, not stale (read-your-writes; see Server.awaitCoverage).
 //
 // Data routes are generation-keyed: response bytes (per-vehicle,
 // whole-fleet, and plan) are marshaled once per snapshot generation
@@ -127,6 +130,16 @@ type Server struct {
 	vehicles      *genCache[[]byte]
 	planBodies    *genCache[[]byte]
 	notModified   atomic.Uint64
+
+	// Read-your-writes (see awaitCoverage): waitCap bounds one forecast
+	// read's wait for the build that covers its vehicle; waits counts
+	// the finished waits by outcome and waitSeconds times them; waiting
+	// counts the reads waiting now, which tests hold a build against.
+	waitCap     time.Duration
+	waiting     atomic.Int64
+	waits       [numWaitOutcomes]*obs.Counter
+	waitFamily  *obs.Family
+	waitSeconds *obs.Histogram
 }
 
 // New builds the HTTP facade over an engine. The engine does not need a
@@ -160,6 +173,12 @@ func NewWithOptions(eng *engine.Engine, opts Options) (*Server, error) {
 		fleetForecast: newGenCache[[]byte]("fleet_fleet_forecast_cache", "GET /fleet/forecast responses", 0),
 		vehicles:      newGenCache[[]byte]("fleet_vehicles_cache", "GET /vehicles responses", 0),
 		planBodies:    newGenCache[[]byte]("fleet_plan_cache", "GET /fleet/plan responses", maxPlanEntries),
+		waitCap:       forecastWaitCap,
+		waitFamily:    obs.NewCounterFamily("fleet_forecast_wait_total", "Forecast reads that waited for the build covering their vehicle, by outcome.", "outcome"),
+		waitSeconds:   obs.NewHistogram(obs.LatencyBuckets),
+	}
+	for o := range s.waits {
+		s.waits[o] = s.waitFamily.CounterWith(waitOutcomeNames[o])
 	}
 	if s.ingest != nil {
 		// Baseline the dirty-threshold policy at the store's current
@@ -352,10 +371,19 @@ func encodeJSON(v any) []byte {
 // this directly for in-process shards, skipping the whole HTTP round
 // trip. Error responses carry no tag — they are uncacheable. The
 // returned bytes are shared — callers must write, not mutate, them.
-func (s *Server) ForecastResponse(id string) (status int, etag string, body []byte) {
+//
+// A read of a vehicle whose latest report the live generation does not
+// cover, while the build that will cover it is coming, first waits for
+// that build (see awaitCoverage), bounded by forecastWaitCap and ctx.
+// Every other read — and every read before the first generation — is
+// answered at once.
+func (s *Server) ForecastResponse(ctx context.Context, id string) (status int, etag string, body []byte) {
 	snap := s.engine.Snapshot()
 	if snap == nil {
 		return http.StatusServiceUnavailable, "", encodeJSON(map[string]string{"error": noSnapshotMsg})
+	}
+	if s.engine.Coming() {
+		snap = s.awaitCoverage(ctx, id, snap)
 	}
 	gen := snap.GenerationID()
 	if etag, b, ok := s.responses.get(gen, id); ok {
@@ -375,8 +403,65 @@ func (s *Server) ForecastResponse(id string) (status int, etag string, body []by
 }
 
 func (s *Server) handleForecast(w http.ResponseWriter, r *http.Request) {
-	status, etag, body := s.ForecastResponse(r.PathValue("id"))
+	status, etag, body := s.ForecastResponse(r.Context(), r.PathValue("id"))
 	s.writeResponse(w, r, status, etag, body)
+}
+
+// forecastWaitCap bounds how long one forecast read waits for the build
+// that covers its vehicle. A kicked build of the paper's fleet
+// publishes within a few milliseconds; the cap only matters for a build
+// that is slow or wedged, and then the read is answered stale, as a
+// read that does not wait is.
+const forecastWaitCap = time.Second
+
+// Outcomes of a forecast read's wait, the outcome label of
+// fleet_forecast_wait_total.
+const (
+	waitCovered   = iota // the covering generation published
+	waitNone             // no build that could cover the vehicle was left
+	waitCapped           // forecastWaitCap passed
+	waitCancelled        // the request's context ended
+	numWaitOutcomes
+)
+
+var waitOutcomeNames = [numWaitOutcomes]string{"covered", "nothing_coming", "capped", "cancelled"}
+
+// awaitCoverage is the read-your-writes rule: when the store holds a
+// change to vehicle id that the live generation does not cover, it
+// waits until the engine publishes a generation that does, no build is
+// left coming (the last one failed, came out unchanged or did not cover
+// the change, and no follow-up is queued), the cap passes or ctx ends,
+// and returns the snapshot to answer from. The caller has seen
+// engine.Coming; a vehicle the live generation covers — every clean
+// one — returns snap without waiting, after one read-locked store
+// lookup.
+func (s *Server) awaitCoverage(ctx context.Context, id string, snap *engine.Snapshot) *engine.Snapshot {
+	if s.ingest == nil {
+		return snap
+	}
+	seq, ok := s.ingest.VehicleSeq(id)
+	if !ok || s.engine.Covers(seq) {
+		return snap
+	}
+	t0 := time.Now()
+	s.waiting.Add(1)
+	wctx, cancel := context.WithTimeout(ctx, s.waitCap)
+	covered, err := s.engine.AwaitCoverage(wctx, seq)
+	cancel()
+	s.waiting.Add(-1)
+	s.waitSeconds.ObserveSince(t0)
+	outcome := waitCovered
+	switch {
+	case covered:
+	case err == nil:
+		outcome = waitNone
+	case ctx.Err() != nil:
+		outcome = waitCancelled
+	default:
+		outcome = waitCapped
+	}
+	s.waits[outcome].Inc()
+	return s.engine.Snapshot()
 }
 
 // FleetForecastJSON is the /fleet/forecast response. Errors lists the
@@ -541,13 +626,13 @@ func (s *Server) maybeKickRetrain(ctx context.Context) bool {
 	}
 	s.kickMu.Lock()
 	defer s.kickMu.Unlock()
-	if st := s.engine.Status(); !st.Retraining && st.LastError != "" {
+	if s.engine.LastBuildFailed() {
 		// Nothing has succeeded since that failure (a success clears the
 		// error): restore the baseline so the vehicles the kicks since
 		// then covered re-trigger on this or a later batch.
 		s.lastKickSeq = s.prevKickSeq
 	}
-	if len(s.ingest.DirtySince(s.lastKickSeq)) < s.retrainDirty {
+	if s.ingest.DirtyCount(s.lastKickSeq, s.retrainDirty) < s.retrainDirty {
 		return false
 	}
 	seq := s.ingest.Seq()
