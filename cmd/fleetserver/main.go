@@ -11,7 +11,9 @@
 //   - Live mode (-ingest): a concurrent telemetry store accepts batched
 //     POST /telemetry reports; the CSV (now optional) only seeds the
 //     store at boot. With -retrain-dirty N, an incremental retrain
-//     kicks automatically once N vehicles have changed.
+//     kicks automatically once N vehicles have changed; under -shards
+//     each shard counts only the vehicles its builds read (those it
+//     owns, and any other whose first maintenance cycle changed).
 //
 // Telemetry durability (-wal-dir, live mode): every accepted batch is
 // journaled through a segmented write-ahead log before it is
@@ -130,7 +132,7 @@ func main() {
 		workers     = flag.Int("workers", 0, "training pool size per engine (0 = GOMAXPROCS)")
 		interval    = flag.Duration("retrain-interval", 0, "periodic retrain interval (0 disables)")
 		liveIngest  = flag.Bool("ingest", false, "enable live telemetry ingestion (POST /telemetry); -data becomes seed data")
-		retrainDirt = flag.Int("retrain-dirty", 0, "with -ingest: auto-retrain once this many vehicles changed (0 disables)")
+		retrainDirt = flag.Int("retrain-dirty", 0, "with -ingest: auto-retrain once this many vehicles changed (0 disables; under -shards, per shard, of the vehicles it reads)")
 
 		shards  = flag.Int("shards", 1, "in-process engine shards behind a consistent-hash ring")
 		join    = flag.String("join", "", "multi-process mode: this process's shard name (must appear in -peers)")

@@ -610,8 +610,10 @@ func (e *Engine) build(ctx context.Context, fleet []Vehicle, full bool) (*Snapsh
 		return nil, err
 	}
 	tSnap := time.Now()
-	snap := newSnapshot(fp, statuses, models, plan, e.cfg.Predictor.Hash(), time.Since(t0))
+	snap := newSnapshot(fp, statuses, models, plan, e.cfg.Predictor.Hash())
 	e.metrics.ObserveStage("snapshot", tSnap)
+	snap.BuiltAt = time.Now()
+	snap.TrainDuration = snap.BuiltAt.Sub(t0)
 	return snap, nil
 }
 

@@ -1,8 +1,10 @@
 package engine
 
 import (
+	"context"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/ml"
 	"repro/internal/obs"
@@ -41,5 +43,34 @@ func TestTrainMetricsWriteHistStats(t *testing.T) {
 	}
 	if strings.Contains(out, "fleet_ml_hist_derived_nodes_total 0\n") {
 		t.Error("derived nodes counter stayed zero despite tallied work")
+	}
+}
+
+// TestTrainDurationCoversTheBuild: a snapshot's TrainDuration, which the
+// retrain log and /admin/status report, spans the whole build — at
+// least the plan, fit and snapshot stages the engine times, the
+// snapshot's forecast precompute included.
+func TestTrainDurationCoversTheBuild(t *testing.T) {
+	eng, err := New(Config{Predictor: fastPredictorConfig(), Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap, err := eng.Retrain(context.Background(), genFleet(t, 4, 700))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var stages float64
+	for _, stage := range []string{"plan", "fit", "snapshot"} {
+		h := eng.metrics.stages.With(stage)
+		if h.Count() != 1 {
+			t.Fatalf("stage %s observed %d times in one build, want 1", stage, h.Count())
+		}
+		stages += h.Sum()
+	}
+	if got := snap.TrainDuration; got < time.Duration(stages*float64(time.Second)) {
+		t.Fatalf("TrainDuration %v is less than the plan+fit+snapshot stages' %.9fs", got, stages)
+	}
+	if st := eng.Status(); st.TrainSeconds != snap.TrainDuration.Seconds() {
+		t.Fatalf("status train_seconds %v, want the snapshot's %v", st.TrainSeconds, snap.TrainDuration.Seconds())
 	}
 }

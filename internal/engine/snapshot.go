@@ -71,7 +71,9 @@ type Snapshot struct {
 	// Engine.KickRetrainFromSource).
 	Generation uint64
 	// BuiltAt is when the build finished; TrainDuration how long it
-	// took.
+	// took, from registering the fleet through the forecast
+	// precompute (the plan, fit and snapshot stages; the source fetch
+	// before them is the prep stage).
 	BuiltAt       time.Time
 	TrainDuration time.Duration
 
@@ -174,7 +176,7 @@ func sameForecast(a, b core.Forecast) bool {
 // recomputed even for reused vehicles — a model prediction per vehicle
 // is trivial next to training — which keeps the bit-identical contract
 // trivially true for the served payloads.
-func newSnapshot(fp *core.FleetPredictor, statuses []core.VehicleStatus, models map[string]ml.Regressor, plan *core.TrainPlan, cfgHash uint64, trainDur time.Duration) *Snapshot {
+func newSnapshot(fp *core.FleetPredictor, statuses []core.VehicleStatus, models map[string]ml.Regressor, plan *core.TrainPlan, cfgHash uint64) *Snapshot {
 	s := &Snapshot{
 		Statuses:       statuses,
 		StatusByID:     make(map[string]core.VehicleStatus, len(statuses)),
@@ -189,8 +191,6 @@ func newSnapshot(fp *core.FleetPredictor, statuses []core.VehicleStatus, models 
 		ConfigHash:     cfgHash,
 		Reused:         len(plan.Reused),
 		Retrained:      len(plan.Tasks),
-		BuiltAt:        time.Now(),
-		TrainDuration:  trainDur,
 	}
 	for _, st := range statuses {
 		s.StatusByID[st.ID] = st

@@ -173,6 +173,7 @@ func decodeCheckpoint(data []byte) (*checkpoint, error) {
 		}
 		prev = id
 		rec := &vehicleRecord{
+			firstCycle: viewUnknown,
 			hash:       d.U64(),
 			lastSeq:    d.U64(),
 			reports:    d.U64(),
@@ -288,7 +289,7 @@ func decodeCheckpointV1(data []byte) (*checkpoint, error) {
 		vehicles: make(map[string]*vehicleRecord, len(v1.Vehicles)),
 	}
 	for id, cv := range v1.Vehicles {
-		rec := &vehicleRecord{hash: cv.Hash, lastSeq: cv.LastSeq, reports: cv.Reports, lastReport: cv.LastReport}
+		rec := &vehicleRecord{firstCycle: viewUnknown, hash: cv.Hash, lastSeq: cv.LastSeq, reports: cv.Reports, lastReport: cv.LastReport}
 		for day, sec := range cv.Days {
 			if day < minReportDay || day > maxStoredDay {
 				return nil, fmt.Errorf("vehicle %q: day %d out of range", id, day)

@@ -135,7 +135,7 @@ func mustMatchModel(t *testing.T, s *Store, m *mapModel, label string) {
 				dirty = append(dirty, id)
 			}
 		}
-		if got := s.DirtySince(since); !reflect.DeepEqual(got, dirty) {
+		if got := s.DirtySince(since, nil); !reflect.DeepEqual(got, dirty) {
 			t.Fatalf("%s: DirtySince(%d) = %v, model %v", label, since, got, dirty)
 		}
 	}

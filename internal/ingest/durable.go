@@ -192,8 +192,9 @@ type journalReplay struct {
 }
 
 // apply walks one journal record (see encodeJournalRecord) and applies
-// it. A malformed record returns an error after applying a prefix of
-// it; OpenDurable then discards the whole store, so the prefix is never
+// it, settling donor views at its end as the batch it journals did. A
+// malformed record returns an error after applying a prefix of it;
+// OpenDurable then discards the whole store, so the prefix is never
 // observed.
 func (r *journalReplay) apply(payload []byte) error {
 	if len(payload) < journalHead || payload[0] != journalVersion {
@@ -243,11 +244,15 @@ func (r *journalReplay) apply(payload []byte) error {
 		if old, ok := rec.at(day); ok && old == seconds {
 			continue // idempotent re-delivery
 		}
+		if !rec.viewSafe(day) {
+			s.queueViewLocked(rec, day)
+		}
 		rec.put(day, seconds)
 		s.seq++
 		rec.lastSeq = s.seq
 		s.changed++
 	}
+	s.settleViewsLocked()
 	if off != len(payload) {
 		return fmt.Errorf("journal record has %d trailing bytes", len(payload)-off)
 	}

@@ -70,7 +70,7 @@ func mustEqualStores(t testing.TB, got, want *Store, reports map[string]uint64, 
 			t.Fatalf("%s: per-vehicle stats %+v, want %+v", label, g, w)
 		}
 	}
-	if gd, wd := got.DirtySince(0), want.DirtySince(0); !reflect.DeepEqual(gd, wd) {
+	if gd, wd := got.DirtySince(0, nil), want.DirtySince(0, nil); !reflect.DeepEqual(gd, wd) {
 		t.Fatalf("%s: DirtySince(0) = %v, want %v", label, gd, wd)
 	}
 }
@@ -587,11 +587,11 @@ func TestDurableDirtyBaselineAfterReplay(t *testing.T) {
 	}
 
 	s2 := openDurable(t, dir)
-	if dirty := s2.DirtySince(s2.Seq()); len(dirty) != 0 {
+	if dirty := s2.DirtySince(s2.Seq(), nil); len(dirty) != 0 {
 		t.Fatalf("replayed batches count as fresh dirtiness: %v", dirty)
 	}
 	// The replayed content is still reachable for a from-scratch plan.
-	if dirty := s2.DirtySince(0); len(dirty) != 2 {
+	if dirty := s2.DirtySince(0, nil); len(dirty) != 2 {
 		t.Fatalf("replayed vehicles invisible to DirtySince(0): %v", dirty)
 	}
 	// A genuinely fresh change after recovery is dirty as usual.
@@ -599,7 +599,7 @@ func TestDurableDirtyBaselineAfterReplay(t *testing.T) {
 	if _, err := s2.UpsertBatch([]Report{report("v01", 1, 3000)}); err != nil {
 		t.Fatal(err)
 	}
-	if dirty := s2.DirtySince(mark); len(dirty) != 1 || dirty[0] != "v01" {
+	if dirty := s2.DirtySince(mark, nil); len(dirty) != 1 || dirty[0] != "v01" {
 		t.Fatalf("fresh change dirty set = %v, want [v01]", dirty)
 	}
 }

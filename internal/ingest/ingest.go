@@ -17,7 +17,8 @@
 //     any point in time (DirtySince, DirtyCount, VehicleSeq), so retrain
 //     policy can be data-driven instead of purely periodic, and a read
 //     can tell whether the live generation covers a vehicle's latest
-//     report;
+//     report; each vehicle's donor view (donorview.go) also records when
+//     it last moved, so a cluster shard counts only what it reads;
 //   - Fleet derives timeseries.VehicleSeries on demand from the stored
 //     runs, making the store a drop-in engine.Source.
 //
@@ -111,6 +112,15 @@ type vehicleRecord struct {
 	// lastSeq is the store sequence of this vehicle's latest content
 	// change.
 	lastSeq uint64
+	// The donor view (donorview.go): firstCycle is the length in days of
+	// the first complete maintenance cycle, 0 while none has completed,
+	// viewUnknown until a checkpoint-loaded record is touched; viewSeq is
+	// the store sequence of the batch that last moved the view;
+	// viewQueued says the running batch has queued the record for
+	// settleViewsLocked.
+	firstCycle int
+	viewSeq    uint64
+	viewQueued bool
 	// reports counts accepted reports; lastReport is the wall-clock
 	// receipt time of the latest one (observability only).
 	reports    uint64
@@ -199,6 +209,11 @@ type Store struct {
 	rejected  uint64
 	changed   uint64
 	allowance float64
+
+	// viewQueue and viewBefore are the running batch's donor-view
+	// scratch (see queueViewLocked), guarded by mu.
+	viewQueue  []queuedView
+	viewBefore []float64
 
 	// prepMu guards the prepared-vehicle cache. Lock ordering: prepMu
 	// may be taken while holding mu (read side); never the reverse.
@@ -454,6 +469,7 @@ func (s *Store) UpsertBatch(reports []Report) (BatchResult, error) {
 			}
 		}
 	}
+	s.settleViewsLocked()
 	res.Seq = s.seq
 	// Journal any batch that moved a counter — including an
 	// all-rejected one, so the accept/reject accounting survives a
@@ -476,7 +492,7 @@ func (s *Store) UpsertBatch(reports []Report) (BatchResult, error) {
 // an already-resolved vehicle record — the allocation-free inner step
 // both batch paths drive, resolving the record once per wire group or
 // run of same-vehicle reports instead of once per report. Callers hold
-// the write lock.
+// the write lock and end the batch with settleViewsLocked.
 func (s *Store) upsertDayLocked(rec *vehicleRecord, day int64, seconds float64, now time.Time) bool {
 	rec.reports++
 	rec.lastReport = now
@@ -487,6 +503,9 @@ func (s *Store) upsertDayLocked(rec *vehicleRecord, day int64, seconds float64, 
 	}
 	if existed {
 		rec.hash ^= dayHash(day, old)
+	}
+	if !rec.viewSafe(day) {
+		s.queueViewLocked(rec, day)
 	}
 	rec.put(day, seconds)
 	rec.hash ^= dayHash(day, seconds)
@@ -504,15 +523,15 @@ func (s *Store) Seq() uint64 {
 	return s.seq
 }
 
-// DirtySince lists the vehicles whose content changed after the given
-// sequence point, sorted by ID. DirtySince(0) lists every vehicle ever
-// written.
-func (s *Store) DirtySince(seq uint64) []string {
+// DirtySince lists, sorted by ID, the vehicles whose content changed
+// after the given sequence point; owns narrows the list as it does
+// DirtyCount's. DirtySince(0, nil) lists every vehicle ever written.
+func (s *Store) DirtySince(seq uint64, owns func(id string) bool) []string {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	var ids []string
 	for id, rec := range s.vehicles {
-		if rec.lastSeq > seq {
+		if rec.readChanged(id, seq, owns) {
 			ids = append(ids, id)
 		}
 	}
@@ -521,25 +540,35 @@ func (s *Store) DirtySince(seq uint64) []string {
 }
 
 // DirtyCount counts the vehicles whose content changed after the given
-// sequence point, stopping at limit: the retrain trigger's question
-// ("have at least limit vehicles changed?") without DirtySince's list,
-// sort and allocation. A store with no change since seq answers
-// without scanning.
-func (s *Store) DirtyCount(seq uint64, limit int) int {
+// sequence point, stopping at limit, and returns the store sequence it
+// counted at: the retrain trigger's question ("have at least limit
+// vehicles changed?") without DirtySince's list, sort and allocation. A
+// store with no change since seq answers without scanning.
+//
+// owns, when set, narrows both to what a cluster shard owning those
+// vehicles reads: a vehicle it owns that changed, and any other vehicle
+// whose donor view changed (see donorview.go). nil counts every change.
+func (s *Store) DirtyCount(seq uint64, limit int, owns func(id string) bool) (n int, at uint64) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	if s.seq <= seq {
-		return 0
+		return 0, s.seq
 	}
-	n := 0
-	for _, rec := range s.vehicles {
-		if rec.lastSeq > seq {
+	for id, rec := range s.vehicles {
+		if rec.readChanged(id, seq, owns) {
 			if n++; n >= limit {
 				break
 			}
 		}
 	}
-	return n
+	return n, s.seq
+}
+
+// readChanged says whether rec changed after seq in a way that a
+// consumer owning the vehicles owns reads; with owns nil, every change
+// counts.
+func (r *vehicleRecord) readChanged(id string, seq uint64, owns func(id string) bool) bool {
+	return r.lastSeq > seq && (owns == nil || r.viewSeq > seq || owns(id))
 }
 
 // VehicleSeq returns the store sequence of a vehicle's latest content

@@ -67,7 +67,7 @@ func TestIdempotentRedelivery(t *testing.T) {
 	if s.Seq() != seq1 {
 		t.Fatalf("seq advanced on re-delivery: %d -> %d", seq1, s.Seq())
 	}
-	if dirty := s.DirtySince(seq1); len(dirty) != 0 {
+	if dirty := s.DirtySince(seq1, nil); len(dirty) != 0 {
 		t.Fatalf("dirty after re-delivery: %v", dirty)
 	}
 }
@@ -161,14 +161,14 @@ func TestDirtySinceAndSeq(t *testing.T) {
 	s := New(0)
 	s.UpsertBatch([]Report{report("v01", 0, 1000), report("v02", 0, 2000)})
 	mark := s.Seq()
-	if dirty := s.DirtySince(0); len(dirty) != 2 {
+	if dirty := s.DirtySince(0, nil); len(dirty) != 2 {
 		t.Fatalf("dirty since 0 = %v", dirty)
 	}
-	if dirty := s.DirtySince(mark); len(dirty) != 0 {
+	if dirty := s.DirtySince(mark, nil); len(dirty) != 0 {
 		t.Fatalf("dirty since mark = %v", dirty)
 	}
 	s.UpsertBatch([]Report{report("v02", 1, 2000)})
-	dirty := s.DirtySince(mark)
+	dirty := s.DirtySince(mark, nil)
 	if len(dirty) != 1 || dirty[0] != "v02" {
 		t.Fatalf("dirty since mark = %v, want [v02]", dirty)
 	}
@@ -201,7 +201,7 @@ func TestConcurrentMixedReadersWriters(t *testing.T) {
 					return
 				}
 				s.Stats()
-				s.DirtySince(0)
+				s.DirtySince(0, nil)
 			}
 		}()
 	}
@@ -408,12 +408,12 @@ func TestDirtyCount(t *testing.T) {
 		seq   uint64
 		limit int
 	}{{0, 3}, {0, 100}, {5, 1}, {5, 3}, {5, 4}, {8, 1}, {9, 1}} {
-		want := min(len(s.DirtySince(c.seq)), c.limit)
-		if got := s.DirtyCount(c.seq, c.limit); got != want {
-			t.Errorf("DirtyCount(%d, %d) = %d, want %d", c.seq, c.limit, got, want)
+		want := min(len(s.DirtySince(c.seq, nil)), c.limit)
+		if got, at := s.DirtyCount(c.seq, c.limit, nil); got != want || at != 8 {
+			t.Errorf("DirtyCount(%d, %d) = %d at %d, want %d at 8", c.seq, c.limit, got, at, want)
 		}
 	}
-	if n := testing.AllocsPerRun(100, func() { s.DirtyCount(2, 100) }); n != 0 {
+	if n := testing.AllocsPerRun(100, func() { s.DirtyCount(2, 100, nil) }); n != 0 {
 		t.Fatalf("DirtyCount allocates %v/op, want 0", n)
 	}
 	if seq, ok := s.VehicleSeq("v03"); !ok || seq != 4 {

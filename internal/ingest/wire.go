@@ -295,6 +295,7 @@ func (s *Store) UpsertBinary(payload []byte, maxReports int) (BatchResult, error
 		// Unreachable: the first walk validated the structure.
 		return res, err
 	}
+	s.settleViewsLocked()
 	res.Seq = s.seq
 	if s.journal != nil && res.Accepted+res.Rejected > 0 {
 		idx, err := s.journal.Append(encodeJournalRecord(journalRecord{

@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/cluster"
 	"repro/internal/engine"
 	"repro/internal/ingest"
 )
@@ -211,8 +212,16 @@ func TestTelemetryIncrementalRetrain(t *testing.T) {
 // TestFailedKickRollsBackDirtyBaseline: a threshold-kicked build that
 // fails must not consume its dirty set — the vehicles it covered count
 // again, so a later batch re-triggers even though it alone is under
-// the threshold.
+// the threshold. A shard over a shared store that owns none of the
+// changed vehicles retries the same way: a failed shard counts every
+// change.
 func TestFailedKickRollsBackDirtyBaseline(t *testing.T) {
+	for _, owns := range []func(string) bool{nil, func(string) bool { return false }} {
+		failedKickRollsBack(t, owns)
+	}
+}
+
+func failedKickRollsBack(t *testing.T, owns func(string) bool) {
 	store := seededStore(t)
 
 	var failFetch atomic.Bool
@@ -266,6 +275,7 @@ func TestFailedKickRollsBackDirtyBaseline(t *testing.T) {
 	// One more vehicle changes — alone under the threshold, but with
 	// the failed kick's set rolled back it makes three.
 	failFetch.Store(false)
+	srv.owns = owns
 	_, body = postJSON(t, srv, "/telemetry", `{"reports":[{"vehicle":"v03","date":"2016-02-10","seconds":17000}]}`)
 	if err := json.Unmarshal(body, &res); err != nil {
 		t.Fatal(err)
@@ -411,17 +421,29 @@ func TestNewWithOptionsValidation(t *testing.T) {
 // TestKickCheckAllocs pins the dirty-threshold check every acknowledged
 // batch runs (and, under -shards, every shard per router batch) at zero
 // allocations: a count that stops at the threshold, not a sorted list
-// of the dirty vehicles.
+// of the dirty vehicles — also in a shard's form, which asks the ring
+// who owns each dirty vehicle.
 func TestKickCheckAllocs(t *testing.T) {
 	srv, _, _ := ingestServer(t, 2)
 	if rec, body := postJSON(t, srv, "/telemetry", `{"reports":[{"vehicle":"v01","date":"2016-02-10","seconds":17000}]}`); rec.Code != http.StatusOK {
 		t.Fatalf("status %d: %s", rec.Code, body)
 	}
-	if n := testing.AllocsPerRun(100, func() {
-		if srv.maybeKickRetrain(context.Background()) {
-			t.Fatal("one dirty vehicle met a threshold of two")
+	check := func(label string) {
+		t.Helper()
+		if n := testing.AllocsPerRun(100, func() {
+			if srv.maybeKickRetrain(context.Background()) {
+				t.Fatal("one dirty vehicle met a threshold of two")
+			}
+		}); n != 0 {
+			t.Fatalf("%s kick check allocates %v/op, want 0", label, n)
 		}
-	}); n != 0 {
-		t.Fatalf("kick check allocates %v/op, want 0", n)
 	}
+	check("unsharded")
+	ring, err := cluster.NewRingOf(0, cluster.ShardNames(3)...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	owner := ring.Owner("v01")
+	srv.owns = func(id string) bool { return ring.Owner(id) == owner }
+	check("shard")
 }

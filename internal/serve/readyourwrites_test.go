@@ -212,8 +212,8 @@ type rywCluster struct {
 	release chan struct{}
 }
 
-// newRYWCluster builds the cluster; with remote set, the router reaches
-// each shard over HTTP instead of in process.
+// newRYWCluster builds the cluster over one store; with remote set, the
+// router reaches each shard over HTTP instead of in process.
 func newRYWCluster(t *testing.T, remote bool) *rywCluster {
 	t.Helper()
 	store := genStore(t, 9)
@@ -250,7 +250,14 @@ func newRYWCluster(t *testing.T, remote bool) *rywCluster {
 		backends = append(backends, NewRemoteBackend(sh.Name, ts.URL, ts.Client()))
 	}
 	c.ring = sharded.Ring()
-	if c.router, err = NewRouter(c.ring, backends, RouterOptions{SharedIngest: store}); err != nil {
+	// In process the router upserts into the shared store and runs every
+	// shard's retrain check; over HTTP it partitions, so the report lands
+	// through the owner's own door, as in the multi-process topology.
+	opts := RouterOptions{SharedIngest: store}
+	if remote {
+		opts = RouterOptions{}
+	}
+	if c.router, err = NewRouter(c.ring, backends, opts); err != nil {
 		t.Fatal(err)
 	}
 	return c

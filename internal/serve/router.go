@@ -26,7 +26,8 @@
 //     vehicles on GET /internal/donors and pulls its peers' at retrain;
 //     see cluster.DonorExchangeSource). In the in-process topology,
 //     where every shard wraps one shared store, the router upserts the
-//     batch exactly once (RouterOptions.SharedIngest).
+//     batch exactly once and runs each shard's retrain check in place
+//     (RouterOptions.SharedIngest).
 //
 // Every scatter carries a per-shard deadline: a shard that is down or
 // wedged yields 503 naming the failing shards instead of hanging the
@@ -123,10 +124,12 @@ type RouterOptions struct {
 	// relaying per-shard 404s.
 	DisableIngest bool
 	// SharedIngest, set in the in-process topology where every shard
-	// wraps the same *ingest.Store, lets the router upsert a telemetry
-	// batch exactly once; shards are then scattered only an empty batch
-	// so each still evaluates its own dirty-retrain trigger. Leave nil
-	// in the multi-process topology, where the router instead routes
+	// backend is a *Server over the same *ingest.Store, lets the router
+	// upsert a telemetry batch exactly once and then run each shard's
+	// dirty-retrain check directly. NewRouter hands each such shard its
+	// ring ownership, so the check counts only the vehicles the shard
+	// reads: a report moves the shards whose builds it can change. Leave
+	// nil in the multi-process topology, where the router instead routes
 	// each vehicle's reports to its ring owner's store only.
 	SharedIngest *ingest.Store
 	// Logger receives one structured line per handled request, carrying
@@ -148,6 +151,10 @@ type Router struct {
 	telemetry *guard
 	ingest    *ingest.Store // shared store fast path; nil = partition by owner
 	log       *slog.Logger
+	// kickers are the shard servers over the shared store, each told
+	// which vehicles it owns; an acknowledged batch runs their retrain
+	// checks in place.
+	kickers []*Server
 	// routeHist shares the fleet_http_request_seconds family with shard
 	// servers; on a router scrape the shard copies arrive relabeled with
 	// shard="...", so the router's own unlabeled-by-shard series stays
@@ -243,6 +250,19 @@ func NewRouter(ring *cluster.Ring, backends []ShardBackend, opts RouterOptions) 
 	for _, s := range shards {
 		if _, ok := rt.byName[s]; !ok {
 			return nil, fmt.Errorf("serve: ring shard %q has no backend", s)
+		}
+	}
+	if rt.ingest != nil {
+		for _, b := range backends {
+			srv, ok := b.Handler.(*Server)
+			if !ok || srv.ingest != rt.ingest {
+				return nil, fmt.Errorf("serve: shared ingest needs shard %q to be a server over that store", b.Name)
+			}
+			name := b.Name
+			srv.kickMu.Lock()
+			srv.owns = func(id string) bool { return ring.Owner(id) == name }
+			srv.kickMu.Unlock()
+			rt.kickers = append(rt.kickers, srv)
 		}
 	}
 
@@ -630,11 +650,10 @@ func (rt *Router) handlePlan(w http.ResponseWriter, r *http.Request) {
 
 // handleTelemetry guards, then routes the batch. With a shared store
 // (in-process topology) the batch is upserted exactly once at the
-// router and every shard is scattered an empty batch so it still
-// evaluates its dirty-retrain trigger. With per-shard stores
-// (multi-process topology) the batch is *partitioned*: each vehicle's
-// reports go only to the shard the ring names as its owner — no
-// broadcast, so per-shard raw-telemetry storage scales ~1/N. The
+// router, which then runs every shard's dirty-retrain check. With
+// per-shard stores (multi-process topology) the batch is *partitioned*:
+// each vehicle's reports go only to the shard the ring names as its
+// owner — no broadcast, so per-shard raw-telemetry storage scales ~1/N. The
 // fleet-wide donor pools shards need for cold-start training move
 // through the donor-series exchange instead (GET /internal/donors +
 // cluster.DonorExchangeSource), not through replicated raw telemetry.
@@ -668,8 +687,8 @@ func (rt *Router) handleTelemetry(w http.ResponseWriter, r *http.Request) {
 	}
 
 	// Shared-store fast path (in-process topology): upsert once, then
-	// scatter an empty batch so each shard judges its retrain trigger
-	// against the store's new state.
+	// let each shard judge its retrain trigger against the store's new
+	// state.
 	if rt.ingest != nil {
 		res, err := rt.ingest.UpsertBatch(reports)
 		if err != nil {
@@ -809,35 +828,18 @@ func (rt *Router) sortedOwners(w http.ResponseWriter, n int, seq func(yield func
 	return owners, true
 }
 
-// ackSharedTelemetry finishes a shared-store telemetry post: it
-// scatters every shard an *empty* JSON batch — each must still notice
-// the store moved and judge its own retrain trigger — and acks with
-// the router's own upsert result. compact mirrors the binary door's
-// ack contract: the per-vehicle breakdown is included only when
+// ackSharedTelemetry finishes a shared-store telemetry post: it runs
+// every shard's dirty-retrain check against the store's new state —
+// each kicks a build only if the batch changed a vehicle it reads — and
+// acks with the router's own upsert result. compact mirrors the binary
+// door's ack contract: the per-vehicle breakdown is included only when
 // something was rejected.
 func (rt *Router) ackSharedTelemetry(w http.ResponseWriter, r *http.Request, res ingest.BatchResult, compact bool) {
-	hdr := make(http.Header)
-	hdr.Set("Content-Type", "application/json")
-	resps := rt.scatter(r.Context(), http.MethodPost, "/telemetry", []byte(`{"reports":[]}`), hdr, rt.timeout)
-	var fail fanoutError
 	out := TelemetryResponse{BatchResult: res}
-	for _, resp := range resps {
-		if resp.err != nil {
-			fail.add(resp.shard, resp.err.Error())
-			continue
-		}
-		var tr TelemetryResponse
-		if resp.status != http.StatusOK || jsonDecode(resp.body, &tr) != nil {
-			fail.add(resp.shard, fmt.Sprintf("status %d: %s", resp.status, strings.TrimSpace(string(resp.body))))
-			continue
-		}
-		if tr.RetrainStarted {
+	for _, srv := range rt.kickers {
+		if srv.maybeKickRetrain(r.Context()) {
 			out.RetrainStarted = true
 		}
-	}
-	if len(fail.Shards) > 0 {
-		fail.write(w)
-		return
 	}
 	if compact && out.Rejected == 0 {
 		out.Vehicles = nil

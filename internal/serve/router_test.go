@@ -367,8 +367,7 @@ func TestRouterTelemetrySharedStoreFastPath(t *testing.T) {
 	if !tr.RetrainStarted {
 		t.Fatal("retrain trigger not evaluated on shards")
 	}
-	// One upsert, not one per shard: the empty broadcast batches
-	// accept nothing.
+	// One upsert, not one per shard.
 	if got := fx.store.Stats().Accepted - before; got != 6 {
 		t.Fatalf("store accepted %d reports for a 6-report batch, want exactly 6 (single upsert)", got)
 	}

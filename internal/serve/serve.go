@@ -117,9 +117,15 @@ type Server struct {
 	// the baseline to roll back to when the engine's last build failed —
 	// the sequence point before the latest kick that started one — so a
 	// failed build does not permanently consume its dirty set.
+	//
+	// owns, set by NewRouter when this server is an in-process shard
+	// over the router's shared store, says which vehicles the shard owns:
+	// the policy then counts only what the shard's builds read (see
+	// ingest.Store.DirtyCount). nil counts every stored vehicle.
 	kickMu      sync.Mutex
 	lastKickSeq uint64
 	prevKickSeq uint64
+	owns        func(id string) bool
 
 	// The read caches (readcache.go), each keyed by the snapshot
 	// generation: per-vehicle forecast bodies (unknown IDs never
@@ -613,10 +619,14 @@ const maxTelemetryReports = 500_000
 
 // maybeKickRetrain kicks a background incremental retrain when the
 // number of vehicles changed since the last kick reaches the
-// configured threshold, and reports whether a build started. The
-// sequence point advances either way: a kick that meets a build (or its
-// spill) in flight is refused but remembered by the engine, whose one
-// follow-up build re-reads the store and so covers everything up to
+// configured threshold, and reports whether a build started. Under a
+// router over a shared store (owns set) the vehicles counted are the
+// ones this shard reads: those it owns, and any other whose donor view
+// changed. A check that finds none advances the baseline, since none of
+// the changes up to it could move this shard's build. The sequence
+// point advances after a kick either way: a kick that meets a build (or
+// its spill) in flight is refused but remembered by the engine, whose
+// one follow-up build re-reads the store and so covers everything up to
 // here without waiting for another batch. If the engine's last build
 // *failed*, the baseline rolls back so the dirty set it was meant to
 // cover counts again instead of being silently consumed.
@@ -626,13 +636,21 @@ func (s *Server) maybeKickRetrain(ctx context.Context) bool {
 	}
 	s.kickMu.Lock()
 	defer s.kickMu.Unlock()
+	owns := s.owns
 	if s.engine.LastBuildFailed() {
 		// Nothing has succeeded since that failure (a success clears the
 		// error): restore the baseline so the vehicles the kicks since
-		// then covered re-trigger on this or a later batch.
+		// then covered re-trigger on this or a later batch. A failed
+		// shard counts every change, so it retries on the next one
+		// anywhere, as an unsharded server does.
 		s.lastKickSeq = s.prevKickSeq
+		owns = nil
 	}
-	if s.ingest.DirtyCount(s.lastKickSeq, s.retrainDirty) < s.retrainDirty {
+	n, at := s.ingest.DirtyCount(s.lastKickSeq, s.retrainDirty, owns)
+	if n == 0 {
+		s.lastKickSeq = at
+	}
+	if n < s.retrainDirty {
 		return false
 	}
 	seq := s.ingest.Seq()
@@ -651,8 +669,9 @@ type IngestStatsJSON struct {
 	// RetrainDirtyThreshold echoes the configured threshold (0 =
 	// disabled).
 	RetrainDirtyThreshold int `json:"retrain_dirty_threshold"`
-	// DirtySinceLastRetrain lists vehicles changed since the last
-	// threshold-triggered retrain kick.
+	// DirtySinceLastRetrain lists the vehicles changed since the last
+	// threshold-triggered retrain kick — on an in-process shard, only
+	// those the shard reads (see maybeKickRetrain).
 	DirtySinceLastRetrain []string `json:"dirty_since_last_retrain,omitempty"`
 	// Doors breaks telemetry traffic down per ingest door (JSON,
 	// binary HTTP), each with its sampled allocs-per-report.
@@ -699,12 +718,12 @@ type DonorSet = cluster.DonorSet
 
 func (s *Server) handleIngestStats(w http.ResponseWriter, _ *http.Request) {
 	s.kickMu.Lock()
-	lastKick := s.lastKickSeq
+	lastKick, owns := s.lastKickSeq, s.owns
 	s.kickMu.Unlock()
 	writeJSON(w, http.StatusOK, IngestStatsJSON{
 		Stats:                 s.ingest.Stats(),
 		RetrainDirtyThreshold: s.retrainDirty,
-		DirtySinceLastRetrain: s.ingest.DirtySince(lastKick),
+		DirtySinceLastRetrain: s.ingest.DirtySince(lastKick, owns),
 		Doors:                 s.doorStatsJSON(),
 	})
 }

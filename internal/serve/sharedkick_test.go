@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -13,6 +14,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/ingest"
+	"repro/internal/wal"
 )
 
 // kickDay0 is the first day of every vehicle in the shared-kick fleet.
@@ -52,13 +54,17 @@ func categoryAfter(t *testing.T, id string, days int, daily float64) core.Catego
 
 // TestSharedStoreKickMovesOnlyChangedShards drives `fleetserver -shards
 // 3 -ingest -retrain-dirty 1` in process: three shard servers over one
-// shared ingest store behind a router that upserts each report once and
-// kicks every shard. Every shard owns old and cold-start vehicles. A
-// report that moves only its own vehicle's forecast publishes on the
-// owner alone; the report that completes a semi-new vehicle's first
-// cycle changes the donor pool and publishes on every shard. After each
-// report — with no explicit retrain — the router's /fleet/forecast is
-// byte-identical to an unsharded engine's on the same store.
+// shared, durable ingest store behind a router that upserts each report
+// once and runs every shard's retrain check. Every shard owns old and
+// cold-start vehicles. A report that moves only its own vehicle's
+// forecast builds on the owner alone — the other shards neither build
+// nor publish; the report that completes a semi-new vehicle's first
+// cycle, and a backfill inside an old vehicle's first cycle, change the
+// donor pool and build and publish on every shard. After a restart from
+// a checkpoint, the first tail-day report again builds only on its
+// owner. After each step — with no explicit retrain — the router's
+// /fleet/forecast is byte-identical to an unsharded engine's on the
+// same store, and no shard has built anything it then left unpublished.
 func TestSharedStoreKickMovesOnlyChangedShards(t *testing.T) {
 	const (
 		oldDays     = 400
@@ -87,31 +93,67 @@ func TestSharedStoreKickMovesOnlyChangedShards(t *testing.T) {
 		days[id], want[owner] = want[owner][0], want[owner][1:]
 		seed = append(seed, kickReports(id, 0, days[id], daily)...)
 	}
-	store := ingest.New(600_000)
+	walDir := t.TempDir()
+	openStore := func() *ingest.Store {
+		store, err := ingest.OpenDurable(600_000, ingest.DurableOptions{Dir: walDir, Fsync: wal.FsyncNever})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return store
+	}
+	store := openStore()
+	defer func() { store.Close() }()
 	if _, err := store.UpsertBatch(seed); err != nil {
 		t.Fatal(err)
 	}
 
-	sharded, err := cluster.NewSharded(cluster.ShardedConfig{Engine: testEngineConfig(), Base: store.Fleet, Names: names})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := sharded.RetrainAll(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	var backends []ShardBackend
-	for _, sh := range sharded.Shards() {
-		srv, err := NewWithOptions(sh.Engine, Options{Ingest: store, RetrainDirty: 1})
+	// boot trains a sharded cluster from the store and fronts it with the
+	// shared-store router, as fleetserver -shards does.
+	var (
+		sharded *cluster.Sharded
+		servers map[string]*Server
+		router  *Router
+	)
+	boot := func() {
+		t.Helper()
+		sharded, err = cluster.NewSharded(cluster.ShardedConfig{Engine: testEngineConfig(), Base: store.Fleet, Names: names})
 		if err != nil {
 			t.Fatal(err)
 		}
-		backends = append(backends, ShardBackend{Name: sh.Name, Handler: srv})
+		if err := sharded.RetrainAll(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		servers = map[string]*Server{}
+		var backends []ShardBackend
+		for _, sh := range sharded.Shards() {
+			srv, err := NewWithOptions(sh.Engine, Options{Ingest: store, RetrainDirty: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			servers[sh.Name] = srv
+			backends = append(backends, ShardBackend{Name: sh.Name, Handler: srv})
+		}
+		if router, err = NewRouter(sharded.Ring(), backends, RouterOptions{SharedIngest: store}); err != nil {
+			t.Fatal(err)
+		}
 	}
-	router, err := NewRouter(sharded.Ring(), backends, RouterOptions{SharedIngest: store})
-	if err != nil {
-		t.Fatal(err)
-	}
+	boot()
 
+	// counts reads one engine counter per shard from its /metrics: the
+	// builds that fetched the source (the prep stage), or those that
+	// came out unchanged.
+	counts := func(name string) map[string]string {
+		out := map[string]string{}
+		for shard, srv := range servers {
+			rec, body := get(t, srv, "/metrics")
+			if rec.Code != http.StatusOK {
+				t.Fatalf("shard %s /metrics = %d", shard, rec.Code)
+			}
+			out[shard] = metricValue(t, string(body), name)
+		}
+		return out
+	}
+	const builds, unchanged = `fleet_train_stage_seconds_count{stage="prep"}`, "fleet_retrain_unchanged_total"
 	generations := func() map[string]uint64 {
 		out := map[string]uint64{}
 		for _, sh := range sharded.Shards() {
@@ -132,10 +174,11 @@ func TestSharedStoreKickMovesOnlyChangedShards(t *testing.T) {
 	}
 
 	// report posts one JSON batch through the router, waits for every
-	// kicked build, and returns the shards whose generation moved.
-	report := func(label string, reports []ingest.Report) map[string]bool {
+	// kicked build, and returns the shards that built and those whose
+	// generation moved.
+	report := func(label string, reports []ingest.Report) (built, moved map[string]bool) {
 		t.Helper()
-		before := generations()
+		before, buildsBefore := generations(), counts(builds)
 		var rows []string
 		for _, r := range reports {
 			rows = append(rows, fmt.Sprintf(`{"vehicle":%q,"date":%q,"seconds":%v}`, r.VehicleID, r.Date.Format("2006-01-02"), r.Seconds))
@@ -159,13 +202,23 @@ func TestSharedStoreKickMovesOnlyChangedShards(t *testing.T) {
 				t.Fatalf("%s: shard %s: %s", label, sh.Name, st.LastError)
 			}
 		}
-		moved := map[string]bool{}
+		moved, built = map[string]bool{}, map[string]bool{}
 		for name, gen := range generations() {
 			switch {
 			case gen == before[name]+1:
 				moved[name] = true
 			case gen != before[name]:
 				t.Fatalf("%s: shard %s went from generation %d to %d, want at most one publish", label, name, before[name], gen)
+			}
+		}
+		for name, n := range counts(builds) {
+			if n != buildsBefore[name] {
+				built[name] = true
+			}
+		}
+		for name, n := range counts(unchanged) {
+			if n != "0" {
+				t.Fatalf("%s: shard %s built %s generations it did not publish", label, name, n)
 			}
 		}
 
@@ -189,12 +242,26 @@ func TestSharedStoreKickMovesOnlyChangedShards(t *testing.T) {
 		if gotRec.Code != http.StatusOK || string(got) != wantRec.Body.String() {
 			t.Fatalf("%s: router /fleet/forecast (%d) differs from the unsharded engine's:\nrouter %s\nsingle %s", label, gotRec.Code, got, wantRec.Body)
 		}
-		return moved
+		return built, moved
 	}
-	onlyOwner := func(label, id string, moved map[string]bool) {
+	onlyOwner := func(label, id string, reports []ingest.Report) {
 		t.Helper()
-		if owner := ring.Owner(id); len(moved) != 1 || !moved[owner] {
+		built, moved := report(label, reports)
+		owner := ring.Owner(id)
+		if len(built) != 1 || !built[owner] {
+			t.Fatalf("%s: shards %v built, want only %s's owner %s", label, built, id, owner)
+		}
+		if len(moved) != 1 || !moved[owner] {
 			t.Fatalf("%s: generations moved on %v, want only %s's owner %s", label, moved, id, owner)
+		}
+	}
+	everyShard := func(label string, reports []ingest.Report) {
+		t.Helper()
+		built, moved := report(label, reports)
+		for _, name := range names {
+			if !built[name] || !moved[name] {
+				t.Fatalf("%s: shards %v built and %v published, want every shard", label, built, moved)
+			}
 		}
 	}
 
@@ -210,8 +277,8 @@ func TestSharedStoreKickMovesOnlyChangedShards(t *testing.T) {
 		}
 	}
 
-	onlyOwner("old vehicle's tail day", oldID, report("old vehicle's tail day", kickReports(oldID, oldDays, oldDays+1, daily)))
-	onlyOwner("new vehicle's tail day", newID, report("new vehicle's tail day", kickReports(newID, newDays, newDays+1, daily)))
+	onlyOwner("old vehicle's tail day", oldID, kickReports(oldID, oldDays, oldDays+1, daily))
+	onlyOwner("new vehicle's tail day", newID, kickReports(newID, newDays, newDays+1, daily))
 
 	// Bring the semi-new vehicle to one day short of its first
 	// maintenance, then report that day.
@@ -219,11 +286,78 @@ func TestSharedStoreKickMovesOnlyChangedShards(t *testing.T) {
 	for categoryAfter(t, semiID, complete, daily) != core.Old {
 		complete++
 	}
-	onlyOwner("semi-new vehicle's tail days", semiID, report("semi-new vehicle's tail days", kickReports(semiID, semiNewDays, complete-1, daily)))
-	moved := report("first maintenance", kickReports(semiID, complete-1, complete, daily))
-	for name := range coldStartOwners {
-		if !moved[name] {
-			t.Fatalf("first maintenance of %s moved generations on %v, want every shard with cold-start vehicles", semiID, moved)
+	onlyOwner("semi-new vehicle's tail days", semiID, kickReports(semiID, semiNewDays, complete-1, daily))
+	everyShard("first maintenance", kickReports(semiID, complete-1, complete, daily))
+
+	// A corrected day inside the old vehicle's first cycle rewrites a
+	// donor's first cycle: every shard's cold-start models read it.
+	backfill := kickReports(oldID, 3, 4, daily)
+	backfill[0].Seconds += 1000
+	everyShard("backfill inside a first cycle", backfill)
+
+	// Restart from a checkpoint: the store reloads with no donor view
+	// known, and finding one on the first touch is not a change.
+	if _, err := store.CheckpointAndCompact(); err != nil {
+		t.Fatal(err)
+	}
+	store.Close()
+	store = openStore()
+	boot()
+	onlyOwner("old vehicle's tail day after a restart", oldID, kickReports(oldID, oldDays+1, oldDays+2, daily))
+}
+
+// TestSharedStoreDirtyListsWhatTheShardReads: under -retrain-dirty 2 a
+// shard that has one changed vehicle of its own waits for a second, and
+// its dirty_since_last_retrain lists only the vehicles it reads: a tail
+// day of another shard's old vehicle never joins the list.
+func TestSharedStoreDirtyListsWhatTheShardReads(t *testing.T) {
+	store := genStore(t, 9)
+	sharded, err := cluster.NewSharded(cluster.ShardedConfig{Engine: testEngineConfig(), Base: store.Fleet, Shards: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sharded.RetrainAll(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	servers := map[string]*Server{}
+	var backends []ShardBackend
+	oldOf := map[string]string{} // shard -> the first old vehicle it owns
+	for _, sh := range sharded.Shards() {
+		srv, err := NewWithOptions(sh.Engine, Options{Ingest: store, RetrainDirty: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		servers[sh.Name] = srv
+		backends = append(backends, ShardBackend{Name: sh.Name, Handler: srv})
+		for _, st := range sh.Engine.Snapshot().Statuses {
+			if st.Category == core.Old && oldOf[sh.Name] == "" {
+				oldOf[sh.Name] = st.ID
+			}
+		}
+	}
+	router, err := NewRouter(sharded.Ring(), backends, RouterOptions{SharedIngest: store})
+	if err != nil {
+		t.Fatal(err)
+	}
+	names := sharded.Ring().Shards()
+	a, b := oldOf[names[0]], oldOf[names[1]]
+	if a == "" || b == "" {
+		t.Fatalf("old vehicles by shard %v; the fixture wants one on each of the first two", oldOf)
+	}
+	for _, id := range []string{a, b} {
+		if postTail(t, router, id, 1) {
+			t.Fatalf("a tail day of %s met a threshold of two", id)
+		}
+	}
+	want := map[string][]string{names[0]: {a}, names[1]: {b}, names[2]: nil}
+	for name, srv := range servers {
+		rec, body := get(t, srv, "/admin/ingest")
+		var st IngestStatsJSON
+		if rec.Code != http.StatusOK || jsonDecode(body, &st) != nil {
+			t.Fatalf("shard %s /admin/ingest = %d: %s", name, rec.Code, body)
+		}
+		if !slices.Equal(st.DirtySinceLastRetrain, want[name]) {
+			t.Fatalf("shard %s dirty_since_last_retrain %v, want %v", name, st.DirtySinceLastRetrain, want[name])
 		}
 	}
 }

@@ -208,10 +208,8 @@ func (s *Server) handleTelemetryJSON(w http.ResponseWriter, r *http.Request) {
 	}
 	out := TelemetryResponse{BatchResult: res}
 	// Check the dirty threshold even when *this* batch changed nothing:
-	// with a shared store behind several shard servers (the in-process
-	// cluster), the router upserts a batch once and scatters the shards
-	// an *empty* batch — but every shard must still notice the store
-	// moved and judge its own retrain trigger.
+	// after a failed build the check rolls its baseline back, so the
+	// next batch of any kind retries the build.
 	out.RetrainStarted = s.maybeKickRetrain(r.Context())
 	writeJSON(w, http.StatusOK, out)
 }
