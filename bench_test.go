@@ -150,16 +150,28 @@ func BenchmarkFleetTrainParallel(b *testing.B) {
 // at exactly one changed vehicle, and an iteration that retrains other
 // than want vehicles fails the benchmark.
 func benchReport(b *testing.B, seed uint64, base, report []engine.Vehicle, want int) {
+	eng := trainedEngine(b, seed, 1, base)
+	b.ResetTimer()
+	alternate(b, eng, base, report, want)
+}
+
+// trainedEngine returns an engine cold-trained on fleet.
+func trainedEngine(b *testing.B, seed uint64, workers int, fleet []engine.Vehicle) *engine.Engine {
 	cfg := core.DefaultPredictorConfig()
 	cfg.Seed = seed
-	eng, err := engine.New(engine.Config{Predictor: cfg, Workers: 1})
+	eng, err := engine.New(engine.Config{Predictor: cfg, Workers: workers})
 	if err != nil {
 		b.Fatal(err)
 	}
-	if _, err := eng.Retrain(context.Background(), base); err != nil {
+	if _, err := eng.Retrain(context.Background(), fleet); err != nil {
 		b.Fatal(err)
 	}
-	b.ResetTimer()
+	return eng
+}
+
+// alternate times b.N retrains, on report for even iterations and on
+// base for odd ones, each of which must retrain want vehicles.
+func alternate(b *testing.B, eng *engine.Engine, base, report []engine.Vehicle, want int) {
 	for n := 0; n < b.N; n++ {
 		fleet := base
 		if n%2 == 0 {
@@ -175,10 +187,9 @@ func benchReport(b *testing.B, seed uint64, base, report []engine.Vehicle, want 
 	}
 }
 
-// benchTailDay is benchReport for the daily report: base[i] gains one
-// day that completes no maintenance cycle. It adds no label, so nothing
-// may retrain — the report costs a forecast.
-func benchTailDay(b *testing.B, seed uint64, base []engine.Vehicle, i int) {
+// tailDayFleet is base with vehicle i one day longer, a day that
+// completes no maintenance cycle.
+func tailDayFleet(b *testing.B, base []engine.Vehicle, i int) []engine.Vehicle {
 	u := base[i].Series.U
 	pert, err := timeseries.Derive(base[i].Series.ID, append(u.Clone(), u[len(u)-1]), base[i].Series.Allowance)
 	if err != nil {
@@ -189,14 +200,21 @@ func benchTailDay(b *testing.B, seed uint64, base []engine.Vehicle, i int) {
 	}
 	report := append([]engine.Vehicle(nil), base...)
 	report[i] = engine.Vehicle{Series: pert, Start: base[i].Start}
-	benchReport(b, seed, base, report, 0)
+	return report
+}
+
+// benchTailDay is benchReport for the daily report: base[i] gains one
+// day that completes no maintenance cycle. It adds no label, so nothing
+// may retrain — the report costs one forecast.
+func benchTailDay(b *testing.B, seed uint64, base []engine.Vehicle, i int) {
+	benchReport(b, seed, base, tailDayFleet(b, base, i), 0)
 }
 
 // BenchmarkIncrementalRetrain measures the telemetry-update steady
 // state: a retrain after one of the 24 (all old) vehicles reported a
 // day. The engine carries every model forward — the reporter's too,
 // since the day adds no label — so the cost is the plan and the
-// forecasts, not a fit.
+// reporter's forecast, not a fit.
 func BenchmarkIncrementalRetrain(b *testing.B) {
 	e := fleet24(b)
 	benchTailDay(b, e.Scale.Seed, e.FleetVehicles(), 0)
@@ -210,6 +228,27 @@ func BenchmarkIncrementalRetrain(b *testing.B) {
 // coming back.
 func BenchmarkIncrementalRetrainMixed(b *testing.B) {
 	benchTailDay(b, fleet24(b).Scale.Seed, mixedFleet24(b), 2) // base[2] is the first vehicle left whole
+}
+
+// BenchmarkZeroDirtyGeneration times whole builds by wall clock at
+// the 1 008-vehicle probe scale (experiments.Scale{1008, 1735, 42} cut
+// by mixedFleet to 756 old, 126 semi-new and 126 new vehicles), on one
+// cold-trained engine: zero-dirty rebuilds the unchanged fleet, and
+// tail-day alternates it with one old vehicle's day that completes no
+// cycle. Neither may fit anything, so they time what a build costs
+// besides fitting. The cold train takes tens of seconds, so run it
+// once: go test -run XXX -bench '^BenchmarkZeroDirtyGeneration$'
+// -benchtime=20x -count=1 .
+func BenchmarkZeroDirtyGeneration(b *testing.B) {
+	env, err := experiments.NewEnv(experiments.Scale{Vehicles: 1008, Days: 1735, Seed: 42})
+	if err != nil {
+		b.Fatal(err)
+	}
+	base := mixedFleet(b, env.FleetVehicles())
+	report := tailDayFleet(b, base, 2) // base[2] is the first vehicle left whole
+	eng := trainedEngine(b, env.Scale.Seed, runtime.GOMAXPROCS(0), base)
+	b.Run("zero-dirty", func(b *testing.B) { alternate(b, eng, base, base, 0) })
+	b.Run("tail-day", func(b *testing.B) { alternate(b, eng, base, report, 0) })
 }
 
 // BenchmarkCycleCompletingReport is the one report that does add labels:

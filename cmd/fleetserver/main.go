@@ -802,7 +802,7 @@ func retrainLoop(engines []*engine.Engine, interval time.Duration) {
 					return
 				}
 				slog.Info("periodic retrain complete", "generation", snap.Generation, "vehicles", len(snap.Statuses),
-					"reused", snap.Reused, "retrained", snap.Retrained, "seconds", snap.TrainDuration.Seconds())
+					"reused", snap.Reused, "retrained", snap.Retrained, "predicted", snap.Predicted, "seconds", snap.TrainDuration.Seconds())
 			}(eng)
 		}
 		wg.Wait()

@@ -139,19 +139,40 @@ type Distance func(a, b timeseries.Series) (float64, error)
 // a tie goes to the first candidate in input order. nil means no
 // candidate was usable.
 func nearestDonor(probe timeseries.Series, cands []*timeseries.VehicleSeries, dist Distance) (*timeseries.VehicleSeries, float64) {
+	return nearestHalf(probe, donorHalves(cands), dist)
+}
+
+// donorHalf is a donor candidate with its first half-cycle cut out: the
+// slice the scan compares a probe against.
+type donorHalf struct {
+	vs   *timeseries.VehicleSeries
+	half timeseries.Series
+}
+
+// donorHalves cuts each candidate's first half-cycle, in input order,
+// skipping candidates without one. A plan cuts them once and scans every
+// semi-new vehicle against the result.
+func donorHalves(cands []*timeseries.VehicleSeries) []donorHalf {
+	out := make([]donorHalf, 0, len(cands))
+	for _, cand := range cands {
+		if half, err := halfCycleDay(cand); err == nil {
+			out = append(out, donorHalf{vs: cand, half: cand.U[:half]})
+		}
+	}
+	return out
+}
+
+// nearestHalf is nearestDonor over prepared half-cycles.
+func nearestHalf(probe timeseries.Series, cands []donorHalf, dist Distance) (*timeseries.VehicleSeries, float64) {
 	var best *timeseries.VehicleSeries
 	bestDist := math.Inf(1)
 	for _, cand := range cands {
-		half, err := halfCycleDay(cand)
-		if err != nil {
-			continue
-		}
-		d, err := dist(probe, cand.U[:half])
+		d, err := dist(probe, cand.half)
 		if err != nil {
 			continue
 		}
 		if d < bestDist {
-			best, bestDist = cand, d
+			best, bestDist = cand.vs, d
 		}
 	}
 	return best, bestDist

@@ -101,7 +101,7 @@ func TestNearestDonor(t *testing.T) {
 	// A nil dist is the deployed measure, which pickDonor hard-wires.
 	live := func(cands []*timeseries.VehicleSeries, dist Distance) string {
 		if dist == nil {
-			return id(pickDonor(test, cands))
+			return id(pickDonor(test, donorHalves(cands)))
 		}
 		best, _ := nearestDonor(test.U, cands, dist)
 		return id(best)

@@ -164,6 +164,15 @@ type PriorGeneration struct {
 	// Models are the previous trained models; failed vehicles have no
 	// entry.
 	Models map[string]ml.Regressor
+	// Series are the series the previous build planned from — every
+	// registered vehicle, donor-only ones included — and Olds counts the
+	// old vehicles among them. A series is never written once registered,
+	// so a vehicle whose series pointer is unchanged reads exactly what
+	// it read then, and the plan carries its key instead of hashing its
+	// days (see carriedKey). nil Series (a restored generation) carries
+	// nothing: every key is hashed afresh.
+	Series map[string]*timeseries.VehicleSeries
+	Olds   int
 }
 
 // unified returns the generation's §4.4.1 unified model, or nil when no
@@ -206,6 +215,9 @@ type TrainPlan struct {
 	// against a different donor pool; UnifiedReused that Shared carries
 	// the prior generation's unified model instead of fitting one.
 	PoolChanged, UnifiedReused bool
+	// Olds counts the registered old vehicles, donor-only ones included
+	// (PriorGeneration.Olds for the next plan).
+	Olds int
 }
 
 // PlanTrainingWithReuse plans one build against a prior generation.
@@ -225,6 +237,13 @@ type TrainPlan struct {
 // carried into Shared as well: a dirty or newly joined new vehicle costs
 // a forecast, not a fit.
 //
+// When the prior generation knows the series it planned from, the plan
+// itself costs only the changed vehicles: a key, the pool key and a
+// donor pick are carried whenever what they read is provably unchanged
+// (carriedKey, sameFirstCycle), and a donor is picked only for a semi-new
+// vehicle that trains or whose key could not be carried. Carrying is
+// exact: a carried key is the key hashing would give.
+//
 // Reuse is exact by construction, not approximation: a task seed is a
 // pure function of (config seed, vehicle ID), and TrainVehicle is a
 // pure function of (model key inputs, seed, config, donors' first
@@ -241,15 +260,30 @@ func (fp *FleetPredictor) PlanTrainingWithReuse(prior *PriorGeneration) (*TrainP
 	// unsharded build (everything owned) agree on them — and on every
 	// donor pick made against the pool.
 	ids := fp.VehicleIDs()
-	categories := make(map[string]Category, len(ids))
+	categories := make([]Category, len(ids))
 	var olds []*timeseries.VehicleSeries
-	poolHash := uint64(fnvOffset64)
-	for _, id := range ids {
+	var priorSeries map[string]*timeseries.VehicleSeries
+	if prior != nil {
+		priorSeries = prior.Series
+	}
+	poolCarried := priorSeries != nil
+	for i, id := range ids {
 		vs := fp.vehicles[id]
-		cat := Categorize(vs)
-		categories[id] = cat
-		if cat == Old {
+		categories[i] = Categorize(vs)
+		if categories[i] == Old {
 			olds = append(olds, vs)
+			poolCarried = poolCarried && sameFirstCycle(priorSeries[id], vs)
+		}
+	}
+	// Every old vehicle was old before with the same first cycle, and
+	// there are as many: the pool is the prior one.
+	poolCarried = poolCarried && len(olds) == prior.Olds
+	var poolHash uint64
+	if poolCarried {
+		poolHash = prior.PoolHash
+	} else {
+		poolHash = fnvOffset64
+		for _, vs := range olds {
 			// What cold-start training reads from a donor: its first cycle
 			// ("only usage data related to the first maintenance cycle", §4.4).
 			poolHash = prefixKey(poolHash, vs, vs.Cycles[0].End)
@@ -264,6 +298,7 @@ func (fp *FleetPredictor) PlanTrainingWithReuse(prior *PriorGeneration) (*TrainP
 		ReusedModels: make(map[string]ml.Regressor),
 		ModelKeys:    make(map[string]uint64, fp.ownedCount()),
 		PoolHash:     poolHash,
+		Olds:         len(olds),
 	}
 	if prior != nil {
 		plan.PoolChanged = prior.PoolHash != poolHash
@@ -273,18 +308,31 @@ func (fp *FleetPredictor) PlanTrainingWithReuse(prior *PriorGeneration) (*TrainP
 		}
 	}
 
+	// Each donor's first half-cycle is cut once per plan, and only when
+	// some vehicle needs a pick.
+	var halves []donorHalf
+	pick := func(vs *timeseries.VehicleSeries) *timeseries.VehicleSeries {
+		if halves == nil {
+			halves = donorHalves(olds)
+		}
+		return pickDonor(vs, halves)
+	}
+
 	// Only owned vehicles are planned (trained or carried forward);
 	// donor-only ones exist solely for the shared context above.
-	for _, id := range ids {
+	for i, id := range ids {
 		if fp.donorOnly[id] {
 			continue
 		}
-		vs, cat := fp.vehicles[id], categories[id]
+		vs, cat := fp.vehicles[id], categories[i]
 		var donor *timeseries.VehicleSeries
-		if cat == SemiNew {
-			donor = pickDonor(vs, olds)
+		key, carried := prior.carriedKey(id, vs, cat, poolCarried)
+		if !carried {
+			if cat == SemiNew {
+				donor = pick(vs)
+			}
+			key = modelKey(vs, cat, donor)
 		}
-		key := modelKey(vs, cat, donor)
 		plan.ModelKeys[id] = key
 		reason := retrainReason(prior, id, key, cat, poolHash)
 		if reason == "" {
@@ -295,6 +343,9 @@ func (fp *FleetPredictor) PlanTrainingWithReuse(prior *PriorGeneration) (*TrainP
 			}
 			continue
 		}
+		if carried && cat == SemiNew {
+			donor = pick(vs)
+		}
 		plan.Tasks = append(plan.Tasks, TrainTask{
 			Vehicle:  vs,
 			Category: cat,
@@ -304,6 +355,61 @@ func (fp *FleetPredictor) PlanTrainingWithReuse(prior *PriorGeneration) (*TrainP
 		})
 	}
 	return plan, nil
+}
+
+// carriedKey returns the prior build's key for vehicle id when what the
+// key reads provably did not change since, without hashing:
+//
+//	old      <- the prior series was old with the same allowance,
+//	            labelledEnd and labelled days (an unchanged series
+//	            pointer skips the compare)
+//	semi-new <- the same series pointer against the same pool, so the
+//	            same donor pick
+//
+// A new vehicle's key is its ID, so there is nothing to carry.
+func (p *PriorGeneration) carriedKey(id string, vs *timeseries.VehicleSeries, cat Category, poolCarried bool) (uint64, bool) {
+	if p == nil || cat == New {
+		return 0, false
+	}
+	prev := p.Series[id]
+	key, ok := p.ModelKeys[id]
+	if prev == nil || !ok {
+		return 0, false
+	}
+	if prev == vs {
+		return key, cat == Old || poolCarried
+	}
+	if cat != Old {
+		return 0, false
+	}
+	// labelledEnd > 0 only for an old series, so equal ends mean the
+	// prior series was old too.
+	end := labelledEnd(vs)
+	return key, labelledEnd(prev) == end && sameDays(prev, vs, end)
+}
+
+// sameFirstCycle reports whether prev, a prior build's series, was old
+// with exactly the first cycle an old vs has: what the pool key reads.
+func sameFirstCycle(prev, vs *timeseries.VehicleSeries) bool {
+	if prev == vs {
+		return true
+	}
+	return prev != nil && Categorize(prev) == Old &&
+		prev.Cycles[0].End == vs.Cycles[0].End && sameDays(prev, vs, vs.Cycles[0].End)
+}
+
+// sameDays reports whether a and b have the same allowance and days
+// [0, end), bit for bit: everything prefixKey reads but the ID.
+func sameDays(a, b *timeseries.VehicleSeries, end int) bool {
+	if math.Float64bits(a.Allowance) != math.Float64bits(b.Allowance) {
+		return false
+	}
+	for t, v := range b.U[:end] {
+		if math.Float64bits(a.U[t]) != math.Float64bits(v) {
+			return false
+		}
+	}
+	return true
 }
 
 // retrainReason applies the dependency rule to one vehicle: "" when its

@@ -20,10 +20,8 @@ type builtGeneration struct {
 	forecast map[string]string
 }
 
-// buildGeneration registers the fleet on a fresh predictor, plans
-// against prior, trains the planned tasks (a failing vehicle keeps its
-// error as its status, as in the engine) and forecasts every vehicle.
-func buildGeneration(t *testing.T, cfg PredictorConfig, fleet []*timeseries.VehicleSeries, prior *PriorGeneration) builtGeneration {
+// register returns a fresh predictor with the fleet registered.
+func register(t *testing.T, cfg PredictorConfig, fleet []*timeseries.VehicleSeries) *FleetPredictor {
 	t.Helper()
 	fp, err := NewFleetPredictor(cfg)
 	if err != nil {
@@ -35,15 +33,27 @@ func buildGeneration(t *testing.T, cfg PredictorConfig, fleet []*timeseries.Vehi
 			t.Fatal(err)
 		}
 	}
+	return fp
+}
+
+// buildGeneration registers the fleet on a fresh predictor, plans
+// against prior, trains the planned tasks (a failing vehicle keeps its
+// error as its status, as in the engine) and forecasts every vehicle.
+func buildGeneration(t *testing.T, cfg PredictorConfig, fleet []*timeseries.VehicleSeries, prior *PriorGeneration) builtGeneration {
+	t.Helper()
+	fp := register(t, cfg, fleet)
 	plan, err := fp.PlanTrainingWithReuse(prior)
 	if err != nil {
 		t.Fatal(err)
 	}
+	series, _ := fp.Registered()
 	next := &PriorGeneration{
 		ModelKeys: plan.ModelKeys,
 		PoolHash:  plan.PoolHash,
 		Statuses:  make(map[string]VehicleStatus),
 		Models:    plan.ReusedModels,
+		Series:    series,
+		Olds:      plan.Olds,
 	}
 	var statuses []VehicleStatus
 	for _, st := range plan.Reused {
@@ -78,6 +88,44 @@ func buildGeneration(t *testing.T, cfg PredictorConfig, fleet []*timeseries.Vehi
 	return out
 }
 
+// samePlan fails unless a and b plan the same keys, pool key, tasks
+// (vehicle, category, reason, seed and donor pick) and reused vehicles.
+func samePlan(t *testing.T, label string, a, b *TrainPlan) {
+	t.Helper()
+	if a.PoolHash != b.PoolHash || a.PoolChanged != b.PoolChanged || a.Olds != b.Olds {
+		t.Fatalf("%s: pool key %x/%v/%d vs %x/%v/%d", label, a.PoolHash, a.PoolChanged, a.Olds, b.PoolHash, b.PoolChanged, b.Olds)
+	}
+	if len(a.ModelKeys) != len(b.ModelKeys) {
+		t.Fatalf("%s: %d model keys vs %d", label, len(a.ModelKeys), len(b.ModelKeys))
+	}
+	for id, key := range b.ModelKeys {
+		if a.ModelKeys[id] != key {
+			t.Fatalf("%s: vehicle %s model key %x vs %x", label, id, a.ModelKeys[id], key)
+		}
+	}
+	donorID := func(vs *timeseries.VehicleSeries) string {
+		if vs == nil {
+			return ""
+		}
+		return vs.ID
+	}
+	if len(a.Tasks) != len(b.Tasks) || len(a.Reused) != len(b.Reused) {
+		t.Fatalf("%s: %d tasks and %d reused vs %d and %d", label, len(a.Tasks), len(a.Reused), len(b.Tasks), len(b.Reused))
+	}
+	for i, ta := range a.Tasks {
+		tb := b.Tasks[i]
+		if ta.Vehicle != tb.Vehicle || ta.Category != tb.Category || ta.Reason != tb.Reason || ta.Seed != tb.Seed || donorID(ta.Donor) != donorID(tb.Donor) {
+			t.Fatalf("%s: task %d %s/%s/%s donor %q vs %s/%s/%s donor %q", label, i,
+				ta.Vehicle.ID, ta.Category, ta.Reason, donorID(ta.Donor), tb.Vehicle.ID, tb.Category, tb.Reason, donorID(tb.Donor))
+		}
+	}
+	for i := range a.Reused {
+		if a.Reused[i].ID != b.Reused[i].ID {
+			t.Fatalf("%s: reused %d is %s vs %s", label, i, a.Reused[i].ID, b.Reused[i].ID)
+		}
+	}
+}
+
 // TestIncrementalReplayMatchesFullRebuild replays seeded random
 // sequences of the events a live fleet sees — a day appended to a tail,
 // a day rewritten anywhere (inside a first cycle or after it), a vehicle
@@ -88,6 +136,15 @@ func buildGeneration(t *testing.T, cfg PredictorConfig, fleet []*timeseries.Vehi
 // A tail day must additionally cost exactly the tasks its model keys
 // ask for (tailDayTasks): none unless it completes a cycle, flips a
 // donor or moves the vehicle out of the new category.
+//
+// Every step also plans against the same prior with carrying off (no
+// prior series, as after a restore) and requires the same plan: what
+// the plan carries by series identity or a compare is what hashing
+// gives. The events that aim at carrying: an unchanged vehicle
+// re-derived into a new series (the compare path), a backfill inside a
+// donor's first cycle and a donor leaving (the pool key must not be
+// carried), and a donor's twin joining ahead of it in ID order (every
+// distance tie goes to the twin, TestNearestDonor's rule).
 func TestIncrementalReplayMatchesFullRebuild(t *testing.T) {
 	cfg := donorTestConfig()
 	for _, seed := range []uint64{1, 20200330} {
@@ -108,11 +165,17 @@ func TestIncrementalReplayMatchesFullRebuild(t *testing.T) {
 		}
 		joined := 0
 		prev := buildGeneration(t, cfg, fleet, nil)
-		for step := 0; step < 60; step++ {
+		for step := 0; step < 90; step++ {
 			i := rnd.Intn(len(fleet))
 			vs := fleet[i]
-			event, wantTasks := "", -1
-			switch k := rnd.Intn(10); {
+			var olds []int
+			for j, v := range fleet {
+				if Categorize(v) == Old {
+					olds = append(olds, j)
+				}
+			}
+			event, wantTasks, wantPoolChanged, tieLoser := "", -1, false, ""
+			switch k := rnd.Intn(14); {
 			case k < 5:
 				event = "tail day on " + vs.ID
 				fleet[i] = mustDerive(t, vs.ID, append(vs.U.Clone(), math.Round(20000*rnd.Float64())))
@@ -131,33 +194,79 @@ func TestIncrementalReplayMatchesFullRebuild(t *testing.T) {
 				id := fmt.Sprintf("w%02d", joined)
 				event = id + " joins"
 				fleet = append(fleet, series(id, []int{6, 28, 200}[rnd.Intn(3)]))
-			default:
+			case k < 10:
 				if len(fleet) <= 4 {
 					continue
 				}
 				event = vs.ID + " leaves"
 				fleet = append(fleet[:i:i], fleet[i+1:]...)
+			case k < 11:
+				event = vs.ID + " re-derived unchanged"
+				fleet[i] = mustDerive(t, vs.ID, vs.U.Clone())
+				wantTasks = 0
+			case len(olds) == 0:
+				continue
+			case k < 12:
+				i = olds[rnd.Intn(len(olds))]
+				vs = fleet[i]
+				u := vs.U.Clone()
+				d := rnd.Intn(vs.Cycles[0].End)
+				u[d] += 1000
+				event = fmt.Sprintf("day %d of donor %s backfilled", d, vs.ID)
+				fleet[i] = mustDerive(t, vs.ID, u)
+				wantPoolChanged = true
+			case k < 13:
+				if len(fleet) <= 4 {
+					continue
+				}
+				i = olds[rnd.Intn(len(olds))]
+				event = "donor " + fleet[i].ID + " leaves"
+				fleet = append(fleet[:i:i], fleet[i+1:]...)
+				wantPoolChanged = true
+			default:
+				joined++
+				orig := fleet[olds[rnd.Intn(len(olds))]]
+				id := fmt.Sprintf("a%02d", joined) // sorts ahead of every v and w
+				event = id + " joins as the twin of donor " + orig.ID
+				fleet = append(fleet, mustDerive(t, id, orig.U.Clone()))
+				tieLoser = orig.ID
 			}
+			label := fmt.Sprintf("seed %d step %d (%s)", seed, step, event)
 			inc := buildGeneration(t, cfg, fleet, prev.prior)
 			full := buildGeneration(t, cfg, fleet, nil)
+			off := *prev.prior
+			off.Series = nil
+			offPlan, err := register(t, cfg, fleet).PlanTrainingWithReuse(&off)
+			if err != nil {
+				t.Fatal(err)
+			}
+			samePlan(t, label+": carried vs hashed", inc.plan, offPlan)
 			if inc.plan.PoolHash != full.plan.PoolHash {
-				t.Fatalf("seed %d step %d (%s): pool key differs between incremental and full plan", seed, step, event)
+				t.Fatalf("%s: pool key differs between incremental and full plan", label)
 			}
 			for id, key := range full.plan.ModelKeys {
 				if inc.plan.ModelKeys[id] != key {
-					t.Fatalf("seed %d step %d (%s): vehicle %s model key differs between incremental and full plan", seed, step, event, id)
+					t.Fatalf("%s: vehicle %s model key differs between incremental and full plan", label, id)
 				}
 			}
 			if len(inc.forecast) != len(full.forecast) {
-				t.Fatalf("seed %d step %d (%s): %d vehicles incremental, %d full", seed, step, event, len(inc.forecast), len(full.forecast))
+				t.Fatalf("%s: %d vehicles incremental, %d full", label, len(inc.forecast), len(full.forecast))
 			}
 			for id, want := range full.forecast {
 				if got := inc.forecast[id]; got != want {
-					t.Fatalf("seed %d step %d (%s): vehicle %s\nincremental %s\nfull        %s", seed, step, event, id, got, want)
+					t.Fatalf("%s: vehicle %s\nincremental %s\nfull        %s", label, id, got, want)
 				}
 			}
 			if wantTasks >= 0 && len(inc.plan.Tasks) != wantTasks {
-				t.Fatalf("seed %d step %d (%s): planned %d tasks, want %d", seed, step, event, len(inc.plan.Tasks), wantTasks)
+				t.Fatalf("%s: planned %d tasks, want %d", label, len(inc.plan.Tasks), wantTasks)
+			}
+			if wantPoolChanged && !inc.plan.PoolChanged {
+				t.Fatalf("%s: the pool key was carried", label)
+			}
+			for _, task := range inc.plan.Tasks {
+				if task.Donor != nil && task.Donor.ID == tieLoser {
+					t.Fatalf("%s: %s picked %s over its identical twin, which comes first", label, task.Vehicle.ID, tieLoser)
+				}
 			}
 			prev = inc
 		}
@@ -178,7 +287,7 @@ func tailDayTasks(before, after *timeseries.VehicleSeries, fleet []*timeseries.V
 	}
 	switch cb, ca := Categorize(before), Categorize(after); {
 	case cb == Old && labelledEnd(before) != labelledEnd(after),
-		cb == SemiNew && ca == SemiNew && pickDonor(before, olds) != pickDonor(after, olds),
+		cb == SemiNew && ca == SemiNew && pickDonor(before, donorHalves(olds)) != pickDonor(after, donorHalves(olds)),
 		cb == New && ca == SemiNew:
 		return 1
 	case cb != ca:

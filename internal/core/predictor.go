@@ -163,6 +163,13 @@ func (fp *FleetPredictor) OwnedVehicleIDs() []string {
 	return ids
 }
 
+// Registered returns every registered vehicle's series and acquisition
+// start, donor-only ones included. The maps are the predictor's own:
+// callers must not write them.
+func (fp *FleetPredictor) Registered() (map[string]*timeseries.VehicleSeries, map[string]time.Time) {
+	return fp.vehicles, fp.starts
+}
+
 // ownedCount counts non-donor vehicles.
 func (fp *FleetPredictor) ownedCount() int {
 	return len(fp.vehicles) - len(fp.donorOnly)
@@ -472,10 +479,11 @@ func trainNew(shared *TrainShared) (VehicleStatus, ml.Regressor, error) {
 // first half-cycle is closest, by point-wise average distance, to the
 // vehicle's available history. Candidates without a usable first cycle
 // are skipped; nil means none was usable. A distance scan, cheap enough
-// for every plan to run, which is what lets a semi-new model be keyed
-// on its donor (modelKey).
-func pickDonor(test *timeseries.VehicleSeries, olds []*timeseries.VehicleSeries) *timeseries.VehicleSeries {
-	donor, _ := nearestDonor(test.U, olds, timeseries.AvgDistance)
+// for a plan to run, which is what lets a semi-new model be keyed on
+// its donor (modelKey); olds are the donors' half-cycles, which a plan
+// cuts once (donorHalves).
+func pickDonor(test *timeseries.VehicleSeries, olds []donorHalf) *timeseries.VehicleSeries {
+	donor, _ := nearestHalf(test.U, olds, timeseries.AvgDistance)
 	return donor
 }
 

@@ -12,8 +12,9 @@
 // produces bit-identical models, statuses and forecasts — and a
 // vehicle whose inputs are unchanged between two builds trains the same
 // model both times, which is what lets incremental retrains carry
-// clean vehicles forward without training them at all (see Retrain).
-// The parallel path is a scheduling change only.
+// clean vehicles forward without training them at all, and a vehicle
+// whose series did not change without forecasting it either (see
+// Retrain). The parallel path is a scheduling change only.
 //
 // Lifecycle:
 //
@@ -43,6 +44,13 @@ import (
 // Vehicle is one prepared vehicle to ingest: its derived §2 series
 // (from dataprep.Prepare or the ingest store's Fleet) plus its
 // acquisition start date.
+//
+// A series handed to the engine is never written afterwards, by the
+// caller or anyone else: a snapshot keeps the series it was built from,
+// and the next build carries the model key and forecast of a vehicle
+// whose series pointer is unchanged without reading its days. A source
+// hands a changed vehicle a new series (ingest.Store.Fleet re-derives
+// it; clean vehicles keep their cached pointer).
 type Vehicle struct {
 	Series *timeseries.VehicleSeries
 	Start  time.Time
@@ -163,10 +171,13 @@ var ErrRetrainInFlight = errors.New("engine: retrain already in progress")
 // model was trained on changed — its labelled days, its donor pick, or,
 // for semi-new and new vehicles, the donors' first cycles (see
 // core.PlanTrainingWithReuse for the rule). Everything else carries
-// model and status forward, so a daily report costs a forecast and only
-// a report that completes a maintenance cycle costs a fit. Reuse is
-// bit-exact; RetrainFull is the escape hatch that rebuilds everything
-// from scratch.
+// model and status forward, so only a report that completes a
+// maintenance cycle costs a fit. A vehicle whose series did not change
+// since the live snapshot also keeps its model key and forecast without
+// either being recomputed, so a daily report costs one forecast, that
+// of its vehicle (Snapshot.Predicted). Reuse is bit-exact; RetrainFull
+// is the escape hatch that rebuilds and re-forecasts everything from
+// scratch.
 func (e *Engine) Retrain(ctx context.Context, fleet []Vehicle) (*Snapshot, error) {
 	return e.retrain(ctx, fleet, false)
 }
@@ -403,6 +414,7 @@ func (e *Engine) retrainLocked(ctx context.Context, fetch func(context.Context) 
 			slog.String("trace", obs.TraceID(ctx)),
 			slog.Uint64("generation", live.Generation),
 			slog.Int("vehicles", len(snap.Statuses)),
+			slog.Int("predicted", snap.Predicted),
 			slog.Float64("seconds", snap.TrainDuration.Seconds()))
 		return live, nil
 	}
@@ -433,6 +445,7 @@ func (e *Engine) retrainLocked(ctx context.Context, fetch func(context.Context) 
 		slog.Int("vehicles", len(snap.Statuses)),
 		slog.Int("reused", snap.Reused),
 		slog.Int("retrained", snap.Retrained),
+		slog.Int("predicted", snap.Predicted),
 		slog.Bool("full", mode == fromScratch),
 		slog.Bool("pool_changed", snap.PoolChanged),
 		slog.Bool("unified_reused", snap.UnifiedReused),
@@ -570,8 +583,13 @@ func (e *Engine) build(ctx context.Context, fleet []Vehicle, full bool) (*Snapsh
 			return nil, err
 		}
 	}
+	// A full build carries nothing: no model, key or forecast.
+	prev := e.snap.Load()
+	if full {
+		prev = nil
+	}
 	var prior *core.PriorGeneration
-	if prev := e.snap.Load(); prev != nil && !full {
+	if prev != nil {
 		prior = prev.prior()
 	}
 	plan, err := fp.PlanTrainingWithReuse(prior)
@@ -610,7 +628,7 @@ func (e *Engine) build(ctx context.Context, fleet []Vehicle, full bool) (*Snapsh
 		return nil, err
 	}
 	tSnap := time.Now()
-	snap := newSnapshot(fp, statuses, models, plan, e.cfg.Predictor.Hash())
+	snap := newSnapshot(fp, statuses, models, plan, e.cfg.Predictor.Hash(), prev)
 	e.metrics.ObserveStage("snapshot", tSnap)
 	snap.BuiltAt = time.Now()
 	snap.TrainDuration = snap.BuiltAt.Sub(t0)
@@ -696,11 +714,13 @@ type Status struct {
 	BuiltAt      string  `json:"built_at,omitempty"`
 	TrainSeconds float64 `json:"train_seconds"`
 	// Reused and Retrained split the current snapshot's vehicles by how
-	// the last build produced them (carried forward vs trained).
+	// the last build produced them (carried forward vs trained);
+	// Predicted counts the vehicles it forecast rather than carried.
 	// PoolChanged and UnifiedReused say whether that build saw a changed
 	// donor pool and whether it carried the unified model forward.
 	Reused        int  `json:"reused"`
 	Retrained     int  `json:"retrained"`
+	Predicted     int  `json:"predicted"`
 	PoolChanged   bool `json:"pool_changed"`
 	UnifiedReused bool `json:"unified_reused"`
 	// FailedVehicles maps each vehicle whose training failed in the
@@ -736,6 +756,7 @@ func (e *Engine) Status() Status {
 		st.TrainSeconds = snap.TrainDuration.Seconds()
 		st.Reused = snap.Reused
 		st.Retrained = snap.Retrained
+		st.Predicted = snap.Predicted
 		st.PoolChanged = snap.PoolChanged
 		st.UnifiedReused = snap.UnifiedReused
 		if len(snap.FailedVehicles) > 0 {

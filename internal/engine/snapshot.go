@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/ml"
+	"repro/internal/timeseries"
 )
 
 // Snapshot is one immutable, fully materialized training result. All
@@ -64,8 +65,11 @@ type Snapshot struct {
 	ConfigHash uint64
 	// Reused counts the vehicles carried forward from the previous
 	// generation; Retrained counts the vehicles trained (or failed)
-	// this build. Reused+Retrained == len(Statuses).
-	Reused, Retrained int
+	// this build. Reused+Retrained == len(Statuses). Predicted counts
+	// the vehicles forecast this build; every other forecast (or
+	// forecast error) was carried from the previous generation. A
+	// snapshot file does not record it: a restored snapshot says 0.
+	Reused, Retrained, Predicted int
 	// Generation counts published builds, starting at 1; a kicked build
 	// equal to the live snapshot publishes nothing (see
 	// Engine.KickRetrainFromSource).
@@ -76,6 +80,16 @@ type Snapshot struct {
 	// before them is the prep stage).
 	BuiltAt       time.Time
 	TrainDuration time.Duration
+
+	// series and starts are what the build planned from, every
+	// registered vehicle (donor-only ones included), and olds counts its
+	// old vehicles: what lets the next build carry keys and forecasts
+	// for the vehicles whose series did not change. A restored snapshot
+	// has none, so the build after a restore hashes and forecasts every
+	// vehicle.
+	series map[string]*timeseries.VehicleSeries
+	starts map[string]time.Time
+	olds   int
 
 	// etag is the lazily formatted generation identifier (see ETag).
 	// Lazy because Generation is stamped by the engine after the build,
@@ -113,6 +127,8 @@ func (s *Snapshot) prior() *core.PriorGeneration {
 		PoolHash:  s.PoolHash,
 		Statuses:  s.StatusByID,
 		Models:    s.Models,
+		Series:    s.series,
+		Olds:      s.olds,
 	}
 }
 
@@ -136,9 +152,13 @@ func (s *Snapshot) withModels(models map[string]ml.Regressor) *Snapshot {
 		ConfigHash:     s.ConfigHash,
 		Reused:         s.Reused,
 		Retrained:      s.Retrained,
+		Predicted:      s.Predicted,
 		Generation:     s.Generation,
 		BuiltAt:        s.BuiltAt,
 		TrainDuration:  s.TrainDuration,
+		series:         s.series,
+		starts:         s.starts,
+		olds:           s.olds,
 	}
 }
 
@@ -172,11 +192,14 @@ func sameForecast(a, b core.Forecast) bool {
 }
 
 // newSnapshot freezes a trained predictor: it precomputes every
-// vehicle's forecast once so serving does no model math. Forecasts are
-// recomputed even for reused vehicles — a model prediction per vehicle
-// is trivial next to training — which keeps the bit-identical contract
-// trivially true for the served payloads.
-func newSnapshot(fp *core.FleetPredictor, statuses []core.VehicleStatus, models map[string]ml.Regressor, plan *core.TrainPlan, cfgHash uint64) *Snapshot {
+// vehicle's forecast so serving does no model math. A forecast (or
+// forecast error) is carried from prev when everything Predict reads is
+// unchanged — the series pointer (a registered series is never
+// written), the start, the model pointer and the status — so a build
+// forecasts only the vehicles that changed; prev is nil for a build
+// that carries nothing.
+func newSnapshot(fp *core.FleetPredictor, statuses []core.VehicleStatus, models map[string]ml.Regressor, plan *core.TrainPlan, cfgHash uint64, prev *Snapshot) *Snapshot {
+	series, starts := fp.Registered()
 	s := &Snapshot{
 		Statuses:       statuses,
 		StatusByID:     make(map[string]core.VehicleStatus, len(statuses)),
@@ -191,6 +214,9 @@ func newSnapshot(fp *core.FleetPredictor, statuses []core.VehicleStatus, models 
 		ConfigHash:     cfgHash,
 		Reused:         len(plan.Reused),
 		Retrained:      len(plan.Tasks),
+		series:         series,
+		starts:         starts,
+		olds:           plan.Olds,
 	}
 	for _, st := range statuses {
 		s.StatusByID[st.ID] = st
@@ -199,6 +225,16 @@ func newSnapshot(fp *core.FleetPredictor, statuses []core.VehicleStatus, models 
 			s.ForecastErrors[st.ID] = "training failed: " + st.Err
 			continue
 		}
+		if prev.holdsForecast(st, series[st.ID], starts[st.ID], models[st.ID]) {
+			if f, ok := prev.ForecastByID[st.ID]; ok {
+				s.Forecasts = append(s.Forecasts, f)
+				s.ForecastByID[st.ID] = f
+			} else {
+				s.ForecastErrors[st.ID] = prev.ForecastErrors[st.ID]
+			}
+			continue
+		}
+		s.Predicted++
 		f, err := fp.Predict(st.ID)
 		if err != nil {
 			s.ForecastErrors[st.ID] = err.Error()
@@ -208,4 +244,17 @@ func newSnapshot(fp *core.FleetPredictor, statuses []core.VehicleStatus, models 
 		s.ForecastByID[st.ID] = f
 	}
 	return s
+}
+
+// holdsForecast reports whether s (nil allowed) already holds the forecast
+// a build would compute for a vehicle with status st, series vs, start
+// and model: s forecast it from the same series, start and model under
+// the same status.
+func (s *Snapshot) holdsForecast(st core.VehicleStatus, vs *timeseries.VehicleSeries, start time.Time, model ml.Regressor) bool {
+	// Starts compare with ==, instant and location: a due date carries both.
+	if s == nil || s.series[st.ID] != vs || s.starts[st.ID] != start || s.Models[st.ID] != model {
+		return false
+	}
+	prev, ok := s.StatusByID[st.ID]
+	return ok && sameStatus(prev, st)
 }

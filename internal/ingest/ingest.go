@@ -635,7 +635,9 @@ func (s *Store) RawSeries(vehicleID string) (start time.Time, u []float64, ok bo
 // Derivation is O(changed vehicles): each vehicle's derived series is
 // cached keyed by its incremental content hash, so a retrain after one
 // vehicle's telemetry update only re-derives that vehicle — every
-// clean vehicle reuses its cached (immutable) series. Only the
+// clean vehicle reuses its cached (immutable) series, and fetches
+// that derive the same content concurrently (in-process shards at
+// boot) hand out one series between them. Only the
 // raw-series copy of dirty vehicles happens under the store lock; the
 // derive runs outside it and keeps that copy as the series' U (the one
 // copy of the run a fetch makes), so a retrain fetch never stalls
@@ -684,10 +686,17 @@ func (s *Store) Fleet(ctx context.Context) ([]engine.Vehicle, error) {
 		}
 		v := engine.Vehicle{Series: vs, Start: rv.start}
 		s.prepMu.Lock()
-		if s.prepCache == nil {
-			s.prepCache = make(map[string]preparedEntry)
+		if ent, ok := s.prepCache[rv.id]; ok && ent.hash == rv.hash {
+			// A concurrent fetch derived the same run first: hand out its
+			// series, so every fetch sees one pointer per content (the
+			// engine's carry fast path) and this copy is dropped at once.
+			v = ent.vehicle
+		} else {
+			if s.prepCache == nil {
+				s.prepCache = make(map[string]preparedEntry)
+			}
+			s.prepCache[rv.id] = preparedEntry{hash: rv.hash, vehicle: v}
 		}
-		s.prepCache[rv.id] = preparedEntry{hash: rv.hash, vehicle: v}
 		s.prepMu.Unlock()
 		out = append(out, v)
 	}

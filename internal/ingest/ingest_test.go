@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"repro/internal/dataprep"
+	"repro/internal/engine"
 	"repro/internal/telematics"
 	"repro/internal/timeseries"
 )
@@ -355,6 +356,45 @@ func TestFleetPreparedCache(t *testing.T) {
 	}
 	if st := s.Stats(); st.PrepCacheHits != 3 || st.PrepCacheMisses != 3 {
 		t.Fatalf("after dirty refetch: hits=%d misses=%d, want 3/3", st.PrepCacheHits, st.PrepCacheMisses)
+	}
+}
+
+// TestConcurrentFleetsShareSeries: fetches that run at once, as the
+// in-process shards' first builds do, hand every vehicle out as one
+// series between them — the pointer an engine's next build compares to
+// carry a clean vehicle — not one private copy per fetch.
+func TestConcurrentFleetsShareSeries(t *testing.T) {
+	s := New(0)
+	var reports []Report
+	for v := 0; v < 64; v++ {
+		for d := 0; d < 400; d++ {
+			reports = append(reports, report(fmt.Sprintf("v%02d", v), d, float64(1000+(v*37+d*11)%9000)))
+		}
+	}
+	s.UpsertBatch(reports)
+	const fetches = 4
+	fleets := make([][]engine.Vehicle, fetches)
+	var start, done sync.WaitGroup
+	start.Add(1)
+	for i := range fleets {
+		done.Add(1)
+		go func() {
+			defer done.Done()
+			start.Wait()
+			var err error
+			if fleets[i], err = s.Fleet(context.Background()); err != nil {
+				t.Error(err)
+			}
+		}()
+	}
+	start.Done()
+	done.Wait()
+	for i := 1; i < fetches; i++ {
+		for j, v := range fleets[i] {
+			if v.Series != fleets[0][j].Series {
+				t.Fatalf("fetch %d: vehicle %s has its own series copy", i, v.Series.ID)
+			}
+		}
 	}
 }
 

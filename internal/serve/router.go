@@ -980,11 +980,12 @@ type RouterStatusJSON struct {
 	Ready bool `json:"ready"`
 	// Retraining reports whether any shard is building.
 	Retraining bool `json:"retraining"`
-	// Vehicles totals the fleet across shards; Reused/Retrained
-	// likewise.
+	// Vehicles totals the fleet across shards; Reused, Retrained and
+	// Predicted likewise.
 	Vehicles  int `json:"vehicles"`
 	Reused    int `json:"reused"`
 	Retrained int `json:"retrained"`
+	Predicted int `json:"predicted"`
 	// FailedVehicles unions the per-shard failure maps.
 	FailedVehicles map[string]string `json:"failed_vehicles,omitempty"`
 	// Shards holds each shard's full status.
@@ -1008,6 +1009,7 @@ func (rt *Router) handleStatus(w http.ResponseWriter, r *http.Request) {
 		out.Vehicles += st.Vehicles
 		out.Reused += st.Reused
 		out.Retrained += st.Retrained
+		out.Predicted += st.Predicted
 		for id, msg := range st.FailedVehicles {
 			if out.FailedVehicles == nil {
 				out.FailedVehicles = make(map[string]string)
