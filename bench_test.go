@@ -8,6 +8,8 @@ package repro
 import (
 	"context"
 	"fmt"
+	"io"
+	"log/slog"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -27,6 +29,14 @@ import (
 	"repro/internal/telematics"
 	"repro/internal/timeseries"
 )
+
+// TestMain discards the default structured logger, which every engine
+// built here without Config.Logger writes a line to per build: a root
+// benchmark times builds, not their log lines.
+func TestMain(m *testing.M) {
+	slog.SetDefault(slog.New(slog.NewTextHandler(io.Discard, nil)))
+	os.Exit(m.Run())
+}
 
 var (
 	benchOnce sync.Once
@@ -330,6 +340,99 @@ func BenchmarkSnapshotSaveLoad(b *testing.B) {
 	b.ReportMetric(float64(save.Nanoseconds())/float64(b.N), "save-ns/op")
 	b.ReportMetric(float64(rows.Nanoseconds())/float64(b.N), "rows-ns/op")
 	b.ReportMetric(float64(load.Nanoseconds())/float64(b.N), "load-ns/op")
+}
+
+// BenchmarkRestoreReconcile measures a restart's path from the spill
+// to a current generation: LoadRows, then Restore with the lazily
+// decoded model table and the reconcile build, until that build
+// publishes (publish-ns/op), for a spill that three old vehicles have
+// each reported a tail day since. It reports the models decoded and the
+// vehicles forecast by the publish (decoded/op, predicted/op); the warm
+// pass that decodes the rest runs after it, outside the timed span. The
+// 48 case is boot's fleet (seed 42, cut 36/6/6 as in
+// BenchmarkSnapshotSaveLoad); the 1k case is BenchmarkZeroDirtyGeneration's
+// and cold-trains for tens of seconds, so run it alone: go test -run
+// XXX -bench '^BenchmarkRestoreReconcile$/1k' -benchtime=20x -count=1 .
+func BenchmarkRestoreReconcile(b *testing.B) {
+	for _, c := range []struct {
+		name     string
+		vehicles int
+	}{{"48", 48}, {"1k", 1008}} {
+		b.Run(c.name, func(b *testing.B) {
+			env, err := experiments.NewEnv(experiments.Scale{Vehicles: c.vehicles, Days: 1735, Seed: 42})
+			if err != nil {
+				b.Fatal(err)
+			}
+			benchRestoreReconcile(b, mixedFleet(b, env.FleetVehicles()))
+		})
+	}
+}
+
+func benchRestoreReconcile(b *testing.B, base []engine.Vehicle) {
+	// The spilled generation covers sequence 1, every vehicle's last
+	// change; the three tail days come after it, at sequence 2.
+	for i := range base {
+		base[i].Seq = 1
+	}
+	report := base
+	for _, i := range []int{2, 3, 4} { // old vehicles: mixedFleet cuts only i%8 < 2
+		report = tailDayFleet(b, report, i)
+		report[i].Seq = 2
+	}
+	source := func(fleet []engine.Vehicle) engine.Source {
+		return func(context.Context) ([]engine.Vehicle, error) { return fleet, nil }
+	}
+	cfg := engine.Config{Predictor: core.DefaultPredictorConfig(), Workers: runtime.GOMAXPROCS(0)}
+	cfg.Source, cfg.Seq = source(base), func() uint64 { return 1 }
+	eng, err := engine.New(cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	spilt, err := eng.RetrainFromSource(context.Background())
+	if err != nil {
+		b.Fatal(err)
+	}
+	store, err := snapstore.New(b.TempDir())
+	if err != nil {
+		b.Fatal(err)
+	}
+	if err := store.Save("shard00", spilt); err != nil {
+		b.Fatal(err)
+	}
+	cfg.Source, cfg.Seq = source(report), func() uint64 { return 2 }
+	var toPublish time.Duration
+	decoded, predicted := 0, 0
+	b.ResetTimer()
+	for n := 0; n < b.N; n++ {
+		t0 := time.Now()
+		rows, err := store.LoadRows("shard00")
+		if err != nil {
+			b.Fatal(err)
+		}
+		cfg.OnSnapshot = func(snap *engine.Snapshot) {
+			toPublish += time.Since(t0)
+			decoded += rows.Decoded()
+			predicted += snap.Predicted
+		}
+		restarted, err := engine.New(cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		done, err := restarted.Restore(rows.Snapshot, rows.LazyModels, true)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := <-done; err != nil {
+			b.Fatal(err)
+		}
+		if snap := restarted.Snapshot(); snap.Retrained != 0 || snap.Generation != spilt.Generation+1 {
+			b.Fatalf("reconcile: generation %d retrained %d, want %d and 0", snap.Generation, snap.Retrained, spilt.Generation+1)
+		}
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(toPublish.Nanoseconds())/float64(b.N), "publish-ns/op")
+	b.ReportMetric(float64(decoded)/float64(b.N), "decoded/op")
+	b.ReportMetric(float64(predicted)/float64(b.N), "predicted/op")
 }
 
 // BenchmarkFig1DataGeneration measures the full data path behind

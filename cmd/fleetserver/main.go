@@ -24,15 +24,25 @@
 //
 //  1. WAL replay (ingest.OpenDurable), while one goroutine reads each
 //     shard's snapshot file, checks its CRC and decodes its rows;
-//  2. the restored rows are published (engine.Restore): /readyz and
-//     every read answer from them, before any model is decoded;
-//  3. the models decode on a goroutine that holds the engine's build
-//     lock, with /admin/status reporting retraining:true from step 2
-//     until step 4 ends. A CRC-valid file whose model table does not
-//     decode is logged and its models dropped: the rows keep serving
-//     and the reconcile retrains every vehicle;
-//  4. under the same hold, one incremental reconcile retrain folds the
-//     recovered telemetry in (retried while a -join shard's peers boot).
+//  2. the restored rows are published (engine.Restore) with the store
+//     sequence the spill covers: /readyz and every read answer from
+//     them, before any model is decoded, and a read of a vehicle
+//     reported after the spill waits for step 3. On a goroutine that
+//     holds the engine's build lock, with /admin/status reporting
+//     retraining:true from here until step 4 ends, the model table is
+//     scanned (tags, lengths, index) but no model body is decoded. A
+//     CRC-valid file whose table does not scan is logged and its
+//     models dropped: the rows keep serving and the reconcile retrains
+//     every vehicle;
+//  3. under the same hold, one incremental reconcile retrain folds the
+//     recovered telemetry in (retried while a -join shard's peers
+//     boot). It carries every vehicle unchanged since the spill without
+//     hashing, decoding or predicting it, and decodes only the models
+//     of the vehicles reported since; one that fails to decode retrains;
+//  4. still under the hold, after the reconcile's publish and spill, a
+//     warm pass decodes the remaining models, so no later build decodes
+//     one; a model that fails is dropped and its vehicle retrains at
+//     the next build.
 //
 // So a crashed server comes back serving its last generation and folds
 // recovered telemetry in without ever cold-training; each persisted
@@ -66,8 +76,8 @@
 // or queued, waits for that build to publish (at most 1 s, bounded by
 // the request's context) and answers with its bytes. Reads of clean
 // vehicles, fleet-wide routes and reads before the first generation
-// never wait; during a restore, reads of stored vehicles wait for the
-// reconcile build (see internal/serve).
+// never wait; during a restore, reads of vehicles reported since the
+// spill wait for the reconcile build (see internal/serve).
 //
 // Snapshot persistence: with -snapshot-dir every published generation
 // is spilled to disk (atomic rename) and restored at the next boot, so
@@ -334,7 +344,7 @@ func main() {
 	// Bind before the cold training finishes: the server answers
 	// /healthz and /admin/status immediately and 503s data endpoints
 	// until the first snapshot lands. A restored snapshot's rows serve
-	// at once while its models decode; retrains stay incremental against
+	// at once, before any model decodes; retrains stay incremental against
 	// it, so the eager cold train is skipped — a reconcile retrain
 	// (incremental: everything the snapshot covers is reused without
 	// training) folds in whatever the WAL replay recovered beyond the
@@ -725,8 +735,8 @@ func readSnapshots(snaps *snapstore.Store, shards []string) func(shard string) (
 }
 
 // restoreSnapshot publishes a shard's persisted rows and starts the
-// decode of its models (and, with reconcile, the reconcile build after
-// it; see Engine.Restore), reporting whether the engine now serves the
+// scan of its model table (and, with reconcile, the reconcile build and
+// the warm pass after it; see Engine.Restore), reporting whether the engine now serves the
 // restored generation and returning the reconcile's outcome. Missing
 // spills are normal (first boot); anything else is logged and treated
 // as a cold boot.
@@ -738,7 +748,7 @@ func restoreSnapshot(eng *engine.Engine, load func(shard string) (*snapstore.Row
 		}
 		return nil, false
 	}
-	reconciled, err := eng.Restore(rows.Snapshot, rows.Models, reconcile)
+	reconciled, err := eng.Restore(rows.Snapshot, rows.LazyModels, reconcile)
 	if err != nil {
 		slog.Warn("ignoring unrestorable snapshot", "shard", shard, "error", err)
 		return nil, false

@@ -421,3 +421,85 @@ func TestReadYourWritesFailedReconcileAnswersRestoredRows(t *testing.T) {
 		t.Fatalf("/metrics lacks %s", want)
 	}
 }
+
+// TestUnchangedVehicleReadAnswersWhileReconcileGated: the restored
+// generation covers the store sequence its spill covered, so while the
+// reconcile's fetch is held open a read of a vehicle not reported since
+// the spill answers at once with the restored rows, and a read of one
+// reported since waits for the reconcile and answers with its
+// generation.
+func TestUnchangedVehicleReadAnswersWhileReconcileGated(t *testing.T) {
+	f := newRestoreFixture(t)
+	// Respill the fixture's generation from an engine wired to the
+	// store's sequence, as the fleetserver's engines are.
+	spiller, err := engine.New(engine.Config{Predictor: f.cfg, Workers: 2, Source: f.store.Fleet, Seq: f.store.Seq, Logger: quiet})
+	if err != nil {
+		t.Fatal(err)
+	}
+	spilt, err := spiller.RetrainFromSource(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := f.snaps.Save(restoreShard, spilt); err != nil {
+		t.Fatal(err)
+	}
+	var reported, clean string
+	for _, st := range spilt.Statuses {
+		switch {
+		case st.Category == core.Old && reported == "":
+			reported = st.ID
+		case clean == "":
+			clean = st.ID
+		}
+	}
+	start, u, _ := f.store.RawSeries(reported)
+	if _, err := f.store.UpsertBatch([]ingest.Report{{VehicleID: reported, Date: start.AddDate(0, 0, len(u)), Seconds: 0}}); err != nil {
+		t.Fatal(err)
+	}
+
+	gate := make(chan struct{})
+	eng, err := engine.New(engine.Config{Predictor: f.cfg, Workers: 2, Seq: f.store.Seq, Logger: quiet,
+		Source: func(ctx context.Context) ([]engine.Vehicle, error) {
+			<-gate
+			return f.store.Fleet(ctx)
+		}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	reconciled, ok := restoreSnapshot(eng, readSnapshots(f.snaps, []string{restoreShard}), restoreShard, true)
+	if !ok {
+		t.Fatal("the spill was not restored")
+	}
+	srv := newServer(t, eng, f.store)
+	get := func(id string) *httptest.ResponseRecorder {
+		rec := httptest.NewRecorder()
+		srv.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/vehicles/"+id+"/forecast", nil))
+		return rec
+	}
+	waiting := make(chan *httptest.ResponseRecorder, 1)
+	go func() { waiting <- get(reported) }()
+
+	rec := get(clean)
+	if got := rec.Header().Get(serve.HeaderFleetGeneration); rec.Code != http.StatusOK || got != spilt.GenerationID() {
+		t.Fatalf("read of unchanged %s during the gated reconcile: %d, generation %s, want 200 from the restored %s", clean, rec.Code, got, spilt.GenerationID())
+	}
+	if !retraining(t, srv) {
+		t.Fatal("/admin/status reports retraining:false while the reconcile is gated")
+	}
+	select {
+	case rec := <-waiting:
+		t.Fatalf("read of %s, reported since the spill, answered during the gated reconcile: %d", reported, rec.Code)
+	case <-time.After(50 * time.Millisecond):
+	}
+	close(gate)
+	first := <-waiting
+	reconcileRetrain(eng, reconciled, 0, restoreShard)
+	waitIdle(t, eng)
+	snap := eng.Snapshot()
+	if got := first.Header().Get(serve.HeaderFleetGeneration); first.Code != http.StatusOK || got != snap.GenerationID() {
+		t.Fatalf("read of %s: %d, generation %s, want 200 from the reconcile's %s", reported, first.Code, got, snap.GenerationID())
+	}
+	if snap.Predicted != 1 || snap.Retrained != 0 {
+		t.Fatalf("reconcile predicted %d retrained %d, want %s alone forecast and nothing fitted", snap.Predicted, snap.Retrained, reported)
+	}
+}

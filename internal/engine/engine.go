@@ -60,6 +60,12 @@ type Vehicle struct {
 	// donor-only, so partitioning the fleet cannot change which donors
 	// a semi-new or new vehicle trains against (see internal/cluster).
 	DonorOnly bool
+	// Seq is the Source sequence (Config.Seq) of the vehicle's latest
+	// change, 0 when the source does not know it. The build after a
+	// Restore reuses the restored keys and forecasts of every vehicle
+	// whose Seq is at or below the restored generation's coverage
+	// without reading its days.
+	Seq uint64
 }
 
 // Source yields the current fleet — typically by re-reading the
@@ -123,7 +129,7 @@ type Engine struct {
 	lastErrAt  time.Time
 
 	// covered is the Source sequence the live generation covers (see
-	// Covers; 0 for a restored or an explicit-fleet generation). landed
+	// Covers and Restore; 0 for an explicit-fleet generation). landed
 	// is closed and replaced at each publish, before its OnSnapshot
 	// spill, and at each release, waking every AwaitCoverage.
 	covered atomic.Uint64
@@ -420,6 +426,7 @@ func (e *Engine) retrainLocked(ctx context.Context, fetch func(context.Context) 
 	}
 	e.generation++
 	snap.Generation = e.generation
+	snap.Covered = seq
 	// A successful build supersedes any earlier failure; clear it
 	// *before* publishing so Status never pairs the new generation with
 	// a stale error.
@@ -470,28 +477,43 @@ func (e *Engine) logRetrainError(ctx context.Context, stage string, err error) {
 // vehicles of one whose pool key predates the first-cycle key). Restore
 // is a boot-time operation: it refuses once the engine has any snapshot.
 //
-// A restore is two stages. The rows — statuses, forecasts, errors, keys
-// — are published first: every read is served from them, and no read
-// ever touches a model. models, when non-nil, then decodes the
-// generation's models (snap.Models is nil in that case) on a goroutine
-// that holds the build lock, with Status reporting retraining from the
-// moment the rows are published. The decoded models are installed by
-// publishing a copy of the snapshot that carries them; the rows readers
-// see do not change. A decode that fails is logged and its models are
-// dropped: the rows keep serving, and the next build retrains every
-// vehicle, because a vehicle without a prior model always retrains.
+// The restored generation covers the Source sequence its build covered
+// (snap.Covered), provided the Source has reached it: a store whose
+// sequence is below it lost history the spill had seen, and the
+// generation then covers 0. From the moment the rows are published a
+// read of a vehicle with no change after that sequence answers at once;
+// a read of one changed since waits for the reconcile below.
 //
-// With reconcile set, one incremental build from the Source runs after
-// the decode under the same hold, so a build that folds recovered
-// telemetry into the restored generation never races the decode and
-// always plans against the decoded models. The returned channel yields
-// that build's error (nil without a reconcile) once the build lock is
+// A restore is three stages under one hold of the build lock, with
+// Status reporting retraining from the moment the rows are published
+// until the last ends. The rows — statuses, forecasts, errors, keys —
+// are published first: every read is served from them, and no read ever
+// touches a model. models, when non-nil, then yields the generation's
+// models (snap.Models is nil in that case), which may decode lazily:
+// a model with a Decode method (see snapstore.Rows.LazyModels) decodes
+// its body when first used. They are installed by publishing a copy of
+// the snapshot that carries them; the rows readers see do not change. A
+// models call that fails is logged and the models are dropped: the rows
+// keep serving, and the next build retrains every vehicle, because a
+// vehicle without a prior model always retrains.
+//
+// With reconcile set, one incremental build from the Source runs next,
+// so a build that folds recovered telemetry into the restored
+// generation never races the restore. It adopts the fetched series of
+// every vehicle unchanged since the covered sequence (Vehicle.Seq), so
+// it carries their keys, models and forecasts without hashing, decoding
+// or predicting them, and it decodes, before planning, the models of
+// the vehicles that did change; a model that fails to decode is dropped
+// and its vehicle retrains. Last, a warm pass decodes every model still
+// undecoded, so no later build decodes one; a model that fails is
+// dropped by publishing a copy of the snapshot without it, and the next
+// build retrains its vehicle. The returned channel yields the
+// reconcile's error (nil without a reconcile) once the build lock is
 // released. With a durable telemetry store the fleetserver's boot order
 // is WAL replay (ingest.OpenDurable), then Restore with reconcile: the
-// rows serve at once, the models decode, and the reconcile build — model
-// keys match for everything the snapshot covers, so it fits only
-// vehicles whose recovered reports completed a cycle — closes the gap.
-// A crash loses nothing and never forces a cold train.
+// rows serve at once, the reconcile build closes the gap at the cost of
+// the vehicles reported since the spill, and the warm pass follows. A
+// crash loses nothing and never forces a cold train.
 func (e *Engine) Restore(snap *Snapshot, models func() (map[string]ml.Regressor, error), reconcile bool) (<-chan error, error) {
 	if snap == nil {
 		return nil, fmt.Errorf("engine: Restore with a nil snapshot")
@@ -509,22 +531,26 @@ func (e *Engine) Restore(snap *Snapshot, models func() (map[string]ml.Regressor,
 		return nil, fmt.Errorf("engine: snapshot was trained under a different predictor configuration (hash %x, engine %x); cold-train instead", snap.ConfigHash, want)
 	}
 	e.generation = snap.Generation
+	cover := snap.Covered
+	if e.cfg.Seq == nil || e.cfg.Seq() < cover {
+		cover = 0
+	}
 	done := make(chan error, 1)
 	if models == nil && !reconcile {
 		e.snap.Store(snap)
+		e.covered.Store(cover)
 		e.release()
 		done <- nil
 		return done, nil
 	}
 	// Retraining before the rows are live: no reader may see a ready
-	// engine that is idle while its restore is still under way. The
-	// restored rows cover no Source sequence (the file does not say
-	// which they reflect), so until the hold is released a read that
-	// awaits coverage of any stored vehicle waits for the reconcile.
+	// engine that is idle while its restore is still under way, and a
+	// read of a vehicle changed after cover waits for the reconcile.
 	e.stateMu.Lock()
 	e.retraining.Store(true)
 	e.stateMu.Unlock()
 	e.snap.Store(snap)
+	e.covered.Store(cover)
 	go func() {
 		if models != nil {
 			e.installModels(snap, models)
@@ -533,15 +559,16 @@ func (e *Engine) Restore(snap *Snapshot, models func() (map[string]ml.Regressor,
 		if reconcile {
 			_, err = e.retrainLocked(context.Background(), e.sourceFetch, incremental)
 		}
+		e.warm()
 		e.release()
 		done <- err
 	}()
 	return done, nil
 }
 
-// installModels decodes a restored generation's models and publishes
-// the copy of snap that carries them; a failed decode leaves snap live
-// without models. The caller holds buildMu.
+// installModels installs a restored generation's models by publishing
+// the copy of snap that carries them; a failed models call leaves snap
+// live without models. The caller holds buildMu.
 func (e *Engine) installModels(snap *Snapshot, models func() (map[string]ml.Regressor, error)) {
 	t0 := time.Now()
 	m, err := models()
@@ -552,9 +579,73 @@ func (e *Engine) installModels(snap *Snapshot, models func() (map[string]ml.Regr
 		return
 	}
 	e.snap.Store(snap.withModels(m))
-	e.log.LogAttrs(context.Background(), slog.LevelInfo, "restored models decoded",
+	e.log.LogAttrs(context.Background(), slog.LevelInfo, "restored models installed",
 		slog.Uint64("generation", snap.Generation),
 		slog.Int("vehicles", len(m)),
+		slog.Float64("seconds", time.Since(t0).Seconds()))
+}
+
+// lazyModel is a restored model that decodes its body on first use;
+// Decode decodes it now, once, and returns the error every later call
+// returns too.
+type lazyModel interface{ Decode() error }
+
+// decodeModels decodes the lazy models among ids' models in s,
+// returning s or, if any fails, a copy without every vehicle that holds
+// a failed model. The caller holds buildMu.
+func (e *Engine) decodeModels(s *Snapshot, ids []string) *Snapshot {
+	var failed map[ml.Regressor]error
+	for _, id := range ids {
+		m := s.Models[id]
+		if lm, ok := m.(lazyModel); ok {
+			if _, seen := failed[m]; seen {
+				continue
+			}
+			if err := lm.Decode(); err != nil {
+				if failed == nil {
+					failed = make(map[ml.Regressor]error)
+				}
+				failed[m] = err
+			}
+		}
+	}
+	if failed == nil {
+		return s
+	}
+	kept := make(map[string]ml.Regressor, len(s.Models))
+	for id, m := range s.Models {
+		if err, bad := failed[m]; bad {
+			e.log.LogAttrs(context.Background(), slog.LevelWarn, "restored model undecodable; its vehicle retrains",
+				slog.String("vehicle", id),
+				slog.String("error", err.Error()))
+			continue
+		}
+		kept[id] = m
+	}
+	return s.withModels(kept)
+}
+
+// warm ends a restore: it decodes every model of the live snapshot that
+// is still undecoded and, if one fails, publishes a copy without it.
+// The caller holds buildMu.
+func (e *Engine) warm() {
+	live := e.snap.Load()
+	t0 := time.Now()
+	ids := make([]string, 0, len(live.Models))
+	for id, m := range live.Models {
+		if _, ok := m.(lazyModel); ok {
+			ids = append(ids, id)
+		}
+	}
+	if len(ids) == 0 {
+		return
+	}
+	if warmed := e.decodeModels(live, ids); warmed != live {
+		e.snap.Store(warmed)
+	}
+	e.log.LogAttrs(context.Background(), slog.LevelInfo, "restored models decoded",
+		slog.Uint64("generation", live.Generation),
+		slog.Int("vehicles", len(ids)),
 		slog.Float64("seconds", time.Since(t0).Seconds()))
 }
 
@@ -587,6 +678,9 @@ func (e *Engine) build(ctx context.Context, fleet []Vehicle, full bool) (*Snapsh
 	prev := e.snap.Load()
 	if full {
 		prev = nil
+	}
+	if prev != nil && prev.series == nil {
+		prev = e.reconcilePrior(prev, fleet)
 	}
 	var prior *core.PriorGeneration
 	if prev != nil {
@@ -633,6 +727,35 @@ func (e *Engine) build(ctx context.Context, fleet []Vehicle, full bool) (*Snapsh
 	snap.BuiltAt = time.Now()
 	snap.TrainDuration = snap.BuiltAt.Sub(t0)
 	return snap, nil
+}
+
+// reconcilePrior returns what a restored snapshot is to a build that
+// plans from fleet: it adopts the series of every vehicle unchanged
+// since the live coverage (see Snapshot.adopt), and decodes the models
+// the build may predict or train with — those of the vehicles it did
+// not adopt, and the unified model when one of those may train against
+// it — dropping any that fails, so that no undecodable model is used.
+func (e *Engine) reconcilePrior(restored *Snapshot, fleet []Vehicle) *Snapshot {
+	prev := restored.adopt(fleet, e.covered.Load())
+	var ids []string
+	coldStart := false
+	for _, v := range fleet {
+		id := v.Series.ID
+		if v.DonorOnly || prev.series[id] != nil {
+			continue
+		}
+		ids = append(ids, id)
+		coldStart = coldStart || core.Categorize(v.Series) != core.Old
+	}
+	if coldStart {
+		for id, st := range prev.StatusByID {
+			if st.Strategy == "unified" && prev.Models[id] != nil {
+				ids = append(ids, id)
+				break
+			}
+		}
+	}
+	return e.decodeModels(prev, ids)
 }
 
 // mergeStatuses interleaves the carried-forward and freshly trained

@@ -80,16 +80,23 @@ type Snapshot struct {
 	// before them is the prep stage).
 	BuiltAt       time.Time
 	TrainDuration time.Duration
+	// Covered is the Source sequence the build's fetch covers (see
+	// Config.Seq; 0 without one or for an explicit fleet), and Olds
+	// counts the old vehicles it planned from, donor-only ones included.
+	// internal/snapstore spills both, so the build after a restore knows
+	// which vehicles did not change since the spill (see Restore).
+	Covered uint64
+	Olds    int
 
 	// series and starts are what the build planned from, every
-	// registered vehicle (donor-only ones included), and olds counts its
-	// old vehicles: what lets the next build carry keys and forecasts
-	// for the vehicles whose series did not change. A restored snapshot
-	// has none, so the build after a restore hashes and forecasts every
-	// vehicle.
+	// registered vehicle (donor-only ones included): what lets the next
+	// build carry keys and forecasts for the vehicles whose series did
+	// not change. A restored snapshot has none; the build after a
+	// restore adopts the fetched series of every vehicle the store has
+	// not changed since Covered (see adopt) and hashes and forecasts only
+	// the rest.
 	series map[string]*timeseries.VehicleSeries
 	starts map[string]time.Time
-	olds   int
 
 	// etag is the lazily formatted generation identifier (see ETag).
 	// Lazy because Generation is stamped by the engine after the build,
@@ -128,15 +135,23 @@ func (s *Snapshot) prior() *core.PriorGeneration {
 		Statuses:  s.StatusByID,
 		Models:    s.Models,
 		Series:    s.series,
-		Olds:      s.olds,
+		Olds:      s.Olds,
 	}
 }
 
 // withModels returns a copy of s that carries models. A restored
-// generation serves its rows before its models are decoded (see
-// Engine.Restore); the copy replaces it once they are, so no published
-// snapshot is ever mutated.
+// generation serves its rows before its models are known (see
+// Engine.Restore), and a model that fails to decode leaves the
+// generation it was restored into; each time, a copy replaces the live
+// snapshot, so no published snapshot is ever mutated.
 func (s *Snapshot) withModels(models map[string]ml.Regressor) *Snapshot {
+	c := s.clone()
+	c.Models = models
+	return c
+}
+
+// clone returns a field-by-field copy of s with a fresh ETag cache.
+func (s *Snapshot) clone() *Snapshot {
 	return &Snapshot{
 		Statuses:       s.Statuses,
 		StatusByID:     s.StatusByID,
@@ -144,7 +159,7 @@ func (s *Snapshot) withModels(models map[string]ml.Regressor) *Snapshot {
 		ForecastByID:   s.ForecastByID,
 		ForecastErrors: s.ForecastErrors,
 		FailedVehicles: s.FailedVehicles,
-		Models:         models,
+		Models:         s.Models,
 		ModelKeys:      s.ModelKeys,
 		PoolHash:       s.PoolHash,
 		PoolChanged:    s.PoolChanged,
@@ -156,10 +171,37 @@ func (s *Snapshot) withModels(models map[string]ml.Regressor) *Snapshot {
 		Generation:     s.Generation,
 		BuiltAt:        s.BuiltAt,
 		TrainDuration:  s.TrainDuration,
+		Covered:        s.Covered,
+		Olds:           s.Olds,
 		series:         s.series,
 		starts:         s.starts,
-		olds:           s.olds,
 	}
+}
+
+// adopt returns what a restored snapshot s (one without series) is to
+// the build that plans from fleet, when s's rows and keys are what a
+// build at Source sequence cover produced: a copy that holds, as the
+// series and start it was built from, the fetched ones of every vehicle
+// whose last change is at or below cover. Such a vehicle reads what it
+// read at that build, so the plan carries its key, and the new snapshot
+// its forecast, without hashing or predicting it (see Retrain). A
+// vehicle without a change sequence (Vehicle.Seq 0: not in the local
+// store) is never adopted. With cover 0 nothing is, and s is returned
+// as is: a plan with no prior series hashes every key.
+func (s *Snapshot) adopt(fleet []Vehicle, cover uint64) *Snapshot {
+	if cover == 0 {
+		return s
+	}
+	c := s.clone()
+	c.series = make(map[string]*timeseries.VehicleSeries, len(fleet))
+	c.starts = make(map[string]time.Time, len(fleet))
+	for _, v := range fleet {
+		if v.Seq > 0 && v.Seq <= cover {
+			c.series[v.Series.ID] = v.Series
+			c.starts[v.Series.ID] = v.Start
+		}
+	}
+	return c
 }
 
 // sameAs reports whether s equals o in everything a reader or the next
@@ -214,9 +256,9 @@ func newSnapshot(fp *core.FleetPredictor, statuses []core.VehicleStatus, models 
 		ConfigHash:     cfgHash,
 		Reused:         len(plan.Reused),
 		Retrained:      len(plan.Tasks),
+		Olds:           plan.Olds,
 		series:         series,
 		starts:         starts,
-		olds:           plan.Olds,
 	}
 	for _, st := range statuses {
 		s.StatusByID[st.ID] = st

@@ -120,9 +120,11 @@ func kick(t *testing.T, eng *engine.Engine) {
 // TestTailDayBuildPredictsOnlyTheReporter: a build forecasts only the
 // vehicles whose series changed. An old vehicle's tail day retrains
 // nothing and forecasts that one vehicle; a kicked build on unchanged
-// telemetry forecasts nothing; and the first build after a Restore,
-// whose snapshot does not know the series it was built from, forecasts
-// the whole fleet while it still reuses every model.
+// telemetry forecasts nothing; the first build after a Restore of a
+// spill that covers the store's sequence forecasts nothing either; and
+// one after a Restore into an engine that cannot check the coverage
+// (no Seq), whose snapshot then knows no series it was built from,
+// forecasts the whole fleet while it still reuses every model.
 func TestTailDayBuildPredictsOnlyTheReporter(t *testing.T) {
 	store, days := seedStore(t)
 	var logs lockedBuffer
@@ -177,28 +179,34 @@ func TestTailDayBuildPredictsOnlyTheReporter(t *testing.T) {
 	if err := spill.Save("shard00", snap); err != nil {
 		t.Fatal(err)
 	}
-	rows, err := spill.LoadRows("shard00")
-	if err != nil {
-		t.Fatal(err)
-	}
 	cfg.Logger = nil
-	restarted, err := engine.New(cfg)
-	if err != nil {
-		t.Fatal(err)
+	for _, c := range []struct {
+		seq       func() uint64
+		predicted int
+	}{{store.Seq, 0}, {nil, len(days)}} {
+		rows, err := spill.LoadRows("shard00")
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg.Seq = c.seq
+		restarted, err := engine.New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		done, err := restarted.Restore(rows.Snapshot, rows.Models, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := <-done; err != nil {
+			t.Fatal(err)
+		}
+		reconciled := restarted.Snapshot()
+		if reconciled.Predicted != c.predicted || reconciled.Retrained != 0 || reconciled.PoolChanged {
+			t.Fatalf("reconcile (Seq set: %v) predicted %d retrained %d pool_changed %v, want %d, 0, false",
+				c.seq != nil, reconciled.Predicted, reconciled.Retrained, reconciled.PoolChanged, c.predicted)
+		}
+		sameRows(t, "reconcile", reconciled, snap)
 	}
-	done, err := restarted.Restore(rows.Snapshot, rows.Models, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := <-done; err != nil {
-		t.Fatal(err)
-	}
-	reconciled := restarted.Snapshot()
-	if reconciled.Predicted != len(days) || reconciled.Retrained != 0 || reconciled.PoolChanged {
-		t.Fatalf("reconcile predicted %d retrained %d pool_changed %v, want %d, 0, false",
-			reconciled.Predicted, reconciled.Retrained, reconciled.PoolChanged, len(days))
-	}
-	sameRows(t, "reconcile", reconciled, snap)
 }
 
 // sameRows fails unless a and b serve the same statuses, forecasts and

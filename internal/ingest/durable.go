@@ -28,12 +28,13 @@
 //     with -wal-dir but no -snapshot-dir) keeps its whole journal and
 //     replays all of it at every boot.
 //
-// Restore ordering at boot is snapstore-restore → WAL-replay →
+// Restore ordering at boot is WAL-replay → snapstore-restore →
 // incremental reconcile retrain: the rebooted engine serves its
 // persisted generation immediately, the store holds every acknowledged
-// report, and the reconcile retrain (cheap: model-key comparison
-// reuses every vehicle the snapshot already covers) folds in whatever
-// the WAL had beyond the snapshot. A crash therefore loses nothing and
+// report, and the reconcile retrain folds in whatever the WAL had
+// beyond the snapshot. It is cheap because replay reproduces every
+// sequence number: a vehicle whose last change (lastSeq) is at or
+// below the sequence the spill covers is carried without being read. A crash therefore loses nothing and
 // never forces a cold train.
 //
 // A durable store is seeded (SeedFromFleet) only when it recovered

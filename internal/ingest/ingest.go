@@ -641,11 +641,14 @@ func (s *Store) RawSeries(vehicleID string) (start time.Time, u []float64, ok bo
 // raw-series copy of dirty vehicles happens under the store lock; the
 // derive runs outside it and keeps that copy as the series' U (the one
 // copy of the run a fetch makes), so a retrain fetch never stalls
-// concurrent telemetry writes for more than the copy.
+// concurrent telemetry writes for more than the copy. Each vehicle
+// carries the store sequence of its latest change (engine.Vehicle.Seq),
+// read under the same lock as its content.
 func (s *Store) Fleet(ctx context.Context) ([]engine.Vehicle, error) {
 	type rawVehicle struct {
 		id     string
 		hash   uint64
+		seq    uint64
 		start  time.Time
 		u      timeseries.Series // nil when the cache already covers hash
 		cached engine.Vehicle
@@ -655,7 +658,7 @@ func (s *Store) Fleet(ctx context.Context) ([]engine.Vehicle, error) {
 	s.prepMu.Lock()
 	raw := make([]rawVehicle, 0, len(s.vehicles))
 	for id, rec := range s.vehicles {
-		rv := rawVehicle{id: id, hash: rec.hash}
+		rv := rawVehicle{id: id, hash: rec.hash, seq: rec.lastSeq}
 		if ent, ok := s.prepCache[id]; ok && ent.hash == rec.hash {
 			rv.cached = ent.vehicle
 			s.prepHits++
@@ -676,6 +679,7 @@ func (s *Store) Fleet(ctx context.Context) ([]engine.Vehicle, error) {
 			return nil, err
 		}
 		if rv.u == nil {
+			rv.cached.Seq = rv.seq
 			out = append(out, rv.cached)
 			continue
 		}
@@ -698,6 +702,7 @@ func (s *Store) Fleet(ctx context.Context) ([]engine.Vehicle, error) {
 			s.prepCache[rv.id] = preparedEntry{hash: rv.hash, vehicle: v}
 		}
 		s.prepMu.Unlock()
+		v.Seq = rv.seq
 		out = append(out, v)
 	}
 	return out, nil

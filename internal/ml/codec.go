@@ -85,6 +85,9 @@ func (d *Decoder) Fail(err error) {
 // Failf is Fail with a formatted error.
 func (d *Decoder) Failf(format string, args ...any) { d.Fail(fmt.Errorf(format, args...)) }
 
+// Len returns the number of unread bytes.
+func (d *Decoder) Len() int { return len(d.b) }
+
 // Finish returns Err, or an error when unread bytes remain.
 func (d *Decoder) Finish() error {
 	if d.err == nil && len(d.b) > 0 {

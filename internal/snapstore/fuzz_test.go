@@ -18,15 +18,17 @@ import (
 
 // FuzzSnapshotDecode hardens restore: arbitrary bytes as a shard's
 // snapshot file must never panic either decode stage — LoadRows, then
-// Rows.Models on whatever rows it accepted — and neither stage may
-// allocate more than a constant factor of the file's size: every count
-// in the format is checked against the bytes that remain before
-// anything is sized from it. Each input is tried as is and with its
+// the table stage (Rows.LazyModels) on whatever rows it accepted, with
+// every lazily decoded model forced after it, so each family's body
+// decoder is fuzzed too — and neither stage may allocate more than a
+// constant factor of the file's size: every count in the format is
+// checked against the bytes that remain before anything is sized from
+// it. Each input is tried as is and with its
 // CRC-32C recomputed, so mutations reach the decoder behind the
 // checksum. Seeds under testdata/fuzz are a real spill of the test
-// fleet, its truncations, a flipped bit, a version 1 file and a spill
-// whose rows decode but whose tree model links a child backwards; the
-// fuzzer mutates from there.
+// fleet (version 2 and version 3), its truncations, a flipped bit, a
+// version 1 file and a spill whose rows decode but whose tree model
+// links a child backwards; the fuzzer mutates from there.
 func FuzzSnapshotDecode(f *testing.F) {
 	f.Add(spillBytes(f))
 	f.Add(backwardLinkSpill(f))
@@ -44,7 +46,15 @@ func FuzzSnapshotDecode(f *testing.F) {
 			var rows *Rows
 			checkAlloc(t, "LoadRows", len(in), func() { rows, _ = store.LoadRows("shard00") })
 			if rows != nil {
-				checkAlloc(t, "Models", len(in), func() { _, _ = rows.Models() })
+				checkAlloc(t, "LazyModels", len(in), func() {
+					models, err := rows.LazyModels()
+					if err != nil {
+						return
+					}
+					for _, m := range models {
+						_ = m.(interface{ Decode() error }).Decode()
+					}
+				})
 			}
 		}
 	})

@@ -18,7 +18,7 @@
 // ingest.CheckpointAndCompact), so a WAL segment is never dropped
 // before a persisted generation's checkpoint covers it.
 //
-// # File format (version 2)
+// # File format (version 3)
 //
 // Every integer is little-endian, every float is its IEEE 754 bits, a
 // string or byte run is a u32 length and its bytes, and a time is
@@ -28,7 +28,9 @@
 //   - the magic "reprosnap\n" and a u32 format version;
 //   - the shard name and the spill time;
 //   - the snapshot's scalars (generation, pool and config hashes, plan
-//     flags, reuse counts, build time and duration);
+//     flags, reuse counts, build time and duration), then the store
+//     sequence the generation covers and its count of old vehicles
+//     (engine.Snapshot's Covered and Olds);
 //   - the per-vehicle rows: statuses and forecasts in ID order, then
 //     forecast errors, failed vehicles and model keys sorted by ID;
 //   - the model table: each distinct model once (deduplicated by
@@ -41,20 +43,28 @@
 // A restore decodes in two stages over one decoder. LoadRows reads the
 // file once, checks the CRC over every byte, and decodes the rows — all
 // a restarted server needs to serve, since forecasts are precomputed
-// rows and no read touches a model. Rows.Models then decodes the model
-// table and the index, which only the next build reads; the fleetserver
-// runs it after the rows already serve (see engine.Restore). Load is
-// the two stages in a row. Every count is bounded by the bytes that
+// rows and no read touches a model. The table stage then scans the
+// model table and the index: every family tag, length and index entry
+// is checked, but no model body is decoded. Rows.LazyModels returns the
+// scanned table as models that each decode their body on first use,
+// once (safe for concurrent use); until then a model's AppendBinary
+// returns the bytes it was read from, so a spill of a model carried
+// from the restored generation copies those bytes without decoding
+// them. Rows.Models decodes every body after the scan, and Load is
+// LoadRows then Models. Every count is bounded by the bytes that
 // remain, so a damaged or hostile file is refused without allocating
 // past its own size. Vehicles that shared a model when it was spilled
-// (every vehicle the §4.4.1 unified model serves) share one decoded
-// model after Models.
+// (every vehicle the §4.4.1 unified model serves) share one model
+// after either table call.
 //
 // # Version policy
 //
-// The version moves with every change to what the file holds, and
-// Load reads only the current one. An older file — including a version
-// 1 file, which was a gob stream — is refused with an error; the
+// The version moves with every change to what the file holds. This
+// build writes version 3 and reads versions 3 and 2; version 2 lacks the
+// covered sequence and the old-vehicle count and is read as covering
+// sequence 0, so the first build after its restore hashes every vehicle
+// and reuses every model, and its first spill upgrades the file. Older
+// files — version 1 was a gob stream — are refused with an error; the
 // fleetserver logs it and cold-trains, and since the ingest checkpoint
 // and the WAL are the durable record, no acknowledged report is lost.
 package snapstore
@@ -66,10 +76,12 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
 	"sort"
 	"strings"
+	"sync"
 	"time"
 
 	"repro/internal/core"
@@ -82,10 +94,12 @@ import (
 	"repro/internal/ml/tree"
 )
 
-// magic identifies a snapstore file; version gates format evolution.
+// magic identifies a snapstore file; version gates format evolution,
+// and versionNoCover is the one older version this build reads.
 const (
-	magic   = "reprosnap\n"
-	version = 2
+	magic          = "reprosnap\n"
+	version        = 3
+	versionNoCover = 2
 )
 
 // headSize is the magic plus the u32 version; crcSize the trailing
@@ -100,12 +114,17 @@ var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 // errVersion marks a file written in a format this build does not read.
 var errVersion = errors.New("unsupported snapshot format version")
 
-// codecModel is what a model table entry holds: a regressor with the
-// family codec every ml sub-package (and core.Baseline) implements.
+// codecModel is what a model table entry decodes to: a regressor with
+// the family codec every ml sub-package (and core.Baseline) implements.
+// Save needs only the encoder half, which a lazily decoded entry has too.
 type codecModel interface {
 	ml.Regressor
-	AppendBinary([]byte) ([]byte, error)
+	appender
 	UnmarshalBinary([]byte) error
+}
+
+type appender interface {
+	AppendBinary([]byte) ([]byte, error)
 }
 
 // Model family tags of the model table.
@@ -120,7 +139,7 @@ const (
 
 // familyOf tags a model, or returns 0 for a type the format cannot hold.
 func familyOf(m ml.Regressor) byte {
-	switch m.(type) {
+	switch m := m.(type) {
 	case *core.Baseline:
 		return familyBaseline
 	case *linreg.Model:
@@ -133,6 +152,8 @@ func familyOf(m ml.Regressor) byte {
 		return familyForest
 	case *gbm.Model:
 		return familyGBM
+	case *lazyModel:
+		return m.family
 	}
 	return 0
 }
@@ -273,12 +294,13 @@ func (s *Store) Load(shard string) (*engine.Snapshot, error) {
 
 // Rows is a snapshot file that was read and checked whole, with its
 // rows decoded and its model table not yet: Snapshot can serve every
-// read, and Models decodes what the next build reuses.
+// read, and Models or LazyModels returns what the next build reuses.
 type Rows struct {
 	// Snapshot holds the file's rows; its Models is nil.
 	Snapshot *engine.Snapshot
 	path     string
 	d        *ml.Decoder // at the model table
+	table    []lazyModel // the scanned table, once a table call ran
 }
 
 // LoadRows reads a shard's persisted snapshot, checks its CRC over
@@ -310,23 +332,136 @@ func (s *Store) LoadRows(shard string) (*Rows, error) {
 	return rows, nil
 }
 
-// Models decodes the model table and the per-vehicle model index that
-// follow the rows. It consumes the rest of the file, and drops the
-// decoder so the file's bytes can be freed: a second call fails.
+// Models scans the model table and the per-vehicle model index that
+// follow the rows and decodes every model body. It consumes the rest of
+// the file: a second table call fails.
 func (r *Rows) Models() (map[string]ml.Regressor, error) {
+	index, err := r.scan()
+	if err != nil {
+		return nil, err
+	}
+	for i := range r.table {
+		if err := r.table[i].Decode(); err != nil {
+			return nil, fmt.Errorf("snapstore: %s: model %d: %w", r.path, i, err)
+		}
+	}
+	models := make(map[string]ml.Regressor, len(index))
+	for id, at := range index {
+		models[id] = r.table[at].model
+	}
+	return models, nil
+}
+
+// LazyModels scans the model table and the per-vehicle model index that
+// follow the rows — every family tag, length and index entry — and
+// returns models that decode their bodies on first use (see the package
+// doc): the restart path, where a build decodes only the models it
+// predicts with. Each returned model has a Decode method that decodes
+// it now and reports a body its family refuses; until then it predicts
+// nothing. A second table call fails.
+func (r *Rows) LazyModels() (map[string]ml.Regressor, error) {
+	index, err := r.scan()
+	if err != nil {
+		return nil, err
+	}
+	models := make(map[string]ml.Regressor, len(index))
+	for id, at := range index {
+		models[id] = &r.table[at]
+	}
+	return models, nil
+}
+
+// Decoded counts the table's models whose bodies have been decoded (or
+// refused) so far: every one after Models, only those used after
+// LazyModels.
+func (r *Rows) Decoded() int {
+	n := 0
+	for i := range r.table {
+		if r.table[i].decoded() {
+			n++
+		}
+	}
+	return n
+}
+
+// scan runs the table stage and drops the decoder, so a second call
+// fails.
+func (r *Rows) scan() (map[string]uint32, error) {
 	d := r.d
 	r.d = nil
 	if d == nil {
 		return nil, fmt.Errorf("snapstore: %s: model table already decoded", r.path)
 	}
-	models, err := decodeModels(d)
+	table, index, err := scanModels(d)
 	if err != nil {
 		return nil, fmt.Errorf("snapstore: %s: %w", r.path, err)
 	}
-	return models, nil
+	r.table = table
+	return index, nil
 }
 
-// encode writes one snapshot in the version 2 layout (see the package
+// lazyModel is one model table entry: its family and encoded body, and
+// the model the body decodes to once Decode (or Predict) first runs.
+// The mutex makes the decode happen once under concurrent use.
+type lazyModel struct {
+	mu     sync.Mutex
+	family byte
+	body   []byte // the entry's encoding until it decodes
+	model  codecModel
+	err    error
+}
+
+// Decode decodes the body, once, and returns the error its family's
+// decoder gave (the same one every later call returns).
+func (l *lazyModel) Decode() error {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if l.model == nil && l.err == nil {
+		m := newModel(l.family)
+		if err := m.UnmarshalBinary(l.body); err != nil {
+			l.err = err
+		} else {
+			l.model, l.body = m, nil
+		}
+	}
+	return l.err
+}
+
+func (l *lazyModel) decoded() bool {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.model != nil || l.err != nil
+}
+
+// Predict decodes the model if it has not been, and predicts with it; a
+// body that does not decode predicts NaN. A caller that must not see
+// that decodes first.
+func (l *lazyModel) Predict(x []float64) float64 {
+	if l.Decode() != nil {
+		return math.NaN()
+	}
+	return l.model.Predict(x)
+}
+
+// Fit refuses: a restored model is only ever carried or replaced.
+func (l *lazyModel) Fit([][]float64, []float64) error {
+	return errors.New("snapstore: a restored model cannot be refit")
+}
+
+// AppendBinary appends the bytes the model was read from while it is
+// undecoded, and its family's encoding after; the two are the same
+// bytes, because every family's codec round-trips exactly.
+func (l *lazyModel) AppendBinary(b []byte) ([]byte, error) {
+	l.mu.Lock()
+	m, body := l.model, l.body
+	l.mu.Unlock()
+	if m != nil {
+		return m.AppendBinary(b)
+	}
+	return append(b, body...), nil
+}
+
+// encode writes one snapshot in the version 3 layout (see the package
 // doc). Each section is appended to one reused buffer, folded into the
 // running CRC and handed to w, so the largest buffer is one model.
 func encode(w io.Writer, shard string, snap *engine.Snapshot) error {
@@ -355,6 +490,8 @@ func encode(w io.Writer, shard string, snap *engine.Snapshot) error {
 		return err
 	}
 	b = ml.AppendInt(b, int(snap.TrainDuration))
+	b = ml.AppendU64(b, snap.Covered)
+	b = ml.AppendInt(b, snap.Olds)
 
 	b = ml.AppendU32(b, uint32(len(snap.Statuses)))
 	for _, st := range snap.Statuses {
@@ -412,7 +549,7 @@ func encode(w io.Writer, shard string, snap *engine.Snapshot) error {
 		b = append(b, familyOf(m))
 		at := len(b)
 		b = ml.AppendU32(b, 0) // length, patched below
-		if b, err = m.(codecModel).AppendBinary(b); err != nil {
+		if b, err = m.(appender).AppendBinary(b); err != nil {
 			return err
 		}
 		binary.LittleEndian.PutUint32(b[at:], uint32(len(b)-at-4))
@@ -435,24 +572,29 @@ func encode(w io.Writer, shard string, snap *engine.Snapshot) error {
 
 // Minimum encoded sizes, which bound the counts Load accepts: a status
 // row, a forecast row, an ID→string pair, a model table entry and an
-// index entry, each with empty strings and times.
+// index entry, each with empty strings and times. The smallest model
+// body any family writes is core.Baseline's two floats; the bound keeps
+// the per-entry cost of a table whose every body is decoded, refused or
+// not, within a constant factor of the file.
 const (
 	minStatusSize   = 4 + 8 + 4 + 4 + 8 + 4 + 4
 	minForecastSize = 4 + 8 + 8 + 4 + 8 + 4
 	minPairSize     = 4 + 4
-	minEntrySize    = 1 + 4
+	minBodySize     = 8 + 8
+	minEntrySize    = 1 + 4 + minBodySize
 	minIndexSize    = 4 + 4
 )
 
 // decodeRows checks a whole file's magic, version, checksum and shard,
 // then decodes its rows into a snapshot without models. The returned
-// decoder stands at the model table, which decodeModels reads.
+// decoder stands at the model table, which scanModels reads.
 func decodeRows(data []byte, shard string) (*engine.Snapshot, *ml.Decoder, error) {
 	if len(data) < headSize+crcSize || string(data[:len(magic)]) != magic {
 		return nil, nil, errors.New("not a snapshot file")
 	}
-	if v := binary.LittleEndian.Uint32(data[len(magic):]); v != version {
-		return nil, nil, fmt.Errorf("%w: this build reads version %d only (version 1 files were gob streams); cold-train instead", errVersion, version)
+	v := binary.LittleEndian.Uint32(data[len(magic):])
+	if v != version && v != versionNoCover {
+		return nil, nil, fmt.Errorf("%w %d: this build reads versions %d and %d only (version 1 files were gob streams); cold-train instead", errVersion, v, versionNoCover, version)
 	}
 	body := data[:len(data)-crcSize]
 	if crc32.Checksum(body, castagnoli) != binary.LittleEndian.Uint32(data[len(body):]) {
@@ -474,6 +616,10 @@ func decodeRows(data []byte, shard string) (*engine.Snapshot, *ml.Decoder, error
 		Retrained:     d.Int(),
 		BuiltAt:       readTime(d),
 		TrainDuration: time.Duration(d.Int()),
+	}
+	if v == version {
+		snap.Covered = d.U64()
+		snap.Olds = d.Int()
 	}
 
 	snap.Statuses = make([]core.VehicleStatus, d.Count(minStatusSize))
@@ -521,40 +667,37 @@ func decodeRows(data []byte, shard string) (*engine.Snapshot, *ml.Decoder, error
 	return snap, d, nil
 }
 
-// decodeModels reads the model table and the per-vehicle index, the
-// rest of the file after the rows. Vehicles that index one table entry
-// share one decoded model.
-func decodeModels(d *ml.Decoder) (map[string]ml.Regressor, error) {
-	table := make([]ml.Regressor, d.Count(minEntrySize))
+// scanModels reads the model table and the per-vehicle index, the rest
+// of the file after the rows: each entry's family tag and length, and
+// each vehicle's table position. No body is decoded; each table entry
+// keeps its body as a subslice of the file.
+func scanModels(d *ml.Decoder) ([]lazyModel, map[string]uint32, error) {
+	table := make([]lazyModel, d.Count(minEntrySize))
 	for i := range table {
 		family := d.U8()
-		raw := d.Bytes(d.Count(1))
+		body := d.Bytes(d.Count(1))
 		if err := d.Err(); err != nil {
-			return nil, err
+			return nil, nil, err
 		}
-		m := newModel(family)
-		if m == nil {
-			return nil, fmt.Errorf("model %d has unknown family tag %d", i, family)
+		if family < familyBaseline || family > familyGBM {
+			return nil, nil, fmt.Errorf("model %d has unknown family tag %d", i, family)
 		}
-		if err := m.UnmarshalBinary(raw); err != nil {
-			return nil, fmt.Errorf("model %d: %w", i, err)
-		}
-		table[i] = m
+		table[i].family, table[i].body = family, body
 	}
 	n := d.Count(minIndexSize)
-	models := make(map[string]ml.Regressor, n)
+	index := make(map[string]uint32, n)
 	for i := 0; i < n && d.Err() == nil; i++ {
 		id := d.String()
 		if at := d.U32(); int(at) < len(table) {
-			models[id] = table[at]
+			index[id] = at
 		} else {
 			d.Failf("vehicle %s indexes model %d of %d", id, at, len(table))
 		}
 	}
 	if err := d.Finish(); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	return models, nil
+	return table, index, nil
 }
 
 // appendTime appends a time as its MarshalBinary bytes.
